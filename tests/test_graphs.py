@@ -228,3 +228,141 @@ class TestCertificate:
     def test_fail_requires_witness(self):
         with pytest.raises(ValueError):
             Certificate(claim="x", verdict=False, witness=None)
+
+
+def naive_verify(graph, system):
+    """Pure-Python reference for ``verify_biclique_system``.
+
+    Applies the verifier's witness order with plain loops and a pair-count
+    dict: parts in order (first non-edge of the sorted block), then
+    row-major over all ordered pairs.
+    """
+    n = graph.order
+    t = system.multiplicity_bound
+    params = {"host_order": n, "parts": len(system.parts), "multiplicity_bound": t}
+    edge = set(graph.edges())
+    edge |= {(v, u) for u, v in edge}
+    count = {}
+    for i, b in enumerate(system.parts):
+        for u in b.left:
+            for w in b.right:
+                if (u, w) not in edge:
+                    return Certificate(
+                        "biclique-system",
+                        params,
+                        False,
+                        {"kind": "part-not-biclique", "part": i + 1, "pair": [u, w]},
+                    )
+                count[u, w] = count.get((u, w), 0) + 1
+                count[w, u] = count.get((w, u), 0) + 1
+    for u in range(n):
+        for v in range(n):
+            c = count.get((u, v), 0)
+            is_edge = (u, v) in edge
+            if (is_edge and not 1 <= c <= t) or (not is_edge and c):
+                witness = {
+                    "kind": "bad-multiplicity",
+                    "pair": [u, v],
+                    "multiplicity": c,
+                    "is_edge": is_edge,
+                }
+                return Certificate("biclique-system", params, False, witness)
+    return Certificate(
+        "biclique-system", params, True, {"max_multiplicity": max(count.values(), default=0)}
+    )
+
+
+def _random_cover(n, t, rng):
+    """A random system over n vertices with its host graph.
+
+    The host is the union of the system's bicliques plus random extra
+    edges; some edges are therefore covered more than once and some not
+    at all, so each t sees passes and failures.
+    """
+    adj = np.zeros((n, n), dtype=bool)
+    parts = []
+    if n >= 2:
+        for _ in range(rng.randrange(1, 7)):
+            vs = rng.sample(range(n), rng.randrange(2, min(n, 12) + 1))
+            cut = rng.randrange(1, len(vs))
+            b = Biclique(tuple(vs[:cut]), tuple(vs[cut:]))
+            adj[np.ix_(b.left, b.right)] = adj[np.ix_(b.right, b.left)] = True
+            parts.append(b)
+        for _ in range(rng.randrange(0, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            adj[u, v] = adj[v, u] = True
+    return Graph(adj), BicliqueSystem(n, tuple(parts), t)
+
+
+def _one_part_per_edge(graph, t, rng):
+    parts = []
+    for u, v in graph.edges():
+        parts.append(Biclique((u,), (v,)) if rng.random() < 0.5 else Biclique((v,), (u,)))
+    rng.shuffle(parts)
+    return BicliqueSystem(graph.order, tuple(parts), t)
+
+
+def _mutants(graph, system, rng):
+    """Drop, duplicate, foreign vertex, non-edge part, deleted host edge."""
+    n, parts, t = system.host_order, list(system.parts), system.multiplicity_bound
+    out = []
+    if parts:
+        k = rng.randrange(len(parts))
+        out.append((graph, BicliqueSystem(n, tuple(parts[:k] + parts[k + 1 :]), t)))
+        out.append((graph, BicliqueSystem(n, tuple(parts + [parts[k]] * t), t)))
+        b = parts[k]
+        outside = sorted(set(range(n)) - set(b.left) - set(b.right))
+        if outside:
+            grown = Biclique(b.left + (rng.choice(outside),), b.right)
+            out.append((graph, BicliqueSystem(n, tuple(parts[:k] + [grown] + parts[k + 1 :]), t)))
+    nonedges = [(u, v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)]
+    if nonedges:
+        u, v = rng.choice(nonedges)
+        at = rng.randrange(len(parts) + 1)
+        out.append((graph, BicliqueSystem(n, tuple(parts[:at] + [Biclique((u,), (v,))] + parts[at:]), t)))
+    edges = list(graph.edges())
+    if edges:
+        u, v = rng.choice(edges)
+        adj = graph.adjacency.copy()
+        adj[u, v] = adj[v, u] = False
+        out.append((Graph(adj), system))
+    return out
+
+
+class TestVerifyDifferential:
+    """``verify_biclique_system`` agrees with ``naive_verify``, witness included."""
+
+    SIZES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+    def _check(self, graph, system):
+        assert verify_biclique_system(graph, system) == naive_verify(graph, system)
+
+    def _check_with_mutants(self, graph, system, rng):
+        self._check(graph, system)
+        for g, s in _mutants(graph, system, rng):
+            self._check(g, s)
+
+    def test_random_systems(self):
+        rng = random.Random(20100224)
+        sizes = list(self.SIZES) + [rng.randrange(3, 140) for _ in range(12)]
+        for n in sizes:
+            for t in (1, 2, 3):
+                graph, system = _random_cover(n, t, rng)
+                self._check_with_mutants(graph, system, rng)
+
+    def test_one_part_per_edge(self):
+        rng = random.Random(4687)
+        sizes = list(self.SIZES) + [rng.randrange(3, 140) for _ in range(6)]
+        for n in sizes:
+            graph = random_graph(n, 0.02 + 0.1 * rng.random(), rng)
+            for t in (1, 2, 3):
+                self._check_with_mutants(graph, _one_part_per_edge(graph, t, rng), rng)
+
+    def test_star_partitions(self):
+        rng = random.Random(1002)
+        for n in self.SIZES:
+            graph = random_graph(n, 0.1 + 0.6 * rng.random(), rng)
+            system = star_partition(graph)
+            for t in (1, 2, 3):
+                s = BicliqueSystem(n, system.parts, t)
+                self._check_with_mutants(graph, s, rng)
