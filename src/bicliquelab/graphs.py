@@ -9,6 +9,7 @@ isomorphism search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -201,29 +202,262 @@ class Certificate:
             raise ValueError("failing certificate requires a witness")
 
 
+# Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
+# word v // 64, the layout np.packbits(..., bitorder="little") gives.
+_WORD = np.dtype("<u8")
+_BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane
+_MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
+
+
 def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     """Check that ``system`` is a valid t-cover of ``graph``'s edges.
 
     Passes iff (i) each part's cross pairs are all edges of the graph,
     (ii) every edge is covered between 1 and t times, and (iii) no
-    non-edge pair is covered.  The failure witness names the offending
-    pair and its multiplicity.  Verdict is independent of part order.
+    non-edge pair is covered.  Verdict is independent of part order.
+
+    Witness order: if some part is not a biclique, the witness is the
+    lowest-numbered such part with the first non-edge of its sorted
+    left-by-right block.  Otherwise it is the first pair, in row-major
+    order, covered 0 or more than t times, with its exact multiplicity.
+    On a pass ``max_multiplicity`` is exact.
+
+    Each vertex row of the pair-count matrix is kept as a saturating
+    bit-sliced counter over packed rows: ``min(t, parts).bit_length()`` bit
+    planes plus a sticky overflow plane, set once a count passes what the
+    planes hold (so it exceeds t).  A part adds the mask of its right side
+    to the row of each left vertex, and vice versa.  Counts are symmetric,
+    so a band of rows starting at vertex ``lo`` only keeps the columns from
+    word ``lo // 64`` on, which halves memory and work: every unordered
+    pair, and the first bad pair in row-major order (whose row is below its
+    column), is still seen.  Masks are built for a bounded chunk of parts
+    at a time, so the extra memory is about (planes + 1) * n*n/16 bytes
+    plus int32 indices linear in the vertex-part incidences; there is no
+    per-pair count array.  A part is a biclique iff it covers no non-edge,
+    so (i) is settled from the counters, and the part witness is searched
+    only when some non-edge is covered.
     """
     if system.host_order != graph.order:
         raise ValueError(
             f"system host order {system.host_order} != graph order {graph.order}"
         )
     n = graph.order
-    t = system.multiplicity_bound
     adj = graph.adjacency
     params = {
         "host_order": n,
         "parts": len(system.parts),
-        "multiplicity_bound": t,
+        "multiplicity_bound": system.multiplicity_bound,
     }
 
-    count = np.zeros((n, n), dtype=np.int16)
-    for i, b in enumerate(system.parts):
+    words = (n + 63) // 64
+    # no pair is covered more often than there are parts, so a bound above
+    # the part count acts as that count and needs no more planes
+    t = min(system.multiplicity_bound, len(system.parts))
+    digits = t.bit_length()
+    band = max(1, _BAND_BYTES // (8 * max(words, 1)))
+    # one counter per band of rows, holding the columns from the band's
+    # first row on (see above); the last plane is the overflow
+    counters = [
+        np.zeros((digits + 1, min(band, n - lo), words - lo // 64), dtype=_WORD)
+        for lo in range(0, n, band)
+    ]
+    chunk = max(1, _MASK_BYTES // (16 * max(words, 1)))
+    for lo in range(0, len(system.parts), chunk):
+        _count_chunk(counters, system.parts[lo : lo + chunk], band)
+
+    first_bad = None
+    max_mult = 0
+    for lo, counter in zip(range(0, n, band), counters):
+        first = lo // 64
+        row = _pack_rows(adj[lo : lo + band, 64 * first :], words - first)
+        planes, over = counter[:-1], counter[-1]
+        covered = over | np.bitwise_or.reduce(planes, axis=0)
+        if (covered & ~row).any():
+            return _non_biclique_part(adj, system.parts, params)
+        # above = count > t, by a bit-sliced compare against the constant t
+        above, equal = over.copy(), ~over
+        for k in reversed(range(digits)):
+            if t >> k & 1:
+                equal &= planes[k]
+            else:
+                above |= equal & planes[k]
+                equal &= ~planes[k]
+        bad = row & (above | ~covered)
+        if first_bad is None and bad.any():
+            r = int(np.flatnonzero(bad.any(axis=1))[0])
+            v = int(np.flatnonzero(np.unpackbits(bad[r].view(np.uint8), bitorder="little"))[0])
+            first_bad = (lo + r, 64 * first + v)
+        max_mult = max(max_mult, _plane_max(planes))
+
+    if first_bad is not None:
+        u, v = first_bad
+        return Certificate(
+            claim="biclique-system",
+            parameters=params,
+            verdict=False,
+            witness={
+                "kind": "bad-multiplicity",
+                "pair": [u, v],
+                "multiplicity": sum(
+                    (u in b.left and v in b.right) or (u in b.right and v in b.left)
+                    for b in system.parts
+                ),
+                "is_edge": bool(adj[u, v]),
+            },
+        )
+    return Certificate(
+        claim="biclique-system",
+        parameters=params,
+        verdict=True,
+        witness={"max_multiplicity": max_mult},
+    )
+
+
+def _pack_rows(rows: np.ndarray, words: int) -> np.ndarray:
+    """Bool rows packed into ``words`` little-endian uint64 words each."""
+    packed = np.zeros((rows.shape[0], 8 * words), dtype=np.uint8)
+    packed[:, : (rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view(_WORD)
+
+
+def _count_chunk(counters: list[np.ndarray], parts: Sequence[Biclique], band: int) -> None:
+    """Add the pair incidences of ``parts`` into the per-band ``counters``."""
+    words = counters[0].shape[2]
+    sides = [s for b in parts for s in (b.left, b.right)]
+    sizes = np.fromiter(map(len, sides), dtype=np.int32, count=len(sides))
+    verts = np.fromiter(chain.from_iterable(sides), dtype=np.int32, count=int(sizes.sum()))
+    side_of = np.repeat(np.arange(len(sides), dtype=np.int32), sizes)
+    # side masks: side 2i is part i's left, 2i+1 its right; a side's
+    # vertices are distinct, so adding their bits is OR-ing them
+    masks = np.zeros((len(sides) + 1) * words, dtype=_WORD)  # last row: zero mask
+    np.add.at(
+        masks,
+        side_of.astype(np.int64) * words + (verts >> 6),
+        np.left_shift(1, (verts & 63).astype(_WORD), dtype=_WORD),
+    )
+    masks = masks.reshape(len(sides) + 1, words)
+    # every vertex receives the mask of the opposite side of each of its parts
+    order = np.argsort(verts, kind="stable")
+    verts, opposite = verts[order], (side_of ^ 1)[order]
+    bounds = np.searchsorted(verts, np.arange(0, len(counters) * band + 1, band))
+    for i, counter in enumerate(counters):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            start = i * band
+            _count_band(counter, verts[lo:hi] - start, opposite[lo:hi], masks[:, start // 64 :])
+
+
+def _count_band(
+    counter: np.ndarray, verts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray
+) -> None:
+    """Add ``masks[mask_ids[i]]`` into row ``verts[i]`` of ``counter``, for all i.
+
+    ``verts`` is sorted.  Rows are ordered by decreasing incidence count,
+    so round j adds the j-th mask of each of the first ``active[j]`` rows,
+    a contiguous prefix.  Consecutive rounds are gathered together, up to
+    about ``_BAND_BYTES`` of masks, and summed by a halving tree before
+    they reach the counter, so a vertex in many parts costs few numpy
+    calls.  A gather pads its shorter rounds with the zero mask, the last
+    row of ``masks``, and spans only rounds at least half as full as its
+    first, so padding at most doubles the work.
+    """
+    starts = np.flatnonzero(np.diff(verts, prepend=-1))
+    degree = np.diff(np.append(starts, len(verts)))
+    by_degree = np.argsort(-degree, kind="stable")
+    position = np.empty_like(by_degree)
+    position[by_degree] = np.arange(len(by_degree))
+    rank = np.arange(len(verts)) - np.repeat(starts, degree)
+    mask_ids = mask_ids[np.argsort(rank * len(starts) + np.repeat(position, degree))]
+    active = len(starts) - np.cumsum(np.bincount(degree))[:-1]
+    offsets = np.append(0, np.cumsum(active)).tolist()
+
+    rows = verts[starts[by_degree]]
+    local = counter[:, rows]
+    digits = len(counter) - 1
+    per_gather = max(1, _BAND_BYTES // masks[0].nbytes)
+    j, rounds = 0, len(active)
+    while j < rounds:
+        c, k = int(active[j]), 1
+        while j + 2 * k <= rounds and 2 * k * c <= per_gather and 2 * active[j + 2 * k - 1] >= c:
+            k *= 2
+        ids = mask_ids[offsets[j] : offsets[j + k]]
+        if active[j + k - 1] < c:
+            padded = np.full((k, c), len(masks) - 1, dtype=ids.dtype)
+            padded[np.arange(c) < active[j : j + k, None]] = ids
+            ids = padded
+        planes, over = _tree_sum(masks[ids], k, digits)
+        carry = _ripple([plane[:c] for plane in local[:-1]], planes, digits)
+        for extra in (carry, over):
+            if extra is not None:
+                local[-1, :c] |= extra
+        j += k
+    counter[:, rows] = local
+
+
+def _tree_sum(
+    masks: np.ndarray, k: int, digits: int
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Sum ``k`` (a power of two) stacked groups of one-bit rows, bit-sliced.
+
+    Returns at most ``digits`` planes and the sticky overflow (None if none).
+    """
+    planes = [masks.reshape(k, -1, masks.shape[-1])]
+    over = None
+    while k > 1:
+        k //= 2
+        low = [plane[:k] for plane in planes]
+        carry = _ripple(low, [plane[k:] for plane in planes], digits)
+        if over is not None:
+            over = over[:k] | over[k:]
+        if carry is not None:
+            over = carry if over is None else over | carry
+        planes = low
+    return [plane[0] for plane in planes], None if over is None else over[0]
+
+
+def _ripple(a: list[np.ndarray], b: list[np.ndarray], digits: int) -> np.ndarray | None:
+    """Add the bit-sliced number ``b`` into ``a`` in place (planes lowest first).
+
+    Needs ``len(a) >= len(b)``.  ``a`` gains a top plane while it has fewer
+    than ``digits``; otherwise the carry out of its top plane is returned.
+    Returns None when there is no carry out.
+    """
+    carry = None
+    for i, x in enumerate(a):
+        y = b[i] if i < len(b) else None
+        if y is None and carry is None:
+            return None
+        if y is None or carry is None:
+            z = carry if y is None else y
+            carry = x & z
+            x ^= z
+        else:
+            half = x ^ y
+            carry_out = (x & y) | (half & carry)
+            np.bitwise_xor(half, carry, out=x)
+            carry = carry_out
+    if carry is not None and len(a) < digits:
+        a.append(carry)
+        return None
+    return carry
+
+
+def _plane_max(planes: np.ndarray) -> int:
+    """Largest value held in the bit-sliced counter ``planes``, overflow aside."""
+    value, candidates = 0, None
+    for k in reversed(range(len(planes))):
+        hit = planes[k] if candidates is None else candidates & planes[k]
+        if hit.any():
+            value |= 1 << k
+            candidates = hit
+    return value
+
+
+def _non_biclique_part(
+    adj: np.ndarray, parts: Sequence[Biclique], params: dict
+) -> Certificate:
+    """Fail on the lowest-numbered part whose block holds a non-edge."""
+    for i, b in enumerate(parts):
         lu, lw = list(b.left), list(b.right)
         block = adj[np.ix_(lu, lw)]
         if not block.all():
@@ -238,41 +472,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
                     "pair": [int(lu[r]), int(lw[c])],
                 },
             )
-        count[np.ix_(lu, lw)] += 1
-        count[np.ix_(lw, lu)] += 1
-
-    max_mult = 0
-    chunk = 2048
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        a = adj[lo:hi]
-        c = count[lo:hi]
-        if c.size:
-            max_mult = max(max_mult, int(c.max()))
-        # the diagonal is never flagged: sides are disjoint, so count[v,v] == 0
-        bad_edge = a & ((c < 1) | (c > t))
-        bad_non = (~a) & (c != 0)
-        bad = bad_edge | bad_non
-        if bad.any():
-            r, cidx = np.argwhere(bad)[0]
-            u, v = int(lo + r), int(cidx)
-            return Certificate(
-                claim="biclique-system",
-                parameters=params,
-                verdict=False,
-                witness={
-                    "kind": "bad-multiplicity",
-                    "pair": [u, v],
-                    "multiplicity": int(count[u, v]),
-                    "is_edge": bool(adj[u, v]),
-                },
-            )
-    return Certificate(
-        claim="biclique-system",
-        parameters=params,
-        verdict=True,
-        witness={"max_multiplicity": max_mult},
-    )
+    raise AssertionError("a covered non-edge implies a part that is not a biclique")
 
 
 def star_partition(graph: Graph) -> BicliqueSystem:

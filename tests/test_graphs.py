@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from bicliquelab import graphs
 from bicliquelab.corpus import graphs_up_to, random_graph
 from bicliquelab.graphs import (
     Biclique,
@@ -141,6 +142,21 @@ class TestVerifyBicliqueSystem:
             adj = g.adjacency.copy()
             adj[u, v] = adj[v, u] = False
             assert not verify_biclique_system(Graph(adj), base).verdict
+
+    def test_multiplicity_past_int16(self):
+        # 65,537 copies of one edge: a 16-bit counter would wrap to 1
+        parts = (Biclique((0,), (1,)),) * 65537
+        cert = verify_biclique_system(Graph.complete(2), BicliqueSystem(2, parts, 1))
+        assert not cert.verdict
+        assert cert.witness == {
+            "kind": "bad-multiplicity",
+            "pair": [0, 1],
+            "multiplicity": 65537,
+            "is_edge": True,
+        }
+        cert = verify_biclique_system(Graph.complete(2), BicliqueSystem(2, parts, 70000))
+        assert cert.verdict
+        assert cert.witness == {"max_multiplicity": 65537}
 
     def test_verdict_order_independent(self):
         rng = random.Random(7)
@@ -309,7 +325,9 @@ def _mutants(graph, system, rng):
     if parts:
         k = rng.randrange(len(parts))
         out.append((graph, BicliqueSystem(n, tuple(parts[:k] + parts[k + 1 :]), t)))
-        out.append((graph, BicliqueSystem(n, tuple(parts + [parts[k]] * t), t)))
+        # t, 2t or 4t extra copies: some counts pass a power of two
+        copies = [parts[k]] * rng.choice((t, 2 * t, 4 * t))
+        out.append((graph, BicliqueSystem(n, tuple(parts + copies), t)))
         b = parts[k]
         outside = sorted(set(range(n)) - set(b.left) - set(b.right))
         if outside:
@@ -330,9 +348,19 @@ def _mutants(graph, system, rng):
 
 
 class TestVerifyDifferential:
-    """``verify_biclique_system`` agrees with ``naive_verify``, witness included."""
+    """``verify_biclique_system`` agrees with ``naive_verify``, witness included.
+
+    Each test also runs with tiny row bands and part chunks, so that small
+    graphs take the many-band and many-chunk paths of the packed kernel.
+    """
 
     SIZES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+    @pytest.fixture(autouse=True, params=["default", "tiny-bands"])
+    def _kernel_sizes(self, request, monkeypatch):
+        if request.param == "tiny-bands":
+            monkeypatch.setattr(graphs, "_BAND_BYTES", 256)
+            monkeypatch.setattr(graphs, "_MASK_BYTES", 1024)
 
     def _check(self, graph, system):
         assert verify_biclique_system(graph, system) == naive_verify(graph, system)
