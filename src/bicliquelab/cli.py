@@ -6,7 +6,8 @@ produce byte-identical output (no timestamps, exact rationals instead of
 floats, certificates serialized with sorted keys).
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or parse
-error, 3 a resource guard refused to run.
+error, 3 a resource guard refused to run or the machine refused an
+allocation (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
             text, ok = cmd_oracle(args.what, args.graph, args.t, config)
         else:
             text, ok = cmd_build(args.what, args.n, args.t, config)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except FormatError as exc:

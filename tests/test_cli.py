@@ -72,6 +72,18 @@ class TestExitCodes:
         assert code == 3
         assert "resource limit" in err
 
+    def test_refused_allocation_exit(self, tmp_path):
+        # numpy refuses an n x n adjacency of 10^18 cells at once, so
+        # nothing is allocated; the refusal is a resource limit, not a
+        # failed verification
+        huge = tmp_path / "huge.dimacs"
+        huge.write_text("p edge 1000000000 0\n", encoding="ascii")
+        code, out, err = run_cli("verify", "--graph", str(huge), "--partition", str(huge))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit:")
+        assert "Traceback" not in err
+
     def test_vertex_limit_flag(self):
         code, _, _ = run_cli("--vertex-limit", "10", "demo", "--n", "2")
         assert code == 3
