@@ -222,20 +222,21 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     order, covered 0 or more than t times, with its exact multiplicity.
     On a pass ``max_multiplicity`` is exact.
 
-    Each vertex row of the pair-count matrix is kept as a saturating
-    bit-sliced counter over packed rows: ``min(t, parts).bit_length()`` bit
-    planes plus a sticky overflow plane, set once a count passes what the
-    planes hold (so it exceeds t).  A part adds the mask of its right side
-    to the row of each left vertex, and vice versa.  Counts are symmetric,
-    so a band of rows starting at vertex ``lo`` only keeps the columns from
-    word ``lo // 64`` on, which halves memory and work: every unordered
-    pair, and the first bad pair in row-major order (whose row is below its
+    Each vertex row of the pair-count matrix is a bit-sliced counter over
+    packed rows: ``min(t, parts).bit_length()`` bit planes plus a sticky
+    overflow plane.  Counts start at a bias chosen so that a count carries
+    into the overflow exactly when it passes t, and the planes hold every
+    count up to t exactly.  A part adds the mask of its right side to the
+    row of each left vertex, and vice versa.  Counts are symmetric, so a
+    band of rows starting at vertex ``lo`` keeps only the columns from word
+    ``lo // 64`` on, which halves memory and work: every unordered pair,
+    and the first bad pair in row-major order (whose row is below its
     column), is still seen.  Masks are built for a bounded chunk of parts
-    at a time, so the extra memory is about (planes + 1) * n*n/16 bytes
-    plus int32 indices linear in the vertex-part incidences; there is no
-    per-pair count array.  A part is a biclique iff it covers no non-edge,
-    so (i) is settled from the counters, and the part witness is searched
-    only when some non-edge is covered.
+    at a time, so the extra memory is about (planes + 1) * n*n/16 bytes,
+    a few bounded buffers, and index arrays linear in the vertex-part
+    incidences; there is no per-pair count array.  A part is a biclique
+    iff it covers no non-edge, so (i) is settled from the counters, and
+    the part witness is searched only when some non-edge is covered.
     """
     if system.host_order != graph.order:
         raise ValueError(
@@ -254,13 +255,16 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     # the part count acts as that count and needs no more planes
     t = min(system.multiplicity_bound, len(system.parts))
     digits = t.bit_length()
+    bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
+    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(_WORD)
     band = max(1, _BAND_BYTES // (8 * max(words, 1)))
     # one counter per band of rows, holding the columns from the band's
     # first row on (see above); the last plane is the overflow
-    counters = [
-        np.zeros((digits + 1, min(band, n - lo), words - lo // 64), dtype=_WORD)
-        for lo in range(0, n, band)
-    ]
+    counters = []
+    for lo in range(0, n, band):
+        counter = np.empty((digits + 1, min(band, n - lo), words - lo // 64), dtype=_WORD)
+        counter[...] = fill[:, None, None]
+        counters.append(counter)
     chunk = max(1, _MASK_BYTES // (16 * max(words, 1)))
     for lo in range(0, len(system.parts), chunk):
         _count_chunk(counters, system.parts[lo : lo + chunk], band)
@@ -271,23 +275,17 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         first = lo // 64
         row = _pack_rows(adj[lo : lo + band, 64 * first :], words - first)
         planes, over = counter[:-1], counter[-1]
-        covered = over | np.bitwise_or.reduce(planes, axis=0)
+        covered = over.copy()  # count > 0: planes no longer hold the bias
+        for k, plane in enumerate(planes):
+            covered |= ~plane if bias >> k & 1 else plane
         if (covered & ~row).any():
             return _non_biclique_part(adj, system.parts, params)
-        # above = count > t, by a bit-sliced compare against the constant t
-        above, equal = over.copy(), ~over
-        for k in reversed(range(digits)):
-            if t >> k & 1:
-                equal &= planes[k]
-            else:
-                above |= equal & planes[k]
-                equal &= ~planes[k]
-        bad = row & (above | ~covered)
+        bad = row & (over | ~covered)
         if first_bad is None and bad.any():
             r = int(np.flatnonzero(bad.any(axis=1))[0])
             v = int(np.flatnonzero(np.unpackbits(bad[r].view(np.uint8), bitorder="little"))[0])
             first_bad = (lo + r, 64 * first + v)
-        max_mult = max(max_mult, _plane_max(planes))
+        max_mult = max(max_mult, _plane_max(planes) - bias)
 
     if first_bad is not None:
         u, v = first_bad
@@ -326,18 +324,17 @@ def _count_chunk(counters: list[np.ndarray], parts: Sequence[Biclique], band: in
     sides = [s for b in parts for s in (b.left, b.right)]
     sizes = np.fromiter(map(len, sides), dtype=np.int32, count=len(sides))
     verts = np.fromiter(chain.from_iterable(sides), dtype=np.int32, count=int(sizes.sum()))
-    side_of = np.repeat(np.arange(len(sides), dtype=np.int32), sizes)
-    # side masks: side 2i is part i's left, 2i+1 its right; a side's
-    # vertices are distinct, so adding their bits is OR-ing them
-    masks = np.zeros((len(sides) + 1) * words, dtype=_WORD)  # last row: zero mask
+    side_of = np.arange(len(sides), dtype=np.int32).repeat(sizes)
+    # side 2i is part i's left, 2i+1 its right, and the extra last row is the
+    # zero mask; a side's vertices are distinct, so adding bits ORs them
+    masks = np.zeros((len(sides) + 1, words), dtype=_WORD)
     np.add.at(
-        masks,
-        side_of.astype(np.int64) * words + (verts >> 6),
+        masks.reshape(-1),
+        side_of * np.int64(words) + (verts >> 6),
         np.left_shift(1, (verts & 63).astype(_WORD), dtype=_WORD),
     )
-    masks = masks.reshape(len(sides) + 1, words)
     # every vertex receives the mask of the opposite side of each of its parts
-    order = np.argsort(verts, kind="stable")
+    order = verts.argsort(kind="stable")
     verts, opposite = verts[order], (side_of ^ 1)[order]
     bounds = np.searchsorted(verts, np.arange(0, len(counters) * band + 1, band))
     for i, counter in enumerate(counters):
@@ -357,33 +354,38 @@ def _count_band(
     a contiguous prefix.  Consecutive rounds are gathered together, up to
     about ``_BAND_BYTES`` of masks, and summed by a halving tree before
     they reach the counter, so a vertex in many parts costs few numpy
-    calls.  A gather pads its shorter rounds with the zero mask, the last
-    row of ``masks``, and spans only rounds at least half as full as its
-    first, so padding at most doubles the work.
+    calls.  A gather covers a power of two of rounds, padded to the width
+    of its first with the zero mask (the last row of ``masks``); it grows
+    only while the padding stays below the real masks plus a small slack,
+    so padding at most about doubles the work.
     """
-    starts = np.flatnonzero(np.diff(verts, prepend=-1))
-    degree = np.diff(np.append(starts, len(verts)))
-    by_degree = np.argsort(-degree, kind="stable")
-    position = np.empty_like(by_degree)
-    position[by_degree] = np.arange(len(by_degree))
-    rank = np.arange(len(verts)) - np.repeat(starts, degree)
-    mask_ids = mask_ids[np.argsort(rank * len(starts) + np.repeat(position, degree))]
-    active = len(starts) - np.cumsum(np.bincount(degree))[:-1]
-    offsets = np.append(0, np.cumsum(active)).tolist()
+    counts = np.bincount(verts)
+    degree = counts[counts.nonzero()[0]]
+    rank = np.arange(len(verts)) - (degree.cumsum() - degree).repeat(degree)
+    # by round, then by decreasing degree; the sort is stable, so ties keep row order
+    order = np.lexsort((-degree.repeat(degree), rank))
+    mask_ids = mask_ids[order]
+    rows = verts[order[: len(degree)]]
+    active = len(degree) - np.bincount(degree).cumsum()[:-1]
+    offsets = [0, *active.cumsum().tolist()]
 
-    rows = verts[starts[by_degree]]
     local = counter[:, rows]
     digits = len(counter) - 1
     per_gather = max(1, _BAND_BYTES // masks[0].nbytes)
+    slack = per_gather // 64
     j, rounds = 0, len(active)
     while j < rounds:
         c, k = int(active[j]), 1
-        while j + 2 * k <= rounds and 2 * k * c <= per_gather and 2 * active[j + 2 * k - 1] >= c:
+        while (
+            k < rounds - j
+            and 2 * k * c <= per_gather
+            and 2 * k * c <= 2 * (offsets[min(j + 2 * k, rounds)] - offsets[j]) + slack
+        ):
             k *= 2
-        ids = mask_ids[offsets[j] : offsets[j + k]]
-        if active[j + k - 1] < c:
+        ids = mask_ids[offsets[j] : offsets[min(j + k, rounds)]]
+        if len(ids) < k * c:
             padded = np.full((k, c), len(masks) - 1, dtype=ids.dtype)
-            padded[np.arange(c) < active[j : j + k, None]] = ids
+            padded[: rounds - j][np.arange(c) < active[j : j + k, None]] = ids
             ids = padded
         planes, over = _tree_sum(masks[ids], k, digits)
         carry = _ripple([plane[:c] for plane in local[:-1]], planes, digits)
