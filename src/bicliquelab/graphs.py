@@ -256,6 +256,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     t = min(system.multiplicity_bound, len(system.parts))
     digits = t.bit_length()
     bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
+    # plane k starts as bit k of the bias in every position: all ones or zeros
     fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(_WORD)
     band = max(1, _BAND_BYTES // (8 * max(words, 1)))
     # one counter per band of rows, holding the columns from the band's
