@@ -1,4 +1,4 @@
-"""Exact rational machinery behind the t-cover counting bound for complete graphs.
+"""Exact integer machinery behind the t-cover counting bound for complete graphs.
 
 Given a t-biclique cover of the complete graph on k vertices by d parts,
 the all-ones-minus-identity matrix decomposes by inclusion-exclusion over
@@ -7,7 +7,8 @@ intersections of up to t parts; each intersection splits into at most
 leaves an antisymmetric residual.  Since identity-plus-antisymmetric is
 nonsingular over the rationals, k is at most one more than the number of
 rank-one pieces, i.e. k <= peck_bound(d, t).  Everything here verifies those
-steps entrywise with exact Fraction arithmetic; nothing floats.
+steps entrywise with exact integer arithmetic (int64 sums with a guarded
+bound, fraction-free elimination on Python ints); nothing floats.
 
 Part indices are 1-based throughout this module (certificates print them,
 and the distinguished index of an index set is its largest element).
@@ -17,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, islice, product
+from math import comb, lcm
 from typing import Iterable
 
+import numpy as np
+
+from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
 
 SIGN_RULES = ("odd-positive", "even-positive")
@@ -39,21 +43,12 @@ class RationalMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
-    def zeros(cls, r: int, c: int) -> "RationalMatrix":
-        return cls(tuple((Fraction(0),) * c for _ in range(r)))
-
-    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def ones(cls, n: int) -> "RationalMatrix":
-        return cls(tuple((Fraction(1),) * n for _ in range(n)))
+        return cls(((1,) * n,) * n)
 
     @property
     def rows(self) -> int:
@@ -62,29 +57,6 @@ class RationalMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._zip(other, lambda a, b: a - b)
-
-    def scaled(self, factor) -> "RationalMatrix":
-        f = Fraction(factor)
-        return RationalMatrix(tuple(tuple(f * x for x in row) for row in self.entries))
-
-    def _zip(self, other, op) -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            tuple(
-                tuple(op(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.entries))) if self.entries else self
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
@@ -95,50 +67,55 @@ class RationalMatrix:
             for j in range(i, self.cols)
         )
 
-    def max_abs(self) -> Fraction:
-        if not self.entries or not self.entries[0]:
-            return Fraction(0)
-        return max(abs(x) for row in self.entries for x in row)
+    def _cleared(self) -> tuple[list[list[int]], int]:
+        """Integer rows (each row times the lcm of its denominators) and the
+        product of those multipliers."""
+        rows, scale = [], 1
+        for row in self.entries:
+            m = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (m // x.denominator) for x in row])
+            scale *= m
+        return rows, scale
 
     def rank(self) -> int:
-        """Exact rank by fraction Gaussian elimination."""
-        m = [list(row) for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            pv = m[rank][col]
-            for r in range(rank + 1, self.rows):
-                if m[r][col] != 0:
-                    f = m[r][col] / pv
-                    for c in range(col, self.cols):
-                        m[r][c] -= f * m[rank][c]
-            rank += 1
-        return rank
+        """Exact rank (row scaling does not change it)."""
+        return _bareiss(self._cleared()[0])[0]
 
     def determinant(self) -> Fraction:
         """Exact determinant (square matrices only)."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        m = [list(row) for row in self.entries]
-        det = Fraction(1)
-        for col in range(self.cols):
-            pivot = next((r for r in range(col, self.rows) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            pv = m[col][col]
-            det *= pv
-            for r in range(col + 1, self.rows):
-                if m[r][col] != 0:
-                    f = m[r][col] / pv
-                    for c in range(col, self.cols):
-                        m[r][c] -= f * m[col][c]
-        return det
+        rows, scale = self._cleared()
+        return Fraction(_bareiss(rows)[1], scale)
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Rank of an integer matrix and, if it is square, its determinant (0
+    for non-square input), by fraction-free elimination (Bareiss 1968).
+
+    Overwrites ``m``.  After the r-th pivot every entry below it is an
+    (r+1)-minor of the input, so each division by the previous pivot is
+    exact and all arithmetic stays on Python ints.
+    """
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, prev, sign = 0, 1, 1
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        pv = top[col]
+        for r in range(rank + 1, rows):
+            row = m[r]
+            f = row[col]
+            for c in range(col + 1, cols):
+                row[c] = (row[c] * pv - f * top[c]) // prev
+        prev = pv
+        rank += 1
+    return rank, (sign * prev if rank == rows == cols else 0)
 
 
 def peck_bound(d: int, t: int) -> int:
@@ -199,15 +176,25 @@ def split_intersection(cover: BicliqueSystem, indices: Iterable[int]) -> list[Bi
     return out
 
 
-def _adjacency_rational(graph: Graph) -> RationalMatrix:
-    n = graph.order
-    adj = graph.adjacency
-    return RationalMatrix(
-        tuple(
-            tuple(Fraction(int(adj[i, j])) for j in range(n))
-            for i in range(n)
-        )
-    )
+# Largest min(t, d) the certificates accept.  A pair covered c <= min(t, d)
+# times lies in at most 2^c - 1 of the enumerated index sets and each set
+# contributes at most 2 per entry, so every integer entry below is bounded
+# by 2^(min(t, d)+1) and int64 cannot wrap.
+_MAX_SUBSET_SIZE = 60
+_CHUNK_BYTES = 1 << 20  # index sets per batch: about this many unpacked bytes
+
+
+def _subset_size(cover: BicliqueSystem) -> int:
+    """min(t, d), the largest index-set size enumerated; refused past
+    _MAX_SUBSET_SIZE before anything is enumerated or allocated."""
+    size = min(cover.multiplicity_bound, len(cover.parts))
+    if size > _MAX_SUBSET_SIZE:
+        raise ResourceLimitError("certificate index-set size min(t, d)", _MAX_SUBSET_SIZE, size)
+    return size
+
+
+def _ones_minus_identity(k: int) -> np.ndarray:
+    return 1 - np.eye(k, dtype=np.int64)
 
 
 def _require_valid_cover(cover: BicliqueSystem) -> Certificate:
@@ -236,19 +223,38 @@ def verify_cover_identity(
     standard inclusion-exclusion convention; ``even-positive`` is the
     negated convention and fails on every nonempty cover.  The certificate
     records the rule used and the maximum absolute entry discrepancy.
+
+    Each index set's intersection is the AND of its parts' symmetric 0/1
+    pair indicators (bit-packed, d*k*k/8 bytes), summed with its sign into
+    an int64 matrix, a bounded batch of index sets at a time.  Every
+    entry is bounded by 2^(min(t, d)+1); min(t, d) > 60 raises
+    ``ResourceLimitError`` before any index set is enumerated.
     """
+    size = _subset_size(cover)
     _require_valid_cover(cover)
     k = cover.host_order
     d = len(cover.parts)
     t = cover.multiplicity_bound
-    total = RationalMatrix.zeros(k, k)
-    for s in range(1, min(t, d) + 1):
+    # Row u of part i's indicator, packed 8 columns to a byte.
+    covers = np.zeros((d, k, (k + 7) // 8), dtype=np.uint8)
+    for i, b in enumerate(cover.parts):
+        pairs = np.zeros((k, k), dtype=bool)
+        pairs[np.ix_(b.left, b.right)] = True
+        covers[i] = np.packbits(pairs | pairs.T, axis=1)
+    batch = max(1, _CHUNK_BYTES // max(1, k * k))
+    total = np.zeros((k, k), dtype=np.int64)
+    for s in range(1, size + 1):
         sign = _sign(s, sign_rule)
-        for subset in combinations(range(1, d + 1), s):
-            a = _adjacency_rational(intersection_graph(cover, subset))
-            total = total + a.scaled(sign)
-    diff = (RationalMatrix.ones(k) - RationalMatrix.identity(k)) - total
-    discrepancy = diff.max_abs()
+        subsets = combinations(range(d), s)
+        while block := list(islice(subsets, batch)):
+            idx = np.array(block, dtype=np.intp)
+            common = covers[idx[:, 0]]
+            for j in range(1, s):
+                common &= covers[idx[:, j]]
+            common = np.unpackbits(common, axis=2, count=k)
+            total += sign * common.sum(axis=0, dtype=np.int64)
+    diff = _ones_minus_identity(k) - total
+    discrepancy = int(np.abs(diff).max(initial=0))
     params = {
         "k": k,
         "d": d,
@@ -261,30 +267,13 @@ def verify_cover_identity(
             claim="cover-identity", parameters=params, verdict=True,
             witness={"max_discrepancy": "0"},
         )
-    bad = next(
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if diff.entries[i][j] != 0
-    )
+    i, j = divmod(int(np.flatnonzero(diff)[0]), k)
     return Certificate(
         claim="cover-identity",
         parameters=params,
         verdict=False,
-        witness={
-            "entry": [bad[0], bad[1]],
-            "discrepancy": str(diff.entries[bad[0]][bad[1]]),
-        },
+        witness={"entry": [i, j], "discrepancy": str(int(diff[i, j]))},
     )
-
-
-def _half_matrix(k: int, b: Biclique) -> RationalMatrix:
-    """The rank-one half of a biclique matrix: ones at (left row, right column)."""
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for u in b.left:
-        for w in b.right:
-            rows[u][w] = Fraction(1)
-    return RationalMatrix(tuple(tuple(r) for r in rows))
 
 
 def rank_certificate(cover: BicliqueSystem) -> Certificate:
@@ -296,34 +285,42 @@ def rank_certificate(cover: BicliqueSystem) -> Certificate:
     antisymmetric, (iii) identity-plus-residual is nonsingular over the
     rationals (exact rank k), (iv) the counting bound holds.  Bit-stable
     across reruns: all arithmetic is exact.
+
+    Halves are integer 0/1 matrices and both rank checks run fraction-free
+    elimination on Python ints.  The residual is held in int64, every entry
+    bounded by 2^(min(t, d)+1); min(t, d) > 60 raises ``ResourceLimitError``
+    before any index set is enumerated.
     """
+    size = _subset_size(cover)
     _require_valid_cover(cover)
     k = cover.host_order
     d = len(cover.parts)
     t = cover.multiplicity_bound
     bound = peck_bound(d, t)
 
-    halves: list[RationalMatrix] = []
-    signed_sum = RationalMatrix.zeros(k, k)
-    for s in range(1, min(t, d) + 1):
+    pieces = 0
+    ranks_ok = True
+    signed_sum = np.zeros((k, k), dtype=np.int64)
+    for s in range(1, size + 1):
         sign = _sign(s, "odd-positive")
         for subset in combinations(range(1, d + 1), s):
             for piece in split_intersection(cover, subset):
-                h = _half_matrix(k, piece)
-                halves.append(h)
-                signed_sum = signed_sum + h.scaled(2 * sign)
+                half = np.zeros((k, k), dtype=np.int64)
+                half[np.ix_(piece.left, piece.right)] = 1
+                ranks_ok &= _bareiss(half.tolist())[0] == 1
+                signed_sum += 2 * sign * half
+                pieces += 1
 
-    ranks_ok = all(h.rank() == 1 for h in halves)
-    residual = (RationalMatrix.ones(k) - RationalMatrix.identity(k)) - signed_sum
-    antisymmetric = residual.is_antisymmetric()
-    regular = RationalMatrix.identity(k) + residual
-    full_rank = regular.rank() == k
+    residual = _ones_minus_identity(k) - signed_sum
+    antisymmetric = bool(np.array_equal(residual, -residual.T))
+    regular = np.eye(k, dtype=np.int64) + residual
+    full_rank = _bareiss(regular.tolist())[0] == k
     bound_holds = k <= bound
     params = {
         "k": k,
         "d": d,
         "t": t,
-        "pieces": len(halves),
+        "pieces": pieces,
         "max_pieces": bound - 1,
         "bound": bound,
     }

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicliquelab import algebra
 from bicliquelab.algebra import (
     SIGN_RULES,
     RationalMatrix,
@@ -19,6 +20,7 @@ from bicliquelab.algebra import (
     verify_cover_identity,
 )
 from bicliquelab.corpus import random_t_cover
+from bicliquelab.errors import ResourceLimitError
 from bicliquelab.graphs import (
     Biclique,
     BicliqueSystem,
@@ -224,6 +226,33 @@ class TestRankCertificate:
         first = write_certificate(rank_certificate(cover))
         second = write_certificate(rank_certificate(cover))
         assert first == second
+
+
+class TestIndexSetGuard:
+    """min(t, d) >= 61 could wrap the int64 sums; it is refused up front."""
+
+    class Enumerated(Exception):
+        pass
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise self.Enumerated
+
+        monkeypatch.setattr(algebra, "combinations", refuse)
+
+    @pytest.mark.parametrize("check", [verify_cover_identity, rank_certificate])
+    def test_61_fold_edge_refused_before_enumeration(self, check, no_enumeration):
+        cover = BicliqueSystem(2, (Biclique((0,), (1,)),) * 61, 61)
+        with pytest.raises(ResourceLimitError) as info:
+            check(cover)
+        assert info.value.limit == 60 and info.value.requested == 61
+
+    @pytest.mark.parametrize("check", [verify_cover_identity, rank_certificate])
+    def test_60_fold_edge_admitted(self, check, no_enumeration):
+        cover = BicliqueSystem(2, (Biclique((0,), (1,)),) * 60, 61)
+        with pytest.raises(self.Enumerated):
+            check(cover)
 
 
 class TestRandomCovers:

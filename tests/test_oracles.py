@@ -5,7 +5,7 @@ sets directly, sharing no code with the branch-and-bound paths they check.
 """
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -41,18 +41,24 @@ def brute_alpha(g: Graph) -> int:
 
 
 def brute_chi(g: Graph) -> int:
+    """Smallest k with a proper k-colouring, by a complete backtracking search:
+    vertices are coloured in index order, every colour is tried, and a branch
+    is cut at its first conflict with an earlier vertex."""
     adj = g.adjacency
-    if g.order == 0:
-        return 0
-    for k in range(1, g.order + 1):
-        for coloring in product(range(k), repeat=g.order):
-            if all(
-                coloring[u] != coloring[v]
-                for u, v in combinations(range(g.order), 2)
-                if adj[u, v]
-            ):
-                return k
-    raise AssertionError("unreachable")
+    earlier = [[u for u in range(v) if adj[u, v]] for v in range(g.order)]
+    colour = [0] * g.order
+
+    def extend(v: int, k: int) -> bool:
+        if v == g.order:
+            return True
+        for c in range(k):
+            if all(colour[u] != c for u in earlier[v]):
+                colour[v] = c
+                if extend(v + 1, k):
+                    return True
+        return False
+
+    return next(k for k in range(g.order + 1) if extend(0, k))
 
 
 class TestIndependence:
