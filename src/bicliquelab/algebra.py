@@ -181,7 +181,7 @@ def split_intersection(cover: BicliqueSystem, indices: Iterable[int]) -> list[Bi
 # contributes at most 2 per entry, so every integer entry below is bounded
 # by 2^(min(t, d)+1) and int64 cannot wrap.
 _MAX_SUBSET_SIZE = 60
-_CHUNK_BYTES = 1 << 20  # index sets per batch: about this many unpacked bytes
+_CHUNK_BYTES = 1 << 20  # index sets per batch: about this many bytes
 
 
 def _subset_size(cover: BicliqueSystem) -> int:
@@ -241,11 +241,11 @@ def verify_cover_identity(
         pairs = np.zeros((k, k), dtype=bool)
         pairs[np.ix_(b.left, b.right)] = True
         covers[i] = np.packbits(pairs | pairs.T, axis=1)
-    batch = max(1, _CHUNK_BYTES // max(1, k * k))
     total = np.zeros((k, k), dtype=np.int64)
     for s in range(1, size + 1):
         sign = _sign(s, sign_rule)
         subsets = combinations(range(d), s)
+        batch = max(1, _CHUNK_BYTES // (k * k + 8 * s + 64))  # unpacked rows + index tuple
         while block := list(islice(subsets, batch)):
             idx = np.array(block, dtype=np.intp)
             common = covers[idx[:, 0]]
