@@ -240,6 +240,97 @@ class TestOrProduct:
                             assert prod.has_edge(a * 2 + b, a2 * 2 + b2) == expected
 
 
+def _dense_adjacency(n, p, rng):
+    """A random symmetric, irreflexive bool matrix: the test-side reference."""
+    upper = np.triu(np.array([[rng.random() < p for _ in range(n)] for _ in range(n)], dtype=bool), 1)
+    return upper | upper.T
+
+
+class TestPackedGraphDifferential:
+    """Every ``Graph`` query agrees with the same query on a dense bool matrix."""
+
+    SIZES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+    def _cases(self, seed):
+        rng = random.Random(seed)
+        sizes = list(self.SIZES) + [rng.randrange(3, 200) for _ in range(6)]
+        for n in sizes:
+            for p in (0.0, 1.0, rng.random()):
+                yield _dense_adjacency(n, p, rng), rng
+
+    def test_queries(self):
+        for adj, rng in self._cases(20100224):
+            n = len(adj)
+            g = Graph(adj)
+            assert g.order == n
+            assert g.adjacency.dtype == bool
+            assert np.array_equal(g.adjacency, adj)
+            assert g.edge_count() == int(adj.sum()) // 2
+            assert [g.degree(v) for v in range(n)] == adj.sum(axis=1).tolist()
+            assert [g.neighbors(v) for v in range(n)] == [
+                np.flatnonzero(adj[v]).tolist() for v in range(n)
+            ]
+            assert list(g.edges()) == [
+                (u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]
+            ]
+            pairs = [(u, v) for u in range(n) for v in range(n)]
+            for u, v in rng.sample(pairs, min(len(pairs), 500)):
+                assert g.has_edge(u, v) == bool(adj[u, v])
+            assert g.neighbor_masks() == [
+                sum(1 << int(u) for u in np.flatnonzero(adj[v])) for v in range(n)
+            ]
+
+    def test_constructions(self):
+        for adj, rng in self._cases(4687):
+            n = len(adj)
+            g = Graph(adj)
+            comp = ~adj
+            np.fill_diagonal(comp, False)
+            assert np.array_equal(g.complement().adjacency, comp)
+            assert g.complement().complement() == g
+            vs = rng.sample(range(n), rng.randrange(n + 1))
+            assert np.array_equal(g.induced(vs).adjacency, adj[np.ix_(vs, vs)])
+            edges = [(u, v) for u in range(n) for v in range(n) if u < v and adj[u, v]]
+            rng.shuffle(edges)
+            assert Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]) == g
+        for n in self.SIZES:
+            full = ~np.eye(n, dtype=bool)
+            assert np.array_equal(Graph.complete(n).adjacency, full)
+            assert np.array_equal(Graph.empty(n).adjacency, np.zeros((n, n), dtype=bool))
+            assert Graph.empty(n).complement() == Graph.complete(n)
+
+    def test_equality(self):
+        for adj, rng in self._cases(1002):
+            n = len(adj)
+            g = Graph(adj)
+            assert g == Graph(adj.copy())
+            assert g != adj
+            if n >= 2:
+                u, v = rng.sample(range(n), 2)
+                flipped = adj.copy()
+                flipped[u, v] = flipped[v, u] = not adj[u, v]
+                assert g != Graph(flipped)
+            grown = np.zeros((n + 1, n + 1), dtype=bool)
+            grown[:n, :n] = adj
+            assert g != Graph(grown)
+
+    def test_or_product(self):
+        rng = random.Random(961)
+        shapes = [(0, 5), (5, 0), (1, 1), (1, 65), (65, 1), (9, 7), (8, 8), (3, 43), (11, 12)]
+        for a, b in shapes:
+            ga, ha = _dense_adjacency(a, rng.random(), rng), _dense_adjacency(b, rng.random(), rng)
+            expected = (ga[:, None, :, None] | ha[None, :, None, :]).reshape(a * b, a * b)
+            assert np.array_equal(or_product(Graph(ga), Graph(ha)).adjacency, expected)
+
+    def test_blowup(self):
+        rng = random.Random(13)
+        for n in (0, 1, 2, 7, 21, 64, 65):
+            adj = _dense_adjacency(n, rng.random(), rng)
+            for m in (1, 2, 3, 9):
+                expected = np.kron(adj, np.ones((m, m), dtype=bool))
+                assert np.array_equal(blowup(Graph(adj), m).adjacency, expected)
+
+
 class TestCertificate:
     def test_fail_requires_witness(self):
         with pytest.raises(ValueError):
