@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, WellDefinednessError
-from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
+from .graphs import (
+    Biclique,
+    BicliqueSystem,
+    Certificate,
+    Graph,
+    pack_rows,
+    verify_biclique_system,
+)
 from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
 
 # A characteristic vector is a string over {0,1,*}: position j holds 0 if
@@ -70,7 +77,7 @@ def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -
                 raise WellDefinednessError(i + 1, j + 1, one, zero)
             edge = one is not None or (zero is None and ambiguous_edge)
             adj[i, j] = adj[j, i] = edge
-    return Graph._trusted(adj)
+    return Graph._trusted(pack_rows(adj))
 
 
 @dataclass(frozen=True)
@@ -89,12 +96,14 @@ class ClisInstance:
     matrix: BoolMatrix
 
     def __post_init__(self):
-        adj = self.graph.adjacency
+        masks = self.graph.neighbor_masks()
         for c in self.cliques:
-            if any(not adj[u, v] for i, u in enumerate(c) for v in c[i + 1 :]):
+            members = _mask_of(c)
+            if len(set(c)) != len(c) or any(members & ~masks[u] != 1 << u for u in c):
                 raise ValueError(f"{c} is not a clique")
         for s in self.independents:
-            if any(adj[u, v] for i, u in enumerate(s) for v in s[i + 1 :]):
+            members = _mask_of(s)
+            if any(members & masks[u] for u in s):
                 raise ValueError(f"{s} is not an independent set")
         if (self.matrix.rows, self.matrix.cols) != (len(self.cliques), len(self.independents)):
             raise ValueError("matrix shape does not match the families")
@@ -108,6 +117,11 @@ class ClisInstance:
                     )
                 if inter != int(self.matrix.entries[p, q]):
                     raise ValueError(f"matrix entry ({p},{q}) disagrees with |C & I|")
+
+
+def _mask_of(vertices) -> int:
+    """The vertex set as a Python int bitmask (bit v = vertex v)."""
+    return sum(1 << v for v in set(vertices))
 
 
 def _subsets_closed_under(adjsets: list[set[int]], n: int) -> list[tuple[int, ...]]:
@@ -218,12 +232,12 @@ def chi_lower_bound_check(
 
     diag_sets = []
     covered_diag: set[int] = set()
-    adj = graph.adjacency
+    masks = graph.neighbor_masks()
     for rows, cols in rects:
         diag = sorted(set(rows) & set(cols))
         if not diag:
             continue
-        if any(adj[u, v] for i, u in enumerate(diag) for v in diag[i + 1 :]):
+        if any(_mask_of(diag) & masks[u] for u in diag):
             return Certificate(
                 claim="chi-lower-bound",
                 parameters=params,
@@ -292,9 +306,9 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     except IndexError as exc:
         raise ValueError(f"invalid family index: {exc}") from exc
     m = inst.graph.order
-    adj = inst.graph.adjacency
+    masks = inst.graph.neighbor_masks()
     width = _name_bits(m)
-    live = set(range(m))
+    live = (1 << m) - 1  # bitmask of the live vertices
     rounds: list[tuple[str, str]] = []
     total = 0
 
@@ -311,13 +325,18 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     def finish(answer: int) -> Transcript:
         return Transcript(tuple(rounds), answer, total)
 
+    clique_order, indep_order = sorted(clique), sorted(indep)
     while True:
         if not live:
             return finish(0)
-        h = len(live)
+        h = live.bit_count()
         alice_sent = False
         pick = next(
-            (v for v in sorted(clique & live) if 2 * sum(1 for u in live if adj[v, u]) <= h),
+            (
+                v
+                for v in clique_order
+                if live >> v & 1 and 2 * (masks[v] & live).bit_count() <= h
+            ),
             None,
         )
         if pick is not None:
@@ -325,22 +344,26 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
             say("A", pick)
             if pick in indep:
                 return finish(1)
-            live = {u for u in live if adj[pick, u]}
+            live &= masks[pick]
             if not live:
                 return finish(0)
-            h = len(live)
+            h = live.bit_count()
         else:
             say("A", None)
 
         pick = next(
-            (v for v in sorted(indep & live) if 2 * sum(1 for u in live if adj[v, u]) >= h),
+            (
+                v
+                for v in indep_order
+                if live >> v & 1 and 2 * (masks[v] & live).bit_count() >= h
+            ),
             None,
         )
         if pick is not None:
             say("B", pick)
             if pick in clique:
                 return finish(1)
-            live = {u for u in live if u == pick or not adj[pick, u]}
+            live &= ~masks[pick]  # keeps pick itself: it is not its own neighbor
         else:
             say("B", None)
             if not alice_sent:
@@ -381,7 +404,7 @@ def build_pair_graph(
             cb, ib = sets[b]
             if (ca & ib) or (cb & ia):
                 adj[a, b] = adj[b, a] = True
-    pair_graph = Graph._trusted(adj)
+    pair_graph = Graph._trusted(pack_rows(adj))
 
     parts = []
     for v in range(graph.order):

@@ -1,24 +1,52 @@
 """Finite simple graphs, bicliques, biclique systems, and exact verification.
 
-Vertices are dense integer indices 0..N-1.  Every construction documents its
+Vertices are dense integer indices 0..N-1.  A graph is stored as packed
+adjacency rows (see :class:`Graph`).  Every construction documents its
 canonical index map so that identities between graphs built by different
-routes can be tested by comparing adjacency arrays directly, with no
+routes can be tested by comparing packed rows directly, with no
 isomorphism search.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+# Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
+# word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
+# past the last vertex are always zero, so rows compare and count directly.
+_WORD = np.dtype("<u8")
+_BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
+_MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
+
+
+def pack_rows(dense: np.ndarray) -> np.ndarray:
+    """Bool rows of length n packed into ``ceil(n / 64)`` little-endian uint64 words each."""
+    count, n = dense.shape
+    packed = np.zeros((count, (n + 63) // 64), dtype=_WORD)
+    packed.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
+    return packed
+
+
+def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each packed row, as bool rows (inverse of :func:`pack_rows`)."""
+    return np.unpackbits(packed.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
 
 class Graph:
-    """Immutable simple graph backed by a dense boolean adjacency matrix."""
+    """Immutable simple graph stored as packed adjacency rows.
 
-    __slots__ = ("_adj",)
+    Row v holds ``ceil(n / 64)`` little-endian uint64 words; bit u of the
+    row (bit u % 64 of word u // 64) is set iff u and v are adjacent, and
+    the padding bits past n are zero.  That is n*n/8 bytes, an eighth of a
+    bool matrix.  ``adjacency`` unpacks a bool copy on each call.
+    """
+
+    __slots__ = ("_rows",)
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=bool)
@@ -28,27 +56,22 @@ class Graph:
             raise ValueError("adjacency has a loop (nonzero diagonal)")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency is not symmetric")
-        adj = adj.copy()
-        adj.flags.writeable = False
-        self._adj = adj
+        self._rows = _frozen(pack_rows(adj))
 
     @classmethod
-    def _trusted(cls, adjacency: np.ndarray) -> "Graph":
-        """Wrap an array known to be symmetric and irreflexive (skips checks)."""
+    def _trusted(cls, rows: np.ndarray) -> "Graph":
+        """Wrap packed rows known to be symmetric, irreflexive and zero-padded (skips checks)."""
         g = cls.__new__(cls)
-        adjacency.flags.writeable = False
-        g._adj = adjacency
+        g._rows = _frozen(rows)
         return g
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls._trusted(np.zeros((n, n), dtype=bool))
+        return cls._trusted(np.zeros((n, (n + 63) // 64), dtype=_WORD))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        adj = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(adj, False)
-        return cls._trusted(adj)
+        return cls.empty(n).complement()
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
@@ -62,62 +85,106 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
-        adj = np.zeros((n, n), dtype=bool)
+        """Set each edge's two bits in per-row int masks, then lay them out as words.
+
+        No array beyond the packed rows is built, so the extra memory is
+        about the packed size however many edges there are.
+        """
+        masks = [0] * n
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for order {n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            adj[u, v] = adj[v, u] = True
-        return cls._trusted(adj)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        width = 8 * ((n + 63) // 64)
+        packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        return cls._trusted(np.frombuffer(packed, dtype=_WORD).reshape(n, width // 8))
 
     @property
     def order(self) -> int:
-        return self._adj.shape[0]
+        return self._rows.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Read-only packed adjacency rows, shape (n, ceil(n / 64))."""
+        return self._rows
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Read-only adjacency matrix view."""
-        return self._adj
+        """Read-only bool adjacency matrix, unpacked from the rows on each call."""
+        return _frozen(unpack_rows(self._rows, self.order))
 
     def edge_count(self) -> int:
-        return int(self._adj.sum()) // 2
+        return int(np.bitwise_count(self._rows).sum()) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u, v])
+        if not 0 <= v < self.order:
+            raise IndexError(f"vertex {v} out of range for order {self.order}")
+        return bool(int(self._rows[u, v >> 6]) >> (v & 63) & 1)
 
     def degree(self, v: int) -> int:
-        return int(self._adj[v].sum())
+        return int(np.bitwise_count(self._rows[v]).sum())
 
     def neighbors(self, v: int) -> list[int]:
-        return [int(u) for u in np.flatnonzero(self._adj[v])]
+        return np.flatnonzero(unpack_rows(self._rows[v], self.order)).tolist()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""
-        for u, v in zip(*np.nonzero(np.triu(self._adj))):
-            yield int(u), int(v)
+        for lo, block in self._upper_bands():
+            for u, v in zip(*np.nonzero(block)):
+                yield lo + int(u), int(v)
+
+    def _upper_bands(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Bands of unpacked rows from ``lo`` on, keeping only columns above the diagonal."""
+        n = self.order
+        band = max(1, _BAND_BYTES // max(n, 1))
+        for lo in range(0, n, band):
+            yield lo, np.triu(unpack_rows(self._rows[lo : lo + band], n), lo + 1)
 
     def complement(self) -> "Graph":
-        adj = ~self._adj
-        np.fill_diagonal(adj, False)
-        return Graph._trusted(adj)
+        n = self.order
+        rows = ~self._rows
+        if n % 64:
+            rows[:, -1] &= _bit(n % 64) - np.uint64(1)
+        v = np.arange(n)
+        rows[v, v >> 6] &= ~_bit(v)
+        return Graph._trusted(rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        vs = list(vertices)
-        return Graph._trusted(self._adj[np.ix_(vs, vs)].copy())
+        vs = np.array(vertices, dtype=np.int64)
+        return Graph._trusted(pack_rows(unpack_rows(self._rows[vs], self.order)[:, vs]))
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor sets packed into Python int bitmasks (bit v = vertex v)."""
-        packed = np.packbits(self._adj, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        data, width = self._rows.tobytes(), 8 * self._rows.shape[1]
+        return [
+            int.from_bytes(data[v * width : (v + 1) * width], "little") for v in range(self.order)
+        ]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and np.array_equal(self._adj, other._adj)
+        return (
+            isinstance(other, Graph)
+            and self.order == other.order
+            and np.array_equal(self._rows, other._rows)
+        )
 
     __hash__ = None  # mutable-size payload; not intended as a dict key
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edge_count()})"
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _bit(v) -> np.ndarray:
+    """The single-bit word for bit position ``v % 64`` (elementwise)."""
+    return np.left_shift(np.uint64(1), np.asarray(v, dtype=_WORD) & np.uint64(63), dtype=_WORD)
 
 
 @dataclass(frozen=True)
@@ -202,13 +269,6 @@ class Certificate:
             raise ValueError("failing certificate requires a witness")
 
 
-# Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
-# word v // 64, the layout np.packbits(..., bitorder="little") gives.
-_WORD = np.dtype("<u8")
-_BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane
-_MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
-
-
 def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     """Check that ``system`` is a valid t-cover of ``graph``'s edges.
 
@@ -243,7 +303,6 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
             f"system host order {system.host_order} != graph order {graph.order}"
         )
     n = graph.order
-    adj = graph.adjacency
     params = {
         "host_order": n,
         "parts": len(system.parts),
@@ -274,13 +333,13 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     max_mult = 0
     for lo, counter in zip(range(0, n, band), counters):
         first = lo // 64
-        row = _pack_rows(adj[lo : lo + band, 64 * first :], words - first)
+        row = graph.rows[lo : lo + band, first:]
         planes, over = counter[:-1], counter[-1]
         covered = over.copy()  # count > 0: planes no longer hold the bias
         for k, plane in enumerate(planes):
             covered |= ~plane if bias >> k & 1 else plane
         if (covered & ~row).any():
-            return _non_biclique_part(adj, system.parts, params)
+            return _non_biclique_part(graph, system.parts, params)
         bad = row & (over | ~covered)
         if first_bad is None and bad.any():
             r = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -301,7 +360,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
                     (u in b.left and v in b.right) or (u in b.right and v in b.left)
                     for b in system.parts
                 ),
-                "is_edge": bool(adj[u, v]),
+                "is_edge": graph.has_edge(u, v),
             },
         )
     return Certificate(
@@ -310,13 +369,6 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         verdict=True,
         witness={"max_multiplicity": max_mult},
     )
-
-
-def _pack_rows(rows: np.ndarray, words: int) -> np.ndarray:
-    """Bool rows packed into ``words`` little-endian uint64 words each."""
-    packed = np.zeros((rows.shape[0], 8 * words), dtype=np.uint8)
-    packed[:, : (rows.shape[1] + 7) // 8] = np.packbits(rows, axis=1, bitorder="little")
-    return packed.view(_WORD)
 
 
 def _count_chunk(counters: list[np.ndarray], parts: Sequence[Biclique], band: int) -> None:
@@ -456,15 +508,21 @@ def _plane_max(planes: np.ndarray) -> int:
     return value
 
 
-def _non_biclique_part(
-    adj: np.ndarray, parts: Sequence[Biclique], params: dict
-) -> Certificate:
-    """Fail on the lowest-numbered part whose block holds a non-edge."""
+def _non_biclique_part(graph: Graph, parts: Sequence[Biclique], params: dict) -> Certificate:
+    """Fail on the lowest-numbered part whose block holds a non-edge.
+
+    A part's block misses an edge iff some left row lacks a bit of the
+    right side's mask; only the rows of the offending part are unpacked.
+    """
     for i, b in enumerate(parts):
-        lu, lw = list(b.left), list(b.right)
-        block = adj[np.ix_(lu, lw)]
-        if not block.all():
-            r, c = np.argwhere(~block)[0]
+        right = np.array(b.right, dtype=np.int64)
+        mask = np.zeros(graph.rows.shape[1], dtype=_WORD)
+        np.bitwise_or.at(mask, right >> 6, _bit(right))
+        rows = graph.rows[list(b.left)]
+        missing = (mask & ~rows).any(axis=1)
+        if missing.any():
+            r = int(np.flatnonzero(missing)[0])
+            c = int(np.flatnonzero(~unpack_rows(rows[r], graph.order)[right])[0])
             return Certificate(
                 claim="biclique-system",
                 parameters=params,
@@ -472,7 +530,7 @@ def _non_biclique_part(
                 witness={
                     "kind": "part-not-biclique",
                     "part": i + 1,
-                    "pair": [int(lu[r]), int(lw[c])],
+                    "pair": [int(b.left[r]), int(b.right[c])],
                 },
             )
     raise AssertionError("a covered non-edge implies a part that is not a biclique")
@@ -486,11 +544,11 @@ def star_partition(graph: Graph) -> BicliqueSystem:
     nonempty.  Always a valid exact partition.
     """
     parts = []
-    adj = graph.adjacency
-    for v in range(graph.order):
-        later = np.flatnonzero(adj[v, v + 1 :])
-        if later.size:
-            parts.append(Biclique((v,), tuple(int(v + 1 + u) for u in later)))
+    for lo, block in graph._upper_bands():
+        for r, row in enumerate(block):
+            later = np.flatnonzero(row)
+            if later.size:
+                parts.append(Biclique((lo + r,), tuple(later.tolist())))
     return BicliqueSystem(graph.order, tuple(parts), 1)
 
 
@@ -501,17 +559,21 @@ def blowup(graph: Graph, m: int) -> Graph:
     """
     if m < 1:
         raise ValueError("blowup factor must be >= 1")
-    big = np.kron(graph.adjacency, np.ones((m, m), dtype=bool))
-    return Graph._trusted(big)
+    wide = np.repeat(graph.adjacency, m, axis=1)
+    return Graph._trusted(np.repeat(pack_rows(wide), m, axis=0))
 
 
 def or_product(g: Graph, h: Graph) -> Graph:
     """OR product: (a,b) ~ (a',b') iff a ~ a' in g or b ~ b' in h.
 
-    Vertex (a, b) gets index a*|h| + b.
+    Vertex (a, b) gets index a*|h| + b.  The rows of the vertices (a, *)
+    form one band, built from row a of g and all of h and packed at once,
+    so no n×n bool array is ever held.
     """
-    ga, ha = g.adjacency, h.adjacency
-    prod = (ga[:, None, :, None] | ha[None, :, None, :]).reshape(
-        g.order * h.order, g.order * h.order
-    )
-    return Graph._trusted(prod)
+    size = g.order * h.order
+    rows = np.empty((size, (size + 63) // 64), dtype=_WORD)
+    hadj = h.adjacency
+    for a in range(g.order):
+        band = unpack_rows(g.rows[a], g.order)[None, :, None] | hadj[:, None, :]
+        rows[a * h.order : (a + 1) * h.order] = pack_rows(band.reshape(h.order, size))
+    return Graph._trusted(rows)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import Biclique, BicliqueSystem, Graph, or_product, star_partition
+from .graphs import Biclique, BicliqueSystem, Graph, or_product, pack_rows, star_partition
 
 GridPoint = tuple[int, ...]
 
@@ -110,7 +110,7 @@ class GridGraphSpec:
             for b in p:
                 idx = idx * 2 + b
             mask[idx] = True
-        return Graph._trusted(mask[key])
+        return Graph._trusted(pack_rows(mask[key]))
 
 
 @lru_cache(maxsize=2)
@@ -140,10 +140,17 @@ def _pattern_mask(patterns: Iterable[tuple[int, ...]]) -> np.ndarray:
     return mask
 
 
+# rows per band when a graph is built from the pattern key
+_KEY_BAND = 256
+
+
 def _graph_from_patterns(n: int, patterns: Iterable[tuple[int, ...]], limit: int) -> Graph:
+    """Look up each pair's pattern in the admitted set, one band of rows at a time,
+    so only the packed rows and one bool band are held beside the key."""
     _check_vertex_limit(n ** 7, limit)
-    adj = _pattern_mask(patterns)[_pattern_key(n)]
-    return Graph._trusted(adj)
+    mask, key = _pattern_mask(patterns), _pattern_key(n)
+    bands = [pack_rows(mask[key[lo : lo + _KEY_BAND]]) for lo in range(0, len(key), _KEY_BAND)]
+    return Graph._trusted(np.concatenate(bands))
 
 
 def grid_graph(n: int, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
@@ -199,7 +206,7 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
     for i in range(5):
         diff = pts5[:, i, None] != pts5[None, :, i]
         adj &= diff == fixed_val[i]
-    graph = Graph._trusted(adj)
+    graph = Graph._trusted(pack_rows(adj))
 
     m = n * n
     to_blowup = np.empty(n ** 7, dtype=np.int64)

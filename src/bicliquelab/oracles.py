@@ -289,14 +289,15 @@ def _all_bicliques(graph: Graph) -> list[Biclique]:
     """Every biclique of the graph, deduplicated across side swaps, in a
     deterministic order (each vertex goes left, right, or out)."""
     n = graph.order
-    adj = graph.adjacency
+    masks = graph.neighbor_masks()
     out = []
     for assign in product((0, 1, 2), repeat=n):
         left = [v for v in range(n) if assign[v] == 0]
         right = [v for v in range(n) if assign[v] == 1]
         if not left or not right or left[0] > right[0]:
             continue
-        if all(adj[u, w] for u in left for w in right):
+        right_mask = sum(1 << w for w in right)
+        if all(masks[u] & right_mask == right_mask for u in left):
             out.append(Biclique(tuple(left), tuple(right)))
     return out
 

@@ -49,6 +49,8 @@ class TestGraph:
         g = Graph.complete(3)
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = False
+        with pytest.raises(ValueError):
+            g.rows[0, 0] = 0
 
 
 class TestBiclique:
@@ -246,6 +248,15 @@ def _dense_adjacency(n, p, rng):
     return upper | upper.T
 
 
+def assert_zero_padding(g):
+    """The packed rows have the documented shape and no bit set past the last vertex."""
+    n = g.order
+    assert g.rows.shape == (n, (n + 63) // 64)
+    assert g.rows.dtype == np.dtype("<u8")
+    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, n:].any()
+
+
 class TestPackedGraphDifferential:
     """Every ``Graph`` query agrees with the same query on a dense bool matrix."""
 
@@ -279,6 +290,7 @@ class TestPackedGraphDifferential:
             assert g.neighbor_masks() == [
                 sum(1 << int(u) for u in np.flatnonzero(adj[v])) for v in range(n)
             ]
+            assert_zero_padding(g)
 
     def test_constructions(self):
         for adj, rng in self._cases(4687):
@@ -287,17 +299,21 @@ class TestPackedGraphDifferential:
             comp = ~adj
             np.fill_diagonal(comp, False)
             assert np.array_equal(g.complement().adjacency, comp)
+            assert_zero_padding(g.complement())
             assert g.complement().complement() == g
             vs = rng.sample(range(n), rng.randrange(n + 1))
             assert np.array_equal(g.induced(vs).adjacency, adj[np.ix_(vs, vs)])
+            assert_zero_padding(g.induced(vs))
             edges = [(u, v) for u in range(n) for v in range(n) if u < v and adj[u, v]]
             rng.shuffle(edges)
-            assert Graph.from_edges(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]) == g
+            either_way = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            assert Graph.from_edges(n, either_way) == g
         for n in self.SIZES:
             full = ~np.eye(n, dtype=bool)
             assert np.array_equal(Graph.complete(n).adjacency, full)
             assert np.array_equal(Graph.empty(n).adjacency, np.zeros((n, n), dtype=bool))
             assert Graph.empty(n).complement() == Graph.complete(n)
+            assert_zero_padding(Graph.complete(n))
 
     def test_equality(self):
         for adj, rng in self._cases(1002):
@@ -320,7 +336,9 @@ class TestPackedGraphDifferential:
         for a, b in shapes:
             ga, ha = _dense_adjacency(a, rng.random(), rng), _dense_adjacency(b, rng.random(), rng)
             expected = (ga[:, None, :, None] | ha[None, :, None, :]).reshape(a * b, a * b)
-            assert np.array_equal(or_product(Graph(ga), Graph(ha)).adjacency, expected)
+            prod = or_product(Graph(ga), Graph(ha))
+            assert np.array_equal(prod.adjacency, expected)
+            assert_zero_padding(prod)
 
     def test_blowup(self):
         rng = random.Random(13)
@@ -328,7 +346,9 @@ class TestPackedGraphDifferential:
             adj = _dense_adjacency(n, rng.random(), rng)
             for m in (1, 2, 3, 9):
                 expected = np.kron(adj, np.ones((m, m), dtype=bool))
-                assert np.array_equal(blowup(Graph(adj), m).adjacency, expected)
+                blown = blowup(Graph(adj), m)
+                assert np.array_equal(blown.adjacency, expected)
+                assert_zero_padding(blown)
 
 
 class TestCertificate:
