@@ -206,11 +206,8 @@ def _require_valid_cover(cover: BicliqueSystem) -> Certificate:
 
 
 def _sign(s: int, rule: str) -> int:
-    if rule == "odd-positive":
-        return 1 if s % 2 == 1 else -1
-    if rule == "even-positive":
-        return 1 if s % 2 == 0 else -1
-    raise ValueError(f"unknown sign rule {rule!r}; expected one of {SIGN_RULES}")
+    """Sign of a size-s index set under ``rule``, one of ``SIGN_RULES``."""
+    return 1 if s % 2 == (rule == "odd-positive") else -1
 
 
 def verify_cover_identity(
@@ -228,8 +225,12 @@ def verify_cover_identity(
     pair indicators (bit-packed, d*k*k/8 bytes), summed with its sign into
     an int64 matrix, a bounded batch of index sets at a time.  Every
     entry is bounded by 2^(min(t, d)+1); min(t, d) > 60 raises
-    ``ResourceLimitError`` before any index set is enumerated.
+    ``ResourceLimitError`` before any index set is enumerated.  An unknown
+    ``sign_rule`` raises ``ValueError`` before any work, even on a cover
+    with no parts.
     """
+    if sign_rule not in SIGN_RULES:
+        raise ValueError(f"unknown sign rule {sign_rule!r}; expected one of {SIGN_RULES}")
     size = _subset_size(cover)
     _require_valid_cover(cover)
     k = cover.host_order

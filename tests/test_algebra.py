@@ -199,6 +199,11 @@ class TestCoverIdentity:
         with pytest.raises(ValueError):
             verify_cover_identity(K4_TWO_COVER, sign_rule="bogus")
 
+    def test_unknown_sign_rule_without_parts(self):
+        # no index set is enumerated here, so the rule must be checked up front
+        with pytest.raises(ValueError, match="unknown sign rule"):
+            verify_cover_identity(BicliqueSystem(1, (), 1), sign_rule="bogus")
+
 
 class TestRankCertificate:
     def test_star_partition_k3_tight(self):
