@@ -251,14 +251,14 @@ def _read_path(path: str) -> str:
 
 
 def cmd_verify(graph_path: str, partition_path: str, config: RunConfig) -> tuple[str, bool]:
-    graph = formats.read_graph(_read_path(graph_path))
+    graph = formats.read_graph(_read_path(graph_path), vertex_limit=config.vertex_limit)
     system = formats.read_system(_read_path(partition_path))
     cert = verify_biclique_system(graph, system)
     return formats.write_certificate(cert), cert.verdict
 
 
 def cmd_oracle(what: str, graph_path: str, t: int, config: RunConfig) -> tuple[str, bool]:
-    graph = formats.read_graph(_read_path(graph_path))
+    graph = formats.read_graph(_read_path(graph_path), vertex_limit=config.vertex_limit)
     if what == "alpha":
         value, witness = oracles.independence_number(graph)
         return f"alpha {value}\nwitness {' '.join(str(v) for v in witness)}\n", True

@@ -23,8 +23,9 @@ import json
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph
+from .gridgraph import DEFAULT_VERTEX_LIMIT
 from .oracles import BoolMatrix
 from .clis import ClisInstance
 
@@ -35,7 +36,9 @@ def write_graph(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph(text: str) -> Graph:
+def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
+    """Parse a DIMACS graph.  A header order above ``vertex_limit`` raises
+    ``ResourceLimitError`` before any edge is parsed or any array allocated."""
     order: int | None = None
     expected = 0
     edges: list[tuple[int, int]] = []
@@ -55,6 +58,10 @@ def read_graph(text: str) -> Graph:
                 order, expected = int(fields[2]), int(fields[3])
             except ValueError:
                 raise FormatError(f"non-integer header fields in {line!r}", lineno)
+            if order < 0 or expected < 0:
+                raise FormatError(f"negative header fields in {line!r}", lineno)
+            if order > vertex_limit:
+                raise ResourceLimitError("vertex_limit", vertex_limit, order)
         elif fields[0] == "e":
             if order is None:
                 raise FormatError("edge before header", lineno)

@@ -73,8 +73,8 @@ class TestExitCodes:
         assert "resource limit" in err
 
     def test_refused_allocation_exit(self, tmp_path):
-        # numpy refuses an n x n adjacency of 10^18 cells at once, so
-        # nothing is allocated; the refusal is a resource limit, not a
+        # the reader refuses a header order above the vertex limit before
+        # it allocates anything; the refusal is a resource limit, not a
         # failed verification
         huge = tmp_path / "huge.dimacs"
         huge.write_text("p edge 1000000000 0\n", encoding="ascii")
@@ -87,6 +87,18 @@ class TestExitCodes:
     def test_vertex_limit_flag(self):
         code, _, _ = run_cli("--vertex-limit", "10", "demo", "--n", "2")
         assert code == 3
+
+    def test_vertex_limit_reaches_graph_readers(self, tmp_path):
+        graph = tmp_path / "path.dimacs"
+        graph.write_text("p edge 11 1\ne 1 2\n", encoding="ascii")
+        partition = tmp_path / "path.system"
+        partition.write_text("bicliquesystem 11 1 1\npart 0 : 1\n", encoding="ascii")
+        verify = ("verify", "--graph", str(graph), "--partition", str(partition))
+        assert run_cli(*verify)[0] == 0
+        code, _, err = run_cli("--vertex-limit", "10", *verify)
+        assert code == 3 and "vertex_limit" in err
+        code, _, err = run_cli("--vertex-limit", "10", "oracle", "--graph", str(graph), "--what", "alpha")
+        assert code == 3 and "vertex_limit" in err
 
     def test_invalid_n_usage_error(self):
         code, _, err = run_cli("demo", "--n", "0")

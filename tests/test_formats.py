@@ -7,7 +7,7 @@ import pytest
 
 from bicliquelab.clis import canonical_instance, full_instance
 from bicliquelab.corpus import random_graph
-from bicliquelab.errors import FormatError
+from bicliquelab.errors import FormatError, ResourceLimitError
 from bicliquelab.formats import (
     read_certificate,
     read_charvectors,
@@ -68,6 +68,31 @@ class TestGraphFormat:
     def test_writes_deterministic(self):
         g = Graph.cycle(6)
         assert write_graph(g) == write_graph(g)
+
+    def test_vertex_limit_checked_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the vertex limit was checked")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        # the bad edge line after the header is never parsed
+        with pytest.raises(ResourceLimitError) as err:
+            read_graph("p edge 11 1\ne 1 x\n", vertex_limit=10)
+        assert (err.value.limit_name, err.value.limit, err.value.requested) == (
+            "vertex_limit",
+            10,
+            11,
+        )
+        with pytest.raises(ResourceLimitError):
+            read_graph("p edge 1000000000 0\n")
+
+    def test_vertex_limit_admits_its_own_order(self):
+        assert read_graph("p edge 10 1\ne 1 10\n", vertex_limit=10) == Graph.from_edges(
+            10, [(0, 9)]
+        )
+
+    def test_negative_header_rejected(self):
+        with pytest.raises(FormatError):
+            read_graph("p edge -1 0\n")
 
 
 class TestSystemFormat:
