@@ -9,9 +9,8 @@ isomorphism search.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +21,8 @@ import numpy as np
 _WORD = np.dtype("<u8")
 _BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
 _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
+_EDGE_CHUNK = 1 << 12  # edges per chunk when a graph is built from an edge list
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=_WORD), dtype=_WORD)  # word with bit i set
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
@@ -32,7 +33,7 @@ def pack_rows(dense: np.ndarray) -> np.ndarray:
     return packed
 
 
-def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
+def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` bits of each packed row, as bool rows (inverse of :func:`pack_rows`)."""
     return np.unpackbits(packed.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
@@ -85,23 +86,26 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
-        """Set each edge's two bits in per-row int masks, then lay them out as words.
+        """Set each edge's two bits straight into the packed words.
 
-        No array beyond the packed rows is built, so the extra memory is
-        about the packed size however many edges there are.
+        Edges are taken a bounded chunk at a time, so the index arrays stay
+        small and no dense matrix is built.
         """
-        masks = [0] * n
-        for u, v in edges:
-            u, v = operator.index(u), operator.index(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for order {n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        width = 8 * ((n + 63) // 64)
-        packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-        return cls._trusted(np.frombuffer(packed, dtype=_WORD).reshape(n, width // 8))
+        words = (n + 63) // 64
+        rows = np.zeros((n, words), dtype=_WORD)
+        pending = iter(edges)
+        while chunk := list(islice(pending, _EDGE_CHUNK)):
+            ends = np.fromiter(chain.from_iterable(chunk), dtype=np.int64, count=2 * len(chunk))
+            ends = ends.reshape(-1, 2)
+            if ends.min() < 0 or ends.max() >= n or (ends[:, 0] == ends[:, 1]).any():
+                for u, v in chunk:  # name the first bad edge
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise ValueError(f"edge ({u},{v}) out of range for order {n}")
+                    if u == v:
+                        raise ValueError(f"loop at vertex {u}")
+            u, v = ends.reshape(-1), ends[:, ::-1].reshape(-1)
+            np.bitwise_or.at(rows.reshape(-1), u * words + (v >> 6), _BITS[v & 63])
+        return cls._trusted(rows)
 
     @property
     def order(self) -> int:
@@ -115,7 +119,7 @@ class Graph:
     @property
     def adjacency(self) -> np.ndarray:
         """Read-only bool adjacency matrix, unpacked from the rows on each call."""
-        return _frozen(unpack_rows(self._rows, self.order))
+        return _frozen(_unpack_rows(self._rows, self.order))
 
     def edge_count(self) -> int:
         return int(np.bitwise_count(self._rows).sum()) // 2
@@ -129,7 +133,7 @@ class Graph:
         return int(np.bitwise_count(self._rows[v]).sum())
 
     def neighbors(self, v: int) -> list[int]:
-        return np.flatnonzero(unpack_rows(self._rows[v], self.order)).tolist()
+        return np.flatnonzero(_unpack_rows(self._rows[v], self.order)).tolist()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""
@@ -142,20 +146,23 @@ class Graph:
         n = self.order
         band = max(1, _BAND_BYTES // max(n, 1))
         for lo in range(0, n, band):
-            yield lo, np.triu(unpack_rows(self._rows[lo : lo + band], n), lo + 1)
+            yield lo, np.triu(_unpack_rows(self._rows[lo : lo + band], n), lo + 1)
 
     def complement(self) -> "Graph":
         n = self.order
         rows = ~self._rows
         if n % 64:
-            rows[:, -1] &= _bit(n % 64) - np.uint64(1)
-        v = np.arange(n)
-        rows[v, v >> 6] &= ~_bit(v)
+            rows[:, -1] &= _BITS[n % 64] - np.uint64(1)
+        # the diagonal bits of rows 64k..64k+63 sit in word k, one row apart
+        flat, words = rows.reshape(-1), rows.shape[1]
+        for k in range(words):
+            diagonal = flat[k * (64 * words + 1) :: words][: min(64, n - 64 * k)]
+            diagonal &= ~_BITS[: len(diagonal)]
         return Graph._trusted(rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         vs = np.array(vertices, dtype=np.int64)
-        return Graph._trusted(pack_rows(unpack_rows(self._rows[vs], self.order)[:, vs]))
+        return Graph._trusted(pack_rows(_unpack_rows(self._rows[vs], self.order)[:, vs]))
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor sets packed into Python int bitmasks (bit v = vertex v)."""
@@ -180,11 +187,6 @@ class Graph:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _bit(v) -> np.ndarray:
-    """The single-bit word for bit position ``v % 64`` (elementwise)."""
-    return np.left_shift(np.uint64(1), np.asarray(v, dtype=_WORD) & np.uint64(63), dtype=_WORD)
 
 
 @dataclass(frozen=True)
@@ -517,12 +519,12 @@ def _non_biclique_part(graph: Graph, parts: Sequence[Biclique], params: dict) ->
     for i, b in enumerate(parts):
         right = np.array(b.right, dtype=np.int64)
         mask = np.zeros(graph.rows.shape[1], dtype=_WORD)
-        np.bitwise_or.at(mask, right >> 6, _bit(right))
+        np.bitwise_or.at(mask, right >> 6, _BITS[right & 63])
         rows = graph.rows[list(b.left)]
         missing = (mask & ~rows).any(axis=1)
         if missing.any():
             r = int(np.flatnonzero(missing)[0])
-            c = int(np.flatnonzero(~unpack_rows(rows[r], graph.order)[right])[0])
+            c = int(np.flatnonzero(~_unpack_rows(rows[r], graph.order)[right])[0])
             return Certificate(
                 claim="biclique-system",
                 parameters=params,
@@ -574,6 +576,6 @@ def or_product(g: Graph, h: Graph) -> Graph:
     rows = np.empty((size, (size + 63) // 64), dtype=_WORD)
     hadj = h.adjacency
     for a in range(g.order):
-        band = unpack_rows(g.rows[a], g.order)[None, :, None] | hadj[:, None, :]
+        band = _unpack_rows(g.rows[a], g.order)[None, :, None] | hadj[:, None, :]
         rows[a * h.order : (a + 1) * h.order] = pack_rows(band.reshape(h.order, size))
     return Graph._trusted(rows)
