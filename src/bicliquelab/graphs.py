@@ -9,8 +9,9 @@ isomorphism search.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 _WORD = np.dtype("<u8")
 _BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
 _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
-_EDGE_CHUNK = 1 << 12  # edges per chunk when a graph is built from an edge list
 _BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=_WORD), dtype=_WORD)  # word with bit i set
 
 
@@ -86,26 +86,23 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
-        """Set each edge's two bits straight into the packed words.
+        """Set each edge's two bits in per-row int masks, then lay the masks out as words.
 
-        Edges are taken a bounded chunk at a time, so the index arrays stay
-        small and no dense matrix is built.
+        No dense matrix and no per-edge array is built: the extra memory is
+        about the packed size, however many edges there are.
         """
-        words = (n + 63) // 64
-        rows = np.zeros((n, words), dtype=_WORD)
-        pending = iter(edges)
-        while chunk := list(islice(pending, _EDGE_CHUNK)):
-            ends = np.fromiter(chain.from_iterable(chunk), dtype=np.int64, count=2 * len(chunk))
-            ends = ends.reshape(-1, 2)
-            if ends.min() < 0 or ends.max() >= n or (ends[:, 0] == ends[:, 1]).any():
-                for u, v in chunk:  # name the first bad edge
-                    if not (0 <= u < n and 0 <= v < n):
-                        raise ValueError(f"edge ({u},{v}) out of range for order {n}")
-                    if u == v:
-                        raise ValueError(f"loop at vertex {u}")
-            u, v = ends.reshape(-1), ends[:, ::-1].reshape(-1)
-            np.bitwise_or.at(rows.reshape(-1), u * words + (v >> 6), _BITS[v & 63])
-        return cls._trusted(rows)
+        masks = [0] * n
+        for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for order {n}")
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        width = 8 * ((n + 63) // 64)
+        packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
+        return cls._trusted(np.frombuffer(packed, dtype=_WORD).reshape(n, width // 8))
 
     @property
     def order(self) -> int:

@@ -308,6 +308,8 @@ class TestPackedGraphDifferential:
             rng.shuffle(edges)
             either_way = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
             assert Graph.from_edges(n, either_way) == g
+            # numpy integers past bit 63 must not wrap
+            assert Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == g
         for n in self.SIZES:
             full = ~np.eye(n, dtype=bool)
             assert np.array_equal(Graph.complete(n).adjacency, full)
