@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, WellDefinednessError
-from .graphs import (
-    Biclique,
-    BicliqueSystem,
-    Certificate,
-    Graph,
-    pack_rows,
-    verify_biclique_system,
-)
+from .graphs import Biclique, BicliqueSystem, Certificate, Graph, pack_rows, verify_biclique_system
 from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
 
 # A characteristic vector is a string over {0,1,*}: position j holds 0 if

@@ -97,7 +97,8 @@ class TestExitCodes:
         assert run_cli(*verify)[0] == 0
         code, _, err = run_cli("--vertex-limit", "10", *verify)
         assert code == 3 and "vertex_limit" in err
-        code, _, err = run_cli("--vertex-limit", "10", "oracle", "--graph", str(graph), "--what", "alpha")
+        oracle = ("oracle", "--graph", str(graph), "--what", "alpha")
+        code, _, err = run_cli("--vertex-limit", "10", *oracle)
         assert code == 3 and "vertex_limit" in err
 
     def test_invalid_n_usage_error(self):

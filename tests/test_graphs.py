@@ -244,7 +244,8 @@ class TestOrProduct:
 
 def _dense_adjacency(n, p, rng):
     """A random symmetric, irreflexive bool matrix: the test-side reference."""
-    upper = np.triu(np.array([[rng.random() < p for _ in range(n)] for _ in range(n)], dtype=bool), 1)
+    coins = np.array([[rng.random() < p for _ in range(n)] for _ in range(n)], dtype=bool)
+    upper = np.triu(coins.reshape(n, n), 1)
     return upper | upper.T
 
 
