@@ -259,9 +259,18 @@ def assert_zero_padding(g):
 
 
 class TestPackedGraphDifferential:
-    """Every ``Graph`` query agrees with the same query on a dense bool matrix."""
+    """Every ``Graph`` query agrees with the same query on a dense bool matrix.
+
+    Each test also runs with tiny row bands, so that the banded unpacking
+    behind ``edges()`` and ``star_partition`` sees many bands.
+    """
 
     SIZES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+    @pytest.fixture(autouse=True, params=["default", "tiny-bands"])
+    def _band_size(self, request, monkeypatch):
+        if request.param == "tiny-bands":
+            monkeypatch.setattr(graphs, "_BAND_BYTES", 256)
 
     def _cases(self, seed):
         rng = random.Random(seed)
@@ -285,6 +294,11 @@ class TestPackedGraphDifferential:
             assert list(g.edges()) == [
                 (u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]
             ]
+            assert star_partition(g).parts == tuple(
+                Biclique((u,), tuple(np.flatnonzero(adj[u, u + 1 :]) + u + 1))
+                for u in range(n)
+                if adj[u, u + 1 :].any()
+            )
             pairs = [(u, v) for u in range(n) for v in range(n)]
             for u, v in rng.sample(pairs, min(len(pairs), 500)):
                 assert g.has_edge(u, v) == bool(adj[u, v])
