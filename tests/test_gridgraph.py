@@ -181,6 +181,77 @@ class TestReducedGraph:
             reduced_graph(2, Subcube.of(7, {1: 1}))
 
 
+def _subcube_rule(points: np.ndarray, fixed) -> np.ndarray:
+    """Reference piece adjacency: points differ at every fixed position pinned
+    to 1 and agree at every fixed position pinned to 0 (positions 1-based)."""
+    adj = np.ones((len(points), len(points)), dtype=bool)
+    for pos, bit in fixed:
+        col = points[:, pos - 1]
+        adj &= (col[:, None] != col[None, :]) == bool(bit)
+    return adj
+
+
+def _mixed_radix(x, positions, n):
+    idx = 0
+    for p in positions:
+        idx = idx * n + (x[p - 1] - 1)
+    return idx
+
+
+# SHA-256 of write_system(grid_graph_partition(n)), recorded before the
+# pieces were built from their subcubes
+PARTITION_SHA256 = {
+    1: "8275008e90c7d983522f5c80e24f92ac25cc5c8181c04f31919ad37a97808bd0",
+    2: "11b73ad468e7b935e92f177f8581f0a04ab13037bd2a9c21934ac3d8a68a573f",
+    3: "256b2165471af9cdc3c243fd9327ccbf1218b427be816e64dc37371d48f9b18a",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+class TestPieceDifferential:
+    """The pieces, their reductions and the partition against references
+    written from the subcube rule on ``itertools.product`` points."""
+
+    def test_piece_matches_subcube_rule(self, n):
+        points = np.array(list(product(range(1, n + 1), repeat=7)))
+        for piece in decompose_admissible_set():
+            expected = _subcube_rule(points, piece.fixed)
+            assert np.array_equal(grid_graph_piece(n, piece).adjacency, expected), piece
+
+    def test_reduced_graph_matches_subcube_rule(self, n):
+        points = np.array(list(product(range(1, n + 1), repeat=5)))
+        for piece in decompose_admissible_set():
+            reduced_fixed = [(i + 1, bit) for i, (_, bit) in enumerate(piece.fixed)]
+            expected = _subcube_rule(points, reduced_fixed)
+            assert np.array_equal(reduced_graph(n, piece).graph.adjacency, expected), piece
+
+    def test_to_blowup_matches_per_point_formula(self, n):
+        points = list(product(range(1, n + 1), repeat=7))
+        for piece in decompose_admissible_set():
+            fixed_pos = [p for p, _ in piece.fixed]
+            expected = [
+                _mixed_radix(x, fixed_pos, n) * n * n
+                + _mixed_radix(x, piece.free_positions, n)
+                for x in points
+            ]
+            assert reduced_graph(n, piece).to_blowup.tolist() == expected, piece
+
+    def test_piece_matches_spec_route(self, n):
+        from bicliquelab.cube import CubeSet
+
+        for piece in decompose_admissible_set():
+            spec = GridGraphSpec(n, 7, CubeSet(7, frozenset(piece.points())))
+            assert grid_graph_piece(n, piece) == spec.realize(), piece
+
+    def test_partition_bytes_unchanged(self, n):
+        import hashlib
+
+        from bicliquelab.formats import write_system
+
+        text = write_system(grid_graph_partition(n))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == PARTITION_SHA256[n]
+
+
 class TestPartition:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_partition_within_bound(self, n):
