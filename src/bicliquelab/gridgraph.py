@@ -8,6 +8,15 @@ of which is an n^2-blowup of a graph on [n]^5 and therefore admits a small
 star-based biclique partition.  OR powers of the graph then carry t-covers
 of at most t times the partition size.
 
+The graph and its pieces are built by two independent routes.
+:func:`grid_graph` looks up every pair's disagreement pattern in the
+admissible set (:meth:`GridGraphSpec.realize`, one band of rows at a time).
+A piece, and its reduction on [n]^5, is built from its subcube alone: a row
+is the AND, over the pinned positions, of the packed set of points that
+agree with it there (inverted where the pin is 1).  So the demo's checks
+that the pieces' edges sum to the graph's and never overlap compare two
+constructions, not one with itself.
+
 Canonical index maps (part of the public contract):
 
 * [n]^d points are indexed mixed-radix, most significant coordinate first:
@@ -20,9 +29,8 @@ Canonical index maps (part of the public contract):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,78 +105,90 @@ class GridGraphSpec:
             raise ValueError("admissible set contains the all-zero pattern (loops)")
 
     def realize(self, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
+        """Look up each pair's disagreement pattern in the admissible set, one
+        band of rows at a time, so only the packed rows and one band's key are held."""
         count = self.n ** self.arity
         _check_vertex_limit(count, vertex_limit)
-        pts = np.array(grid_points(self.n, self.arity), dtype=np.int16)
-        key = np.zeros((count, count), dtype=np.uint32)
-        for i in range(self.arity):
-            key <<= 1
-            key |= pts[:, i, None] != pts[None, :, i]
         mask = np.zeros(1 << self.arity, dtype=bool)
         for p in self.admissible.members:
             idx = 0
             for b in p:
                 idx = idx * 2 + b
             mask[idx] = True
-        return Graph._trusted(pack_rows(mask[key]))
+        columns = _coordinates(self.n, self.arity)
+        key_type = np.min_scalar_type(len(mask) - 1)
+        rows = np.empty((count, (count + 63) // 64), dtype=np.uint64)
+        for lo in range(0, count, _KEY_BAND):
+            hi = min(lo + _KEY_BAND, count)
+            key = np.zeros((hi - lo, count), dtype=key_type)
+            for col in columns:
+                key += key
+                key += col[lo:hi, None] != col[None, :]
+            rows[lo:hi] = pack_rows(np.take(mask, key))
+        return Graph._trusted(rows)
 
 
-@lru_cache(maxsize=2)
-def _pattern_key(n: int) -> np.ndarray:
-    """Matrix of packed disagreement patterns between all pairs of [n]^7 points.
-
-    Entry (i, j) encodes the 7-bit pattern of coordinates where point i and
-    point j differ, most significant coordinate first.
-    """
-    pts = np.array(grid_points(n, 7), dtype=np.int8)
-    size = len(pts)
-    key = np.zeros((size, size), dtype=np.uint8)
-    for i in range(7):
-        key <<= 1
-        key |= pts[:, i, None] != pts[None, :, i]
-    key.flags.writeable = False
-    return key
-
-
-def _pattern_mask(patterns: Iterable[tuple[int, ...]]) -> np.ndarray:
-    mask = np.zeros(128, dtype=bool)
-    for p in patterns:
-        idx = 0
-        for b in p:
-            idx = idx * 2 + b
-        mask[idx] = True
-    return mask
-
-
-# rows per band when a graph is built from the pattern key
+# rows per band of the disagreement key in GridGraphSpec.realize
 _KEY_BAND = 256
 
 
-def _graph_from_patterns(n: int, patterns: Iterable[tuple[int, ...]], limit: int) -> Graph:
-    """Look up each pair's pattern in the admitted set, one band of rows at a time,
-    so only the packed rows and one bool band are held beside the key."""
-    _check_vertex_limit(n ** 7, limit)
-    mask, key = _pattern_mask(patterns), _pattern_key(n)
-    bands = [pack_rows(mask[key[lo : lo + _KEY_BAND]]) for lo in range(0, len(key), _KEY_BAND)]
-    return Graph._trusted(np.concatenate(bands))
+def _coordinates(n: int, arity: int) -> np.ndarray:
+    """Coordinate columns of [n]^arity: entry (i, x) is the 0-based coordinate
+    i + 1 of the point with index x, in the narrowest unsigned dtype."""
+    weights = n ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+    columns = np.arange(n ** arity, dtype=np.int64) // weights[:, None] % n
+    return columns.astype(np.min_scalar_type(n - 1))
+
+
+def _mixed_radix(columns: np.ndarray, n: int) -> np.ndarray:
+    """The index of each point formed by the given coordinate columns, most significant first."""
+    return n ** np.arange(len(columns) - 1, -1, -1, dtype=np.int64) @ columns
+
+
+def _subcube_rows(n: int, arity: int, fixed: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Packed rows of the graph on [n]^arity whose adjacency rule is one subcube.
+
+    ``fixed`` holds (1-based position, bit) pairs, at least one bit 1.  Two
+    points are adjacent iff they differ at every position pinned to 1 and
+    agree at every position pinned to 0, so row x is the AND over pinned
+    positions p of the packed set {y : y_p = x_p}, inverted where the bit is
+    1.  That row depends only on x's pinned coordinates, so it is built once
+    per combination of them and then gathered for every point.
+    """
+    columns = _coordinates(n, arity)
+    pinned = columns[[pos - 1 for pos, _ in fixed]]
+    combos = _coordinates(n, len(fixed))
+    distinct = pack_rows(np.ones((1, n ** arity), dtype=bool)).repeat(len(combos[0]), axis=0)
+    for col, combo, (_, bit) in zip(pinned, combos, fixed):
+        level_sets = pack_rows(np.arange(n)[:, None] == col[None, :])
+        same = level_sets[combo]
+        if bit:
+            np.invert(same, out=same)
+        distinct &= same
+    return distinct[_mixed_radix(pinned, n)]
 
 
 def grid_graph(n: int, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
     """The graph on [n]^7 whose adjacency rule is the full admissible set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _graph_from_patterns(n, admissible_set().members, vertex_limit)
+    return GridGraphSpec(n, 7, admissible_set()).realize(vertex_limit=vertex_limit)
 
 
 def grid_graph_piece(
     n: int, part: Subcube, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT
 ) -> Graph:
-    """One edge-disjoint piece: same vertices, adjacency restricted to one subcube."""
+    """One edge-disjoint piece: same vertices, adjacency restricted to one subcube.
+
+    Built from the subcube alone (see :func:`_subcube_rows`), a route
+    independent of the admissible-set lookup that builds :func:`grid_graph`.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if part.dim != 7:
         raise ValueError(f"piece subcube must have dim 7, got {part.dim}")
-    return _graph_from_patterns(n, part.points(), vertex_limit)
+    if not any(b for _, b in part.fixed):
+        raise ValueError("piece subcube contains the all-zero pattern (loops)")
+    _check_vertex_limit(n ** 7, vertex_limit)
+    return Graph._trusted(_subcube_rows(n, 7, part.fixed))
 
 
 class ReducedPiece(NamedTuple):
@@ -196,25 +216,13 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
         raise ValueError(f"expected exactly 5 fixed coordinates, got {len(part.fixed)}")
     if not any(b for _, b in part.fixed):
         raise ValueError("all fixed values are 0; the reduced graph would have loops")
-    fixed_pos = [p for p, _ in part.fixed]
-    fixed_val = np.array([b for _, b in part.fixed], dtype=bool)
-    free_pos = list(part.free_positions)
+    reduced_rule = [(i + 1, b) for i, (_, b) in enumerate(part.fixed)]
+    graph = Graph._trusted(_subcube_rows(n, 5, reduced_rule))
 
-    pts5 = np.array(grid_points(n, 5), dtype=np.int16)
-    n5 = len(pts5)
-    adj = np.ones((n5, n5), dtype=bool)
-    for i in range(5):
-        diff = pts5[:, i, None] != pts5[None, :, i]
-        adj &= diff == fixed_val[i]
-    graph = Graph._trusted(pack_rows(adj))
-
-    m = n * n
-    to_blowup = np.empty(n ** 7, dtype=np.int64)
-    for gidx, x in enumerate(grid_points(n, 7)):
-        ridx = point_index(tuple(x[p - 1] for p in fixed_pos), n)
-        copy = point_index(tuple(x[p - 1] for p in free_pos), n)
-        to_blowup[gidx] = ridx * m + copy
-    return ReducedPiece(graph, to_blowup)
+    columns = _coordinates(n, 7)
+    reduced = _mixed_radix(columns[[p - 1 for p, _ in part.fixed]], n)
+    copy = _mixed_radix(columns[[p - 1 for p in part.free_positions]], n)
+    return ReducedPiece(graph, reduced * (n * n) + copy)
 
 
 def grid_graph_partition(
@@ -235,17 +243,14 @@ def grid_graph_partition(
     parts: list[Biclique] = []
     for piece in decompose_admissible_set():
         reduced = reduced_graph(n, piece)
+        # copies[v]: the sorted [n]^7 indices of the n^2 copies of reduced vertex v
         inverse = np.empty(total, dtype=np.int64)
         inverse[reduced.to_blowup] = np.arange(total)
-        copies = np.arange(m, dtype=np.int64)
+        copies = np.sort(inverse.reshape(-1, m), axis=1)
         for star in star_partition(reduced.graph).parts:
-            left = np.sort(
-                inverse[(np.array(star.left)[:, None] * m + copies).ravel()]
-            )
-            right = np.sort(
-                inverse[(np.array(star.right)[:, None] * m + copies).ravel()]
-            )
-            parts.append(Biclique(tuple(int(v) for v in left), tuple(int(v) for v in right)))
+            left = np.sort(copies[list(star.left)], axis=None).tolist()
+            right = np.sort(copies[list(star.right)], axis=None).tolist()
+            parts.append(Biclique(tuple(left), tuple(right)))
     return BicliqueSystem(total, tuple(parts), 1)
 
 

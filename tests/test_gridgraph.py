@@ -142,6 +142,13 @@ class TestPieces:
         piece = decompose_admissible_set()[0]
         assert grid_graph_piece(1, piece).edge_count() == 0
 
+    def test_zero_pattern_subcube_rejected(self):
+        from bicliquelab.cube import Subcube
+
+        # every pin 0 admits the all-zero pattern, which would put a loop at every vertex
+        with pytest.raises(ValueError, match="loops"):
+            grid_graph_piece(2, Subcube.of(7, {1: 0, 2: 0}))
+
 
 class TestReducedGraph:
     def test_n2_perfect_matching(self):
