@@ -234,6 +234,8 @@ class BicliqueSystem:
     multiplicity_bound: int = 1
 
     def __post_init__(self):
+        if self.host_order < 0:
+            raise ValueError(f"negative host order {self.host_order}")
         if self.multiplicity_bound < 1:
             raise ValueError("multiplicity bound must be >= 1")
         parts = tuple(self.parts)

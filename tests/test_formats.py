@@ -117,6 +117,11 @@ class TestSystemFormat:
         with pytest.raises(FormatError):
             read_system("bicliquesystem 3 2 1\npart 0 : 1\n")
 
+    def test_negative_host_order_rejected(self):
+        with pytest.raises(FormatError) as err:
+            read_system("bicliquesystem -3 0 1\n")
+        assert err.value.line == 1
+
 
 class TestMatrixFormat:
     def test_round_trip(self):

@@ -112,6 +112,11 @@ class TestVerifyBicliqueSystem:
         with pytest.raises(ValueError):
             verify_biclique_system(Graph.complete(4), sys_)
 
+    def test_negative_host_order_rejected(self):
+        with pytest.raises(ValueError, match="host order"):
+            BicliqueSystem(-3, (), 1)
+        assert BicliqueSystem(0, (), 1).host_order == 0
+
     def test_catches_random_mutations(self):
         # drop a part, duplicate a part, add a non-edge part, delete a host
         # edge: every corruption of a valid partition must be rejected
