@@ -43,6 +43,8 @@ GridPoint = tuple[int, ...]
 DEFAULT_VERTEX_LIMIT = 10_000
 # The OR-power route needs n^(7t) vertices; the default admits n=2, t=2.
 DEFAULT_POWER_VERTEX_LIMIT = 16_384
+# rows per band of the disagreement key in GridGraphSpec.realize
+_KEY_BAND = 256
 
 
 def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
@@ -126,10 +128,6 @@ class GridGraphSpec:
                 key += col[lo:hi, None] != col[None, :]
             rows[lo:hi] = pack_rows(np.take(mask, key))
         return Graph._trusted(rows)
-
-
-# rows per band of the disagreement key in GridGraphSpec.realize
-_KEY_BAND = 256
 
 
 def _coordinates(n: int, arity: int) -> np.ndarray:
@@ -243,13 +241,13 @@ def grid_graph_partition(
     parts: list[Biclique] = []
     for piece in decompose_admissible_set():
         reduced = reduced_graph(n, piece)
-        # copies[v]: the sorted [n]^7 indices of the n^2 copies of reduced vertex v
-        inverse = np.empty(total, dtype=np.int64)
-        inverse[reduced.to_blowup] = np.arange(total)
-        copies = np.sort(inverse.reshape(-1, m), axis=1)
+        # copies[v]: the [n]^7 indices of the n^2 copies of reduced vertex v
+        copies = np.empty(total, dtype=np.int64)
+        copies[reduced.to_blowup] = np.arange(total)
+        copies = copies.reshape(-1, m)
         for star in star_partition(reduced.graph).parts:
-            left = np.sort(copies[list(star.left)], axis=None).tolist()
-            right = np.sort(copies[list(star.right)], axis=None).tolist()
+            left = copies[list(star.left)].ravel().tolist()
+            right = copies[list(star.right)].ravel().tolist()
             parts.append(Biclique(tuple(left), tuple(right)))
     return BicliqueSystem(total, tuple(parts), 1)
 
