@@ -156,7 +156,7 @@ def _subcube_rows(n: int, arity: int, fixed: Sequence[tuple[int, int]]) -> np.nd
     columns = _coordinates(n, arity)
     pinned = columns[[pos - 1 for pos, _ in fixed]]
     combos = _coordinates(n, len(fixed))
-    distinct = pack_rows(np.ones((1, n ** arity), dtype=bool)).repeat(len(combos[0]), axis=0)
+    distinct = pack_rows(np.ones((1, n ** arity), dtype=bool)).repeat(n ** len(fixed), axis=0)
     for col, combo, (_, bit) in zip(pinned, combos, fixed):
         level_sets = pack_rows(np.arange(n)[:, None] == col[None, :])
         same = level_sets[combo]
