@@ -4,6 +4,7 @@ The brute-force references here enumerate subsets / colorings / rectangle
 sets directly, sharing no code with the branch-and-bound paths they check.
 """
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -12,6 +13,7 @@ import pytest
 
 from bicliquelab.corpus import graphs_up_to, random_graph
 from bicliquelab.errors import ResourceLimitError
+from bicliquelab.formats import write_system
 from bicliquelab.graphs import Biclique, BicliqueSystem, Graph, or_product, star_partition, verify_biclique_system
 from bicliquelab.oracles import (
     BoolMatrix,
@@ -285,3 +287,75 @@ class TestMinRectangleCover:
                     covered.add((i, j))
         cells = {(int(i), int(j)) for i, j in np.argwhere(matrix.entries == value)}
         assert covered == cells
+
+
+def greedy_dsatur_colours(g: Graph) -> int:
+    """Colours used by DSATUR's greedy pass (Brelaz 1979): colour next the
+    uncoloured vertex with the most distinct neighbour colours, then the
+    highest degree, then the lowest index, with the smallest free colour."""
+    adj = g.adjacency
+    colour = [-1] * g.order
+    for _ in range(g.order):
+        v = max(
+            (u for u in range(g.order) if colour[u] < 0),
+            key=lambda u: (
+                len({colour[w] for w in range(g.order) if adj[u, w] and colour[w] >= 0}),
+                int(adj[u].sum()),
+                -u,
+            ),
+        )
+        taken = {colour[w] for w in range(g.order) if adj[v, w]}
+        colour[v] = next(c for c in range(g.order) if c not in taken)
+    return max(colour, default=-1) + 1
+
+
+# SHA-256 of the serialized witnesses below, recorded once.  The searches
+# must find the same first optimum, not just an optimum of the same value.
+WITNESS_SHA256 = {
+    "chi": "ecb1a05df6c21814d7664b8824e20802647a88e78e804b1b4322c8f9f8b7786a",
+    "bp": "ecf87c16c6c8ecbccc4c823cacfee723970c08d1097fa8550ccfe681ed9d92ff",
+    "rect": "170654c52d5effbf842e4daffc2e51fca3b6b523d8350e21abd07fd308bd0238",
+}
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("".join(lines).encode("ascii")).hexdigest()
+
+
+class TestWitnessDigests:
+    """Witness bytes of the exact oracles on seeded inputs."""
+
+    def test_chromatic_witnesses(self):
+        rng = random.Random(0)
+        lines, gaps = [], 0
+        for n in range(1, 13):
+            for _ in range(40):
+                g = random_graph(n, rng.uniform(0.25, 0.75), rng)
+                value, coloring = chromatic_number(g)
+                gaps += greedy_dsatur_colours(g) > value
+                lines.append(f"{n} {list(g.edges())} {value} {coloring}\n")
+        assert gaps >= 3  # the k-colouring search, not only the greedy pass, is pinned
+        assert _digest(lines) == WITNESS_SHA256["chi"]
+
+    def test_biclique_partition_witnesses(self):
+        rng = random.Random(1)
+        lines = []
+        for n in range(1, 8):
+            for _ in range(8):
+                g = random_graph(n, rng.uniform(0.2, 0.7), rng)
+                for t in (1, 2):
+                    value, system = min_biclique_partition(g, t)
+                    lines.append(f"{n} {list(g.edges())} {t} {value}\n" + write_system(system))
+        assert _digest(lines) == WITNESS_SHA256["bp"]
+
+    def test_rectangle_cover_witnesses(self):
+        rng = random.Random(2)
+        lines = []
+        for _ in range(60):
+            rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
+            entries = [[rng.randrange(2) for _ in range(cols)] for _ in range(rows)]
+            m = BoolMatrix(np.array(entries, dtype=np.uint8))
+            for value in (0, 1):
+                size, witness = min_rectangle_cover(m, value)
+                lines.append(f"{entries} {value} {size} {witness}\n")
+        assert _digest(lines) == WITNESS_SHA256["rect"]
