@@ -46,7 +46,6 @@ from .gridgraph import (
 )
 from .oracles import (
     BoolMatrix,
-    chromatic_bounds,
     chromatic_number,
     independence_at_most,
     independence_number,
@@ -55,7 +54,6 @@ from .oracles import (
     min_rectangle_cover,
 )
 from .algebra import (
-    RationalMatrix,
     intersection_graph,
     peck_bound,
     rank_certificate,
@@ -93,7 +91,6 @@ __all__ = [
     "Graph",
     "GridGraphSpec",
     "GridPoint",
-    "RationalMatrix",
     "ReducedPiece",
     "ResourceLimitError",
     "Subcube",
@@ -108,7 +105,6 @@ __all__ = [
     "canonical_instance",
     "characteristic_vectors",
     "chi_lower_bound_check",
-    "chromatic_bounds",
     "chromatic_number",
     "decompose_admissible_set",
     "diff_pattern",

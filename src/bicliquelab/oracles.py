@@ -11,9 +11,10 @@ keeps the branch-and-bound loops allocation-free.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -43,14 +44,6 @@ class BoolMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BoolMatrix":
-        return cls(np.array([list(r) for r in rows], dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, n: int) -> "BoolMatrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
     @property
     def rows(self) -> int:
         return self.entries.shape[0]
@@ -58,9 +51,6 @@ class BoolMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    def transpose(self) -> "BoolMatrix":
-        return BoolMatrix(self.entries.T)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BoolMatrix) and np.array_equal(self.entries, other.entries)
@@ -202,87 +192,54 @@ def chromatic_number(
     n = graph.order
     if n > order_limit:
         raise ResourceLimitError("chi_order_limit", order_limit, n)
-    if n == 0:
-        return 0, []
-    if graph.edge_count() == 0:
-        return 1, [0] * n
-    adjsets = [set(graph.neighbors(v)) for v in range(n)]
-
+    masks = graph.neighbor_masks()
     lb = max_clique(graph)[0]
-    ub, greedy_colors = _dsatur_greedy(n, adjsets)
-    if ub == lb:
-        return lb, greedy_colors
-
-    k = lb
-    while True:
-        colors = _k_coloring(n, adjsets, k)
+    greedy = _dsatur(masks, n)
+    ub = max(greedy, default=-1) + 1
+    for k in range(lb, ub):
+        colors = _dsatur(masks, k)
         if colors is not None:
             return k, colors
-        k += 1
-        if k == ub:
-            return ub, greedy_colors
+    return ub, greedy
 
 
-def chromatic_bounds(graph: Graph) -> tuple[int, int]:
-    """Bounded-search mode: a (lower, upper) interval for the chromatic number
-    with no order guard.  Lower bound from an exact maximum clique, upper
-    from a saturation-greedy coloring; both sides are sound, neither is
-    claimed tight."""
-    n = graph.order
-    if n == 0:
-        return 0, 0
-    if graph.edge_count() == 0:
-        return 1, 1
-    lb = max_clique(graph)[0]
-    ub, _ = _dsatur_greedy(n, [set(graph.neighbors(v)) for v in range(n)])
-    return lb, ub
+def _dsatur(masks: list[int], k: int) -> list[int] | None:
+    """Backtracking DSATUR (Brelaz 1979): a proper coloring with at most k
+    colors, or None if there is none.
 
-
-def _dsatur_greedy(n: int, adjsets: list[set[int]]) -> tuple[int, list[int]]:
+    The next vertex has the most distinct neighbour colors, then the highest
+    degree, then the lowest index.  Colors are tried in order and a new one
+    only after every used one, so with k = n nothing backtracks and the
+    result is DSATUR's greedy coloring.
+    """
+    n = len(masks)
+    degree = [m.bit_count() for m in masks]
     colors = [-1] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (
-                len({colors[w] for w in adjsets[u] if colors[w] != -1}),
-                len(adjsets[u]),
-                -u,
-            ),
-        )
-        forbidden = {colors[u] for u in adjsets[v]}
-        c = 0
-        while c in forbidden:
-            c += 1
-        colors[v] = c
-    return max(colors) + 1, colors
+    classes: list[int] = []  # vertex mask of each color
 
+    def saturation(u: int) -> int:
+        return sum(1 for members in classes if members & masks[u])
 
-def _k_coloring(n: int, adjsets: list[set[int]], k: int) -> list[int] | None:
-    """Backtracking k-coloring, DSATUR vertex order, new colors introduced in order."""
-    colors = [-1] * n
-
-    def bt(colored: int, used: int) -> bool:
-        if colored == n:
+    def bt(uncolored: int) -> bool:
+        if not uncolored:
             return True
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (
-                len({colors[w] for w in adjsets[u] if colors[w] != -1}),
-                len(adjsets[u]),
-                -u,
-            ),
-        )
-        forbidden = {colors[u] for u in adjsets[v]}
+        v = max(_iter_bits(uncolored), key=lambda u: (saturation(u), degree[u], -u))
+        rest = uncolored & ~(1 << v)
+        used = len(classes)
         for c in range(min(used + 1, k)):
-            if c in forbidden:
+            if c == used:
+                classes.append(0)
+            elif classes[c] & masks[v]:
                 continue
+            classes[c] |= 1 << v
             colors[v] = c
-            if bt(colored + 1, max(used, c + 1)):
+            if bt(rest):
                 return True
-            colors[v] = -1
+            classes[c] &= ~(1 << v)
+        del classes[used:]
         return False
 
-    return colors if bt(0, 0) else None
+    return colors if bt((1 << n) - 1) else None
 
 
 def _all_bicliques(graph: Graph) -> list[Biclique]:
@@ -321,36 +278,43 @@ def min_biclique_partition(
     if not edges:
         return 0, BicliqueSystem(n, (), t)
     eidx = {e: i for i, e in enumerate(edges)}
-    target = (1 << len(edges)) - 1
-
     bicliques = _all_bicliques(graph)
-    bmasks = []
-    for b in bicliques:
-        m = 0
-        for e in b.edges():
-            m |= 1 << eidx[e]
-        bmasks.append(m)
-    by_edge: list[list[int]] = [[] for _ in edges]
-    for bi, m in enumerate(bmasks):
+    sets = [sum(1 << eidx[e] for e in b.edges()) for b in bicliques]
+    owners: list[list[int]] = [[] for _ in edges]
+    for bi, m in enumerate(sets):
         for e in _iter_bits(m):
-            by_edge[e].append(bi)
-    max_size = max(m.bit_count() for m in bmasks)
-    counts = [0] * len(edges)
+            owners[e].append(bi)
+    chosen = _min_cover(sets, owners, t)
+    return len(chosen), BicliqueSystem(n, tuple(bicliques[i] for i in chosen), t)
+
+
+def _min_cover(sets: list[int], owners: list[list[int]], t: int | None) -> list[int]:
+    """Exact minimum cover of the elements 0..len(owners)-1 by bitmask ``sets``,
+    as a list of set indices, via iterative deepening.
+
+    Each node branches on the lowest uncovered element, over ``owners[e]`` (the
+    sets holding e) in order, and skips any set that would put an element in
+    more than ``t`` chosen sets (``None``: no cap).  The witness is the first
+    optimum in this order, so reruns are bit-stable.
+    """
+    universe = (1 << len(owners)) - 1
+    max_size = max(m.bit_count() for m in sets)
+    counts = [0] * len(owners)
 
     def dfs(covered: int, depth: int, limit: int, chosen: list[int]) -> list[int] | None:
-        remaining = target & ~covered
+        remaining = universe & ~covered
         if remaining == 0:
             return list(chosen)
         if depth == limit or depth + (remaining.bit_count() + max_size - 1) // max_size > limit:
             return None
         e = (remaining & -remaining).bit_length() - 1
-        for bi in by_edge[e]:
-            m = bmasks[bi]
-            if any(counts[j] >= t for j in _iter_bits(m)):
+        for i in owners[e]:
+            m = sets[i]
+            if t is not None and any(counts[j] >= t for j in _iter_bits(m)):
                 continue
             for j in _iter_bits(m):
                 counts[j] += 1
-            chosen.append(bi)
+            chosen.append(i)
             res = dfs(covered | m, depth + 1, limit, chosen)
             chosen.pop()
             for j in _iter_bits(m):
@@ -363,8 +327,7 @@ def min_biclique_partition(
     while True:
         res = dfs(0, 0, limit, [])
         if res is not None:
-            system = BicliqueSystem(n, tuple(bicliques[i] for i in res), t)
-            return limit, system
+            return res
         limit += 1
 
 
@@ -436,48 +399,16 @@ def min_rectangle_cover(
         return 0, []
     if len(cells) > entry_limit:
         raise ResourceLimitError("rectangle_entry_limit", entry_limit, len(cells))
-    cell_idx = {cell: i for i, cell in enumerate(cells)}
     rects = _maximal_rectangles(matrix.entries, value, budget)
-    sets = []
-    for rows, cols in rects:
-        m = 0
-        for i in rows:
-            for j in cols:
-                m |= 1 << cell_idx[(i, j)]
-        sets.append(m)
-    chosen = _min_set_cover((1 << len(cells)) - 1, sets)
+    # Branch on the cell with the fewest owning rectangles, ties to the lowest:
+    # owner counts never change, so with cells labelled in that order it is
+    # always the lowest uncovered label.
+    owner_count = Counter((i, j) for rows, cols in rects for i in rows for j in cols)
+    label = {cell: e for e, cell in enumerate(sorted(cells, key=lambda c: (owner_count[c], c)))}
+    sets = [sum(1 << label[(i, j)] for i in rows for j in cols) for rows, cols in rects]
+    owners = [
+        sorted((r for r, m in enumerate(sets) if m >> e & 1), key=lambda r: -sets[r].bit_count())
+        for e in range(len(cells))
+    ]
+    chosen = _min_cover(sets, owners, None)
     return len(chosen), [rects[i] for i in chosen]
-
-
-def _min_set_cover(universe: int, sets: list[int]) -> list[int]:
-    """Exact minimum set cover over bitmask sets via iterative deepening."""
-    per_elem: dict[int, list[int]] = {}
-    for e in _iter_bits(universe):
-        owners = [i for i, s in enumerate(sets) if s >> e & 1]
-        if not owners:
-            raise ValueError(f"element {e} is not covered by any set")
-        per_elem[e] = sorted(owners, key=lambda i: -sets[i].bit_count())
-    max_size = max(s.bit_count() for s in sets)
-
-    def dfs(covered: int, depth: int, limit: int, chosen: list[int]) -> list[int] | None:
-        remaining = universe & ~covered
-        if remaining == 0:
-            return list(chosen)
-        if depth == limit or depth + (remaining.bit_count() + max_size - 1) // max_size > limit:
-            return None
-        # branch on the uncovered element with fewest owners
-        e = min(_iter_bits(remaining), key=lambda x: len(per_elem[x]))
-        for i in per_elem[e]:
-            chosen.append(i)
-            res = dfs(covered | sets[i], depth + 1, limit, chosen)
-            chosen.pop()
-            if res is not None:
-                return res
-        return None
-
-    limit = 1
-    while True:
-        res = dfs(0, 0, limit, [])
-        if res is not None:
-            return res
-        limit += 1

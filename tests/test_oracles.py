@@ -17,7 +17,6 @@ from bicliquelab.formats import write_system
 from bicliquelab.graphs import Biclique, BicliqueSystem, Graph, or_product, star_partition, verify_biclique_system
 from bicliquelab.oracles import (
     BoolMatrix,
-    chromatic_bounds,
     chromatic_number,
     independence_at_most,
     independence_number,
@@ -138,18 +137,6 @@ class TestChromatic:
         with pytest.raises(ResourceLimitError):
             chromatic_number(Graph.empty(100))
 
-    def test_bounds_interval(self):
-        rng = random.Random(21)
-        for _ in range(20):
-            g = random_graph(rng.randrange(1, 10), rng.random(), rng)
-            lb, ub = chromatic_bounds(g)
-            exact = chromatic_number(g)[0]
-            assert lb <= exact <= ub
-
-    def test_bounds_no_order_guard(self):
-        lb, ub = chromatic_bounds(Graph.complete(100))
-        assert lb == ub == 100
-
 
 def brute_min_cover_of_k4_is_not_two_at_t1(bicliques):
     """No pair of bicliques partitions the complete graph on 4 vertices."""
@@ -225,7 +212,7 @@ class TestMinRectangleCover:
         # cells' rows/columns, so three rectangles are needed
         from bicliquelab.oracles import _maximal_rectangles
 
-        m = BoolMatrix.identity(3)
+        m = BoolMatrix(np.eye(3, dtype=np.uint8))
         rects = _maximal_rectangles(m.entries, 0, 1 << 20)
         assert brute_rectangle_cover(m, 0, rects) == 3
         value, witness = min_rectangle_cover(m, 0)
@@ -251,7 +238,7 @@ class TestMinRectangleCover:
             for value in (0, 1):
                 assert (
                     min_rectangle_cover(m, value)[0]
-                    == min_rectangle_cover(m.transpose(), value)[0]
+                    == min_rectangle_cover(BoolMatrix(m.entries.T), value)[0]
                 )
 
     def test_matches_brute_force(self):
