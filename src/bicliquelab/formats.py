@@ -1,8 +1,9 @@
-"""Bit-exact text formats for every exchangeable object.
+"""Bit-exact text formats for graphs, biclique systems and certificates.
 
-Writers are deterministic byte streams (sorted edges, stable key order) and
-``read(write(x)) == x`` holds for every type here.  Parse failures raise
-:class:`FormatError` carrying the offending 1-based line number.
+Writers are deterministic byte streams (sorted edges, stable key order).
+Graphs and biclique systems are read back with ``read(write(x)) == x``;
+certificates are only written.  Parse failures raise :class:`FormatError`
+carrying the offending 1-based line number.
 
 Formats:
 
@@ -11,23 +12,16 @@ Formats:
   lines tolerated on input.
 * Biclique system: header ``bicliquesystem N NPARTS T``, then one line per
   part: ``part u1 u2 ... : w1 w2 ...`` with 0-based sorted sides.
-* Boolean matrix: one row per line as a contiguous 0/1 string.
-* Characteristic vectors: header ``charvectors M N``, then one length-N
-  line over {0,1,*} per vector.
-* Certificates and instances: JSON with sorted keys, one trailing newline.
+* Certificate: JSON with sorted keys, one trailing newline.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .errors import FormatError, ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph
 from .gridgraph import DEFAULT_VERTEX_LIMIT
-from .oracles import BoolMatrix
-from .clis import ClisInstance
 
 
 def write_graph(graph: Graph) -> str:
@@ -139,64 +133,6 @@ def read_system(text: str) -> BicliqueSystem:
         raise FormatError(str(exc), 1)
 
 
-def write_matrix(matrix: BoolMatrix) -> str:
-    return "\n".join("".join(str(int(x)) for x in row) for row in matrix.entries) + "\n"
-
-
-def read_matrix(text: str) -> BoolMatrix:
-    rows: list[list[int]] = []
-    width: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if set(line) - {"0", "1"}:
-            raise FormatError(f"matrix rows must be 0/1 strings, got {line!r}", lineno)
-        if width is None:
-            width = len(line)
-        elif len(line) != width:
-            raise FormatError(
-                f"row width {len(line)} differs from first row width {width}", lineno
-            )
-        rows.append([int(ch) for ch in line])
-    if not rows:
-        raise FormatError("empty matrix", 1)
-    return BoolMatrix(np.array(rows, dtype=np.uint8))
-
-
-def write_charvectors(vectors: list[str]) -> str:
-    width = len(vectors[0]) if vectors else 0
-    lines = [f"charvectors {len(vectors)} {width}"]
-    lines.extend(vectors)
-    return "\n".join(lines) + "\n"
-
-
-def read_charvectors(text: str) -> list[str]:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty input", 1)
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "charvectors":
-        raise FormatError(f"bad header {lines[0]!r}", 1)
-    try:
-        count, width = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError(f"non-integer header fields in {lines[0]!r}", 1)
-    vectors = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if len(line) != width or set(line) - {"0", "1", "*"}:
-            raise FormatError(f"bad vector {line!r}", lineno)
-        vectors.append(line)
-    if len(vectors) != count:
-        raise FormatError(
-            f"header promised {count} vectors, found {len(vectors)}", len(lines) + 1
-        )
-    return vectors
-
-
 def write_certificate(cert: Certificate) -> str:
     payload = {
         "claim": cert.claim,
@@ -205,54 +141,3 @@ def write_certificate(cert: Certificate) -> str:
         "witness": cert.witness,
     }
     return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
-
-
-def read_certificate(text: str) -> Certificate:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad certificate JSON: {exc.msg}", exc.lineno)
-    try:
-        return Certificate(
-            claim=payload["claim"],
-            parameters=payload["parameters"],
-            verdict=payload["verdict"] == "pass",
-            witness=payload["witness"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"certificate missing field: {exc}", 1)
-
-
-def write_instance(inst: ClisInstance) -> str:
-    payload = {
-        "graph": {
-            "order": inst.graph.order,
-            "edges": [[u, v] for u, v in inst.graph.edges()],
-        },
-        "cliques": [list(c) for c in inst.cliques],
-        "independents": [list(s) for s in inst.independents],
-        "matrix": ["".join(str(int(x)) for x in row) for row in inst.matrix.entries],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
-
-
-def read_instance(text: str) -> ClisInstance:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad instance JSON: {exc.msg}", exc.lineno)
-    try:
-        graph = Graph.from_edges(
-            payload["graph"]["order"],
-            [tuple(e) for e in payload["graph"]["edges"]],
-        )
-        cliques = tuple(tuple(c) for c in payload["cliques"])
-        independents = tuple(tuple(s) for s in payload["independents"])
-        rows = [[int(ch) for ch in row] for row in payload["matrix"]]
-        if rows:
-            matrix = BoolMatrix(np.array(rows, dtype=np.uint8))
-        else:
-            matrix = BoolMatrix(np.zeros((0, len(independents)), dtype=np.uint8))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad instance payload: {exc}", 1)
-    return ClisInstance(graph, cliques, independents, matrix)
