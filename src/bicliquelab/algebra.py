@@ -16,10 +16,8 @@ and the distinguished index of an index set is its largest element).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb, lcm
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -28,65 +26,6 @@ from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
 
 SIGN_RULES = ("odd-positive", "even-positive")
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable matrix of exact rationals (tuple-of-tuples storage)."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def ones(cls, n: int) -> "RationalMatrix":
-        return cls(((1,) * n,) * n)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def is_antisymmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
-
-    def _cleared(self) -> tuple[list[list[int]], int]:
-        """Integer rows (each row times the lcm of its denominators) and the
-        product of those multipliers."""
-        rows, scale = [], 1
-        for row in self.entries:
-            m = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (m // x.denominator) for x in row])
-            scale *= m
-        return rows, scale
-
-    def rank(self) -> int:
-        """Exact rank (row scaling does not change it)."""
-        return _bareiss(self._cleared()[0])[0]
-
-    def determinant(self) -> Fraction:
-        """Exact determinant (square matrices only)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant needs a square matrix")
-        rows, scale = self._cleared()
-        return Fraction(_bareiss(rows)[1], scale)
 
 
 def _bareiss(m: list[list[int]]) -> tuple[int, int]:
