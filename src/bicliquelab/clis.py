@@ -143,26 +143,10 @@ def all_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
     return all_cliques(graph.complement())
 
 
-def _maximal_only(sets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    keep = []
-    as_sets = [set(s) for s in sets]
-    for i, s in enumerate(as_sets):
-        if not any(i != j and s < other for j, other in enumerate(as_sets)):
-            keep.append(sets[i])
-    return keep
-
-
-def full_instance(graph: Graph, *, maximal_only: bool = False) -> ClisInstance:
-    """The instance over *all* cliques and independent sets of the graph.
-
-    ``maximal_only`` restricts both families to inclusion-maximal sets,
-    which shrinks the matrix for scale experiments.
-    """
+def full_instance(graph: Graph) -> ClisInstance:
+    """The instance over *all* cliques and independent sets of the graph."""
     cliques = all_cliques(graph)
     independents = all_independent_sets(graph)
-    if maximal_only:
-        cliques = _maximal_only(cliques)
-        independents = _maximal_only(independents)
     mat = np.zeros((len(cliques), len(independents)), dtype=np.uint8)
     for p, c in enumerate(cliques):
         cs = set(c)

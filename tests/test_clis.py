@@ -147,11 +147,6 @@ class TestFamilies:
             for q, s in enumerate(inst.independents):
                 assert inst.matrix.entries[p, q] == len(set(c) & set(s))
 
-    def test_maximal_only(self):
-        inst = full_instance(Graph.complete(3), maximal_only=True)
-        assert inst.cliques == ((0, 1, 2),)
-        assert inst.independents == ((0,), (1,), (2,))
-
 
 class TestProtocol:
     def test_shared_single_vertex_on_edgeless(self):
