@@ -326,13 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        vertex_limit=args.vertex_limit,
-        pair_limit=args.pair_limit,
-        ambiguous_edge=args.ambiguous_edge == "edge",
-        out=args.out,
-    )
     try:
+        config = RunConfig(
+            vertex_limit=args.vertex_limit,
+            pair_limit=args.pair_limit,
+            ambiguous_edge=args.ambiguous_edge == "edge",
+            out=args.out,
+        )
         if args.command == "demo":
             text, ok = cmd_demo(args.n, config)
         elif args.command == "suite":

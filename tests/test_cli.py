@@ -106,6 +106,17 @@ class TestExitCodes:
         assert code == 2
         assert "invalid input" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--vertex-limit", "0", "demo", "--n", "1"), ("--pair-limit", "-5", "suite", "cube")],
+    )
+    def test_non_positive_limit_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input:")
+        assert "Traceback" not in err
+
     def test_missing_file_usage_error(self, tmp_path):
         code, _, _ = run_cli(
             "verify", "--graph", str(tmp_path / "nope"), "--partition", str(tmp_path / "nope2")
