@@ -239,7 +239,11 @@ def _dsatur(masks: list[int], k: int) -> list[int] | None:
         del classes[used:]
         return False
 
-    return colors if bt((1 << n) - 1) else None
+    found = bt((1 << n) - 1)
+    # bt's closure refers to bt; deleting it breaks that cycle, so the search
+    # state is freed now and not at the next cyclic garbage collection.
+    del bt
+    return colors if found else None
 
 
 def _all_bicliques(graph: Graph) -> list[Biclique]:
