@@ -69,8 +69,8 @@ def _check_indices(cover: BicliqueSystem, indices: Iterable[int]) -> tuple[int, 
     idx = tuple(sorted(set(int(i) for i in indices)))
     if not idx:
         raise ValueError("index set must be nonempty")
-    if idx[0] < 1 or idx[-1] > len(cover.parts):
-        raise ValueError(f"part indices must lie in 1..{len(cover.parts)}, got {idx}")
+    if idx[0] < 1 or idx[-1] > len(cover):
+        raise ValueError(f"part indices must lie in 1..{len(cover)}, got {idx}")
     return idx
 
 
@@ -79,7 +79,7 @@ def intersection_graph(cover: BicliqueSystem, indices: Iterable[int]) -> Graph:
     idx = _check_indices(cover, indices)
     edges: set[tuple[int, int]] | None = None
     for i in idx:
-        part_edges = set(cover.parts[i - 1].edges())
+        part_edges = set(cover[i - 1].edges())
         edges = part_edges if edges is None else edges & part_edges
     return Graph.from_edges(cover.host_order, sorted(edges))
 
@@ -97,13 +97,13 @@ def split_intersection(cover: BicliqueSystem, indices: Iterable[int]) -> list[Bi
     """
     idx = _check_indices(cover, indices)
     rest, last = idx[:-1], idx[-1]
-    last_b = cover.parts[last - 1]
+    last_b = cover[last - 1]
     out: list[Biclique] = []
     for z in product((0, 1), repeat=len(rest)):
         x = set(last_b.left)
         y = set(last_b.right)
         for bit, j in zip(z, rest):
-            b = cover.parts[j - 1]
+            b = cover[j - 1]
             if bit == 0:
                 x &= set(b.left)
                 y &= set(b.right)
@@ -126,7 +126,7 @@ _CHUNK_BYTES = 1 << 20  # index sets per batch: about this many bytes
 def _subset_size(cover: BicliqueSystem) -> int:
     """min(t, d), the largest index-set size enumerated; refused past
     _MAX_SUBSET_SIZE before anything is enumerated or allocated."""
-    size = min(cover.multiplicity_bound, len(cover.parts))
+    size = min(cover.multiplicity_bound, len(cover))
     if size > _MAX_SUBSET_SIZE:
         raise ResourceLimitError("certificate index-set size min(t, d)", _MAX_SUBSET_SIZE, size)
     return size
@@ -173,7 +173,7 @@ def verify_cover_identity(
     size = _subset_size(cover)
     _require_valid_cover(cover)
     k = cover.host_order
-    d = len(cover.parts)
+    d = len(cover)
     t = cover.multiplicity_bound
     # Row u of part i's indicator, packed 8 columns to a byte.
     covers = np.zeros((d, k, (k + 7) // 8), dtype=np.uint8)
@@ -234,7 +234,7 @@ def rank_certificate(cover: BicliqueSystem) -> Certificate:
     size = _subset_size(cover)
     _require_valid_cover(cover)
     k = cover.host_order
-    d = len(cover.parts)
+    d = len(cover)
     t = cover.multiplicity_bound
     bound = peck_bound(d, t)
 

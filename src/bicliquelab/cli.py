@@ -128,12 +128,12 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
 
     partition = gridgraph.grid_graph_partition(n, vertex_limit=config.vertex_limit)
     bound = 30 * (n ** 5 - 1)
-    rep.line(f"partition-size {len(partition.parts)}")
+    rep.line(f"partition-size {len(partition)}")
     rep.line(f"partition-size-bound {bound}")
-    rep.check("partition-size-within-bound", len(partition.parts) <= bound)
+    rep.check("partition-size-within-bound", len(partition) <= bound)
     rep.certificate("partition-exact-once", verify_biclique_system(graph, partition))
-    if partition.parts:
-        ratio = Fraction(chi_lb, len(partition.parts))
+    if len(partition):
+        ratio = Fraction(chi_lb, len(partition))
         rep.line(f"chromatic-lb-to-partition-ratio {ratio.numerator}/{ratio.denominator}")
     else:
         rep.line("chromatic-lb-to-partition-ratio 0/1")
@@ -158,8 +158,8 @@ def _suite_partition(rep: _Report, config: RunConfig) -> None:
     for n in (1, 2, 3):
         graph = gridgraph.grid_graph(n, vertex_limit=config.vertex_limit)
         partition = gridgraph.grid_graph_partition(n, vertex_limit=config.vertex_limit)
-        rep.line(f"n {n} partition-size {len(partition.parts)}")
-        rep.check(f"n{n}-size-bound", len(partition.parts) <= 30 * (n ** 5 - 1))
+        rep.line(f"n {n} partition-size {len(partition)}")
+        rep.check(f"n{n}-size-bound", len(partition) <= 30 * (n ** 5 - 1))
         rep.certificate(f"n{n}-exact-once", verify_biclique_system(graph, partition))
     # blowup correspondence at n=2: every piece equals the blowup of its reduction
     n = 2
@@ -188,7 +188,7 @@ def _suite_peck(rep: _Report, config: RunConfig) -> None:
         ok_identity &= good.verdict
         ok_flipped &= not bad.verdict
         ok_rank &= rank.verdict
-        ok_bound &= k <= algebra.peck_bound(len(cover.parts), t)
+        ok_bound &= k <= algebra.peck_bound(len(cover), t)
     rep.line(f"random-covers {cases}")
     rep.check("identity-standard-sign", ok_identity)
     rep.check("identity-flipped-sign-fails", ok_flipped)
@@ -222,7 +222,7 @@ def _suite_clis(rep: _Report, config: RunConfig) -> None:
     for gamma in corpus.graphs_up_to(4):
         pair_graph, system = clis.build_pair_graph(gamma, pair_limit=config.pair_limit)
         cert = verify_biclique_system(pair_graph, system)
-        reverse_ok &= cert.verdict and len(system.parts) <= gamma.order
+        reverse_ok &= cert.verdict and len(system) <= gamma.order
         if gamma.order <= 3:
             inst = clis.full_instance(gamma)
             c0, _ = oracles.min_rectangle_cover(inst.matrix, 0)

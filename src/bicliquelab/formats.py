@@ -18,9 +18,12 @@ Formats:
 from __future__ import annotations
 
 import json
+from array import array
+
+import numpy as np
 
 from .errors import FormatError, ResourceLimitError
-from .graphs import Biclique, BicliqueSystem, Certificate, Graph
+from .graphs import BicliqueSystem, Certificate, Graph, _first_bad_part, _part_offsets
 from .gridgraph import DEFAULT_VERTEX_LIMIT
 
 
@@ -84,17 +87,23 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
 
 
 def write_system(system: BicliqueSystem) -> str:
-    lines = [
-        f"bicliquesystem {system.host_order} {len(system.parts)} {system.multiplicity_bound}"
-    ]
-    for b in system.parts:
-        left = " ".join(str(v) for v in b.left)
-        right = " ".join(str(v) for v in b.right)
+    lines = [f"bicliquesystem {system.host_order} {len(system)} {system.multiplicity_bound}"]
+    vertices = system.vertices
+    for start, split, end in system.offsets.tolist():
+        left = " ".join(map(str, vertices[start:split].tolist()))
+        right = " ".join(map(str, vertices[split:end].tolist()))
         lines.append(f"part {left} : {right}")
     return "\n".join(lines) + "\n"
 
 
 def read_system(text: str) -> BicliqueSystem:
+    """Parse a biclique system; sides may be listed in any order.
+
+    The first bad line is named: a part line that does not parse or is not
+    a biclique.  Then a part count other than the header's is named at the
+    line past the end, and a bad host order, bound or out-of-range vertex at
+    line 1.  Vertices beyond the int64 range are refused at their line.
+    """
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty input", 1)
@@ -105,30 +114,46 @@ def read_system(text: str) -> BicliqueSystem:
         order, nparts, bound = int(head[1]), int(head[2]), int(head[3])
     except ValueError:
         raise FormatError(f"non-integer header fields in {lines[0]!r}", 1)
-    parts: list[Biclique] = []
+    vertices = array("q")  # int64, grown in place
+    bounds = [0]  # where each side ends: split, end, split, end, ...
+    part_lines: list[int] = []
+    error = None
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         fields = line.split()
         if fields[0] != "part" or ":" not in fields:
-            raise FormatError(f"bad part line {line!r}", lineno)
+            error = FormatError(f"bad part line {line!r}", lineno)
+            break
         sep = fields.index(":")
         try:
-            left = tuple(int(x) for x in fields[1:sep])
-            right = tuple(int(x) for x in fields[sep + 1 :])
+            # each token is read as by int(), into int64
+            left = np.array(fields[1:sep], dtype=np.int64)
+            right = np.array(fields[sep + 1 :], dtype=np.int64)
         except ValueError:
-            raise FormatError(f"non-integer vertex in {line!r}", lineno)
-        try:
-            parts.append(Biclique(left, right))
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno)
-    if len(parts) != nparts:
+            error = FormatError(f"non-integer vertex in {line!r}", lineno)
+            break
+        except OverflowError:
+            error = FormatError(f"vertex out of int64 range in {line!r}", lineno)
+            break
+        for side in (left, right):
+            vertices.frombytes(side.tobytes())
+            bounds.append(len(vertices))
+        part_lines.append(lineno)
+    offsets = _part_offsets(bounds)
+    values = np.frombuffer(vertices, dtype=np.int64)
+    bad = _first_bad_part(offsets, values)
+    if bad is not None:
+        raise FormatError(bad[1], part_lines[bad[0]])
+    if error is not None:
+        raise error
+    if len(part_lines) != nparts:
         raise FormatError(
-            f"header promised {nparts} parts, found {len(parts)}", len(lines) + 1
+            f"header promised {nparts} parts, found {len(part_lines)}", len(lines) + 1
         )
     try:
-        return BicliqueSystem(order, tuple(parts), bound)
+        return BicliqueSystem.from_arrays(order, offsets, values, bound)
     except ValueError as exc:
         raise FormatError(str(exc), 1)
 

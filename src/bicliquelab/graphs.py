@@ -10,9 +10,10 @@ isomorphism search.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Iterator, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -134,16 +135,18 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""
-        for lo, block in self._upper_bands():
-            for u, v in zip(*np.nonzero(block)):
-                yield lo + int(u), int(v)
+        for u, v in self._upper_pairs():
+            yield from zip(u.tolist(), v.tolist())
 
-    def _upper_bands(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Bands of unpacked rows from ``lo`` on, keeping only columns above the diagonal."""
+    def _upper_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Edges (u, v) with u < v as two index arrays, one band of unpacked rows
+        at a time, in row-major order."""
         n = self.order
         band = max(1, _BAND_BYTES // max(n, 1))
         for lo in range(0, n, band):
-            yield lo, np.triu(_unpack_rows(self._rows[lo : lo + band], n), lo + 1)
+            u, v = np.divmod(np.flatnonzero(_unpack_rows(self._rows[lo : lo + band], n)), n)
+            upper = v > u + lo
+            yield u[upper] + lo, v[upper]
 
     def complement(self) -> "Graph":
         n = self.order
@@ -200,14 +203,9 @@ class Biclique:
     def __post_init__(self):
         left = tuple(sorted(self.left))
         right = tuple(sorted(self.right))
-        if not left or not right:
-            raise ValueError("biclique sides must be nonempty")
-        if len(set(left)) != len(left) or len(set(right)) != len(right):
-            raise ValueError("biclique sides must not repeat vertices")
-        if set(left) & set(right):
-            raise ValueError(f"biclique sides overlap: {set(left) & set(right)}")
-        if min(left[0], right[0]) < 0:
-            raise ValueError("negative vertex index")
+        error = _biclique_error(left, right)
+        if error is not None:
+            raise ValueError(error)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -220,35 +218,237 @@ class Biclique:
                 yield (u, w) if u < w else (w, u)
 
 
-@dataclass(frozen=True)
+def _biclique_error(left: tuple[int, ...], right: tuple[int, ...]) -> str | None:
+    """Why the sorted sides (left, right) do not form a biclique, or None if they do."""
+    if not left or not right:
+        return "biclique sides must be nonempty"
+    if len(set(left)) != len(left) or len(set(right)) != len(right):
+        return "biclique sides must not repeat vertices"
+    if set(left) & set(right):
+        return f"biclique sides overlap: {set(left) & set(right)}"
+    if min(left[0], right[0]) < 0:
+        return "negative vertex index"
+    return None
+
+
+_MAX_ORDER = int(np.iinfo(np.int32).max)  # vertices are stored as int32
+_CHECK_ENTRIES = 1 << 17  # vertices per validation chunk of whole parts
+
+
 class BicliqueSystem:
     """A list of bicliques over a common host vertex range, with a multiplicity bound.
 
     ``multiplicity_bound`` t = 1 declares an intended exact edge partition;
     t > 1 declares a cover touching each edge at most t times.  Validity
     against a concrete graph is established by :func:`verify_biclique_system`.
+
+    There is no object per part.  ``vertices`` is one read-only int32 array
+    holding part 0's left side, its right side, then part 1's sides and so
+    on, each side sorted; row i of the read-only int64 ``offsets`` array,
+    shape (parts, 3), is part i's (left start, split, end) in it.
+    ``system[i]`` builds part i as a :class:`Biclique`, and ``parts`` is a
+    read-only sequence view that builds them on access.
+
+    ``BicliqueSystem(host_order, bicliques, t)`` flattens a sequence of
+    bicliques; producers hand over arrays with :meth:`from_arrays`.
     """
 
-    host_order: int
-    parts: tuple[Biclique, ...]
-    multiplicity_bound: int = 1
+    __slots__ = ("host_order", "multiplicity_bound", "offsets", "vertices")
 
-    def __post_init__(self):
-        if self.host_order < 0:
-            raise ValueError(f"negative host order {self.host_order}")
-        if self.multiplicity_bound < 1:
+    def __init__(
+        self, host_order: int, parts: Sequence[Biclique] = (), multiplicity_bound: int = 1
+    ):
+        sides = [side for b in parts for side in (b.left, b.right)]
+        bounds = np.cumsum([0, *map(len, sides)])
+        vertices = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=int(bounds[-1]))
+        # each Biclique has checked and sorted its sides already
+        self._store(host_order, _part_offsets(bounds), vertices, multiplicity_bound)
+
+    @classmethod
+    def from_arrays(
+        cls, host_order: int, offsets: np.ndarray, vertices: np.ndarray, multiplicity_bound: int = 1
+    ) -> "BicliqueSystem":
+        """A system from its arrays, laid out as the class describes; sides may be unsorted.
+
+        The system takes ``vertices`` over when it is a writable int32 array:
+        its sides are sorted in place and it is made read-only, with no copy.
+        Any other integer array is copied.  Each part is checked as
+        :class:`Biclique` checks its sides, and the lowest bad part raises
+        ``ValueError`` with Biclique's message.
+        """
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        vertices = np.asarray(vertices)
+        if vertices.ndim != 1 or vertices.dtype.kind not in "iu":
+            raise ValueError("vertices must be a one-dimensional integer array")
+        if offsets.ndim != 2 or offsets.shape[1] != 3:
+            raise ValueError(f"offsets must have shape (parts, 3), got {offsets.shape}")
+        bounds = _side_bounds(offsets)
+        if (
+            bounds[0] != 0
+            or bounds[-1] != len(vertices)
+            or (np.diff(bounds) < 0).any()
+            or not np.array_equal(offsets[1:, 0], offsets[:-1, 2])
+        ):
+            raise ValueError("offsets must be (left start, split, end) rows of consecutive parts")
+        if vertices.dtype != np.int32 or not vertices.flags.writeable:
+            vertices = vertices.astype(np.int32 if vertices.dtype == np.int32 else np.int64)
+        bad = _first_bad_part(offsets, vertices)
+        if bad is not None:
+            raise ValueError(bad[1])
+        system = cls.__new__(cls)
+        system._store(host_order, offsets, vertices, multiplicity_bound)
+        return system
+
+    def _store(self, host_order, offsets, vertices, multiplicity_bound) -> None:
+        """Check the host order, the bound and the vertex range; then keep the
+        arrays, whose parts are valid bicliques with sorted sides."""
+        host_order, bound = operator.index(host_order), operator.index(multiplicity_bound)
+        if host_order < 0:
+            raise ValueError(f"negative host order {host_order}")
+        if bound < 1:
             raise ValueError("multiplicity bound must be >= 1")
-        parts = tuple(self.parts)
-        for i, b in enumerate(parts):
-            top = max(b.left[-1], b.right[-1])
-            if top >= self.host_order:
-                raise ValueError(
-                    f"part {i + 1} uses vertex {top} outside host order {self.host_order}"
-                )
-        object.__setattr__(self, "parts", parts)
+        if host_order > _MAX_ORDER:
+            raise ValueError(f"host order {host_order} exceeds the int32 vertex range")
+        tops = np.maximum(vertices[offsets[:, 1] - 1], vertices[offsets[:, 2] - 1])
+        outside = np.flatnonzero(tops >= host_order)
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(
+                f"part {i + 1} uses vertex {int(tops[i])} outside host order {host_order}"
+            )
+        object.__setattr__(self, "host_order", host_order)
+        object.__setattr__(self, "multiplicity_bound", bound)
+        object.__setattr__(self, "offsets", _frozen(offsets))
+        object.__setattr__(self, "vertices", _frozen(vertices.astype(np.int32, copy=False)))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"BicliqueSystem is immutable: cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.offsets)
+
+    def __getitem__(self, i: int) -> Biclique:
+        start, split, end = self.offsets[operator.index(i)].tolist()
+        return Biclique(
+            tuple(self.vertices[start:split].tolist()), tuple(self.vertices[split:end].tolist())
+        )
+
+    @property
+    def parts(self) -> "_PartsView":
+        return _PartsView(self)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, BicliqueSystem)
+            and self.host_order == other.host_order
+            and self.multiplicity_bound == other.multiplicity_bound
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.vertices, other.vertices)
+        )
+
+    __hash__ = None  # array payload; not intended as a dict key
+
+    def __repr__(self) -> str:
+        return (
+            f"BicliqueSystem(host_order={self.host_order}, parts={len(self)}, "
+            f"multiplicity_bound={self.multiplicity_bound})"
+        )
+
+
+class _PartsView(Sequence):
+    """The parts of a system as :class:`Biclique` values, built on each access.
+
+    Slices are tuples, and a view compares equal to any sequence of the same
+    bicliques.  It holds only the system, so it adds no memory.
+    """
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: BicliqueSystem):
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._system.__getitem__, range(len(self))[i]))
+        return self._system[i]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Sequence)
+            and len(self) == len(other)
+            and all(map(operator.eq, self, other))
+        )
+
+    def __add__(self, other: Sequence[Biclique]) -> tuple[Biclique, ...]:
+        return tuple(self) + tuple(other)
+
+
+def _part_offsets(bounds: np.ndarray) -> np.ndarray:
+    """(left start, split, end) rows from the side boundaries [0, split_0, end_0, split_1, ...]."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    return np.stack((bounds[:-1:2], bounds[1::2], bounds[2::2]), axis=1)
+
+
+def _side_bounds(offsets: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_part_offsets`: where each side starts, then where the last ends."""
+    return np.append(offsets[:, :2], offsets[-1, 2] if len(offsets) else 0)
+
+
+def _first_bad_part(offsets: np.ndarray, vertices: np.ndarray) -> tuple[int, str] | None:
+    """Sort every side in place, then find the lowest part that is not a biclique.
+
+    Returns that part's index with :func:`_biclique_error`'s message for it,
+    or None.  Parts are taken in chunks of about ``_CHECK_ENTRIES`` vertices,
+    so the scratch memory is bounded.  In a chunk, each vertex gets the key
+    side * span + (vertex - lowest); one sort of the keys sorts every side,
+    equal neighbouring keys are repeats, and a right-side key less ``span``
+    that is also a left-side key is a vertex on both sides of its part.
+    Values too far apart for such keys are replaced by their ranks first.
+    """
+    ends = offsets[:, 2]
+    lo = 0
+    while lo < len(offsets):
+        hi = max(lo + 1, int(np.searchsorted(ends, offsets[lo, 0] + _CHECK_ENTRIES, "right")))
+        chunk = offsets[lo:hi] - offsets[lo, 0]
+        values = vertices[offsets[lo, 0] : ends[hi - 1]]
+        sizes = np.diff(_side_bounds(chunk))
+        bad = (sizes[0::2] == 0) | (sizes[1::2] == 0)
+        if values.size:
+            low, ranked = int(values.min()), None
+            span = int(values.max()) - low + 1
+            if len(sizes) * span >= 1 << 62:
+                ranked, x = np.unique(values, return_inverse=True)
+                span = len(ranked)
+            key_type = np.int32 if len(sizes) * span < 1 << 31 else np.int64
+            side = np.repeat(np.arange(len(sizes), dtype=key_type), sizes)
+            base = side * key_type(span)
+            if ranked is None:
+                x = np.subtract(values, low, dtype=np.int64).astype(key_type)
+            key = base + x
+            if (key[1:] < key[:-1]).any():
+                key.sort()
+                x = key - base
+                values[:] = np.add(x, low, dtype=np.int64) if ranked is None else ranked[x]
+            bad[side[1:][key[1:] == key[:-1]] >> 1] = True
+            right = (side & 1).astype(bool)
+            # part p's keys are 2p * span + x on the left and, less span, on the
+            # right; look the fewer up among the more
+            few, many = sorted((key[~right], key[right] - key_type(span)), key=len)
+            if few.size:
+                at = np.minimum(np.searchsorted(many, few), many.size - 1)
+                bad[few[many[at] == few] // (2 * span)] = True
+            if low < 0:
+                bad[side[values < 0] >> 1] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            start, split, end = chunk[i].tolist()
+            left, right = values[start:split].tolist(), values[split:end].tolist()
+            return lo + i, _biclique_error(tuple(left), tuple(right))
+        lo = hi
+    return None
 
 
 @dataclass(frozen=True)
@@ -306,14 +506,14 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     n = graph.order
     params = {
         "host_order": n,
-        "parts": len(system.parts),
+        "parts": len(system),
         "multiplicity_bound": system.multiplicity_bound,
     }
 
     words = (n + 63) // 64
     # no pair is covered more often than there are parts, so a bound above
     # the part count acts as that count and needs no more planes
-    t = min(system.multiplicity_bound, len(system.parts))
+    t = min(system.multiplicity_bound, len(system))
     digits = t.bit_length()
     bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
     # plane k starts as bit k of the bias in every position: all ones or zeros
@@ -327,8 +527,8 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         counter[...] = fill[:, None, None]
         counters.append(counter)
     chunk = max(1, _MASK_BYTES // (16 * max(words, 1)))
-    for lo in range(0, len(system.parts), chunk):
-        _count_chunk(counters, system.parts[lo : lo + chunk], band)
+    for lo in range(0, len(system), chunk):
+        _count_chunk(counters, system.offsets[lo : lo + chunk], system.vertices, band)
 
     first_bad = None
     max_mult = 0
@@ -340,7 +540,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         for k, plane in enumerate(planes):
             covered |= ~plane if bias >> k & 1 else plane
         if (covered & ~row).any():
-            return _non_biclique_part(graph, system.parts, params)
+            return _non_biclique_part(graph, system, params)
         bad = row & (over | ~covered)
         if first_bad is None and bad.any():
             r = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -350,6 +550,13 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
 
     if first_bad is not None:
         u, v = first_bad
+        # the sides holding u and v; u is on one side of a part and v on the
+        # other iff side s holds u and side s ^ 1 holds v
+        bounds = _side_bounds(system.offsets)
+        sides_u, sides_v = (
+            np.searchsorted(bounds, np.flatnonzero(system.vertices == x), "right") - 1
+            for x in (u, v)
+        )
         return Certificate(
             claim="biclique-system",
             parameters=params,
@@ -357,10 +564,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
             witness={
                 "kind": "bad-multiplicity",
                 "pair": [u, v],
-                "multiplicity": sum(
-                    (u in b.left and v in b.right) or (u in b.right and v in b.left)
-                    for b in system.parts
-                ),
+                "multiplicity": int(np.isin(sides_u ^ 1, sides_v).sum()),
                 "is_edge": graph.has_edge(u, v),
             },
         )
@@ -372,16 +576,18 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     )
 
 
-def _count_chunk(counters: list[np.ndarray], parts: Sequence[Biclique], band: int) -> None:
-    """Add the pair incidences of ``parts`` into the per-band ``counters``."""
+def _count_chunk(
+    counters: list[np.ndarray], offsets: np.ndarray, vertices: np.ndarray, band: int
+) -> None:
+    """Add the pair incidences of the parts at ``offsets`` into the per-band ``counters``."""
     words = counters[0].shape[2]
-    sides = [s for b in parts for s in (b.left, b.right)]
-    sizes = np.fromiter(map(len, sides), dtype=np.int32, count=len(sides))
-    verts = np.fromiter(chain.from_iterable(sides), dtype=np.int32, count=int(sizes.sum()))
-    side_of = np.arange(len(sides), dtype=np.int32).repeat(sizes)
+    bounds = _side_bounds(offsets)
+    verts = vertices[bounds[0] : bounds[-1]]
+    sizes = np.diff(bounds)
+    side_of = np.arange(len(sizes), dtype=np.int32).repeat(sizes)
     # side 2i is part i's left, 2i+1 its right, and the extra last row is the
     # zero mask; a side's vertices are distinct, so adding bits ORs them
-    masks = np.zeros((len(sides) + 1, words), dtype=_WORD)
+    masks = np.zeros((len(sizes) + 1, words), dtype=_WORD)
     np.add.at(
         masks.reshape(-1),
         side_of * np.int64(words) + (verts >> 6),
@@ -509,13 +715,14 @@ def _plane_max(planes: np.ndarray) -> int:
     return value
 
 
-def _non_biclique_part(graph: Graph, parts: Sequence[Biclique], params: dict) -> Certificate:
+def _non_biclique_part(graph: Graph, system: BicliqueSystem, params: dict) -> Certificate:
     """Fail on the lowest-numbered part whose block holds a non-edge.
 
     A part's block misses an edge iff some left row lacks a bit of the
     right side's mask; only the rows of the offending part are unpacked.
     """
-    for i, b in enumerate(parts):
+    for i in range(len(system)):
+        b = system[i]
         right = np.array(b.right, dtype=np.int64)
         mask = np.zeros(graph.rows.shape[1], dtype=_WORD)
         np.bitwise_or.at(mask, right >> 6, _BITS[right & 63])
@@ -544,13 +751,18 @@ def star_partition(graph: Graph) -> BicliqueSystem:
     from vertex i to its higher-indexed neighbors, when that set is
     nonempty.  Always a valid exact partition.
     """
-    parts = []
-    for lo, block in graph._upper_bands():
-        for r, row in enumerate(block):
-            later = np.flatnonzero(row)
-            if later.size:
-                parts.append(Biclique((lo + r,), tuple(later.tolist())))
-    return BicliqueSystem(graph.order, tuple(parts), 1)
+    centers, later = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for u, v in graph._upper_pairs():
+        centers.append(u)
+        later.append(v)
+    degree = np.bincount(np.concatenate(centers), minlength=graph.order)
+    stars = np.flatnonzero(degree)
+    # each star's center goes right before its later neighbours, which are
+    # already sorted and grouped by center
+    vertices = np.insert(np.concatenate(later), (degree.cumsum() - degree)[stars], stars)
+    ends = (degree[stars] + 1).cumsum()
+    offsets = np.stack((ends - degree[stars] - 1, ends - degree[stars], ends), axis=1)
+    return BicliqueSystem.from_arrays(graph.order, offsets, vertices.astype(np.int32), 1)
 
 
 def blowup(graph: Graph, m: int) -> Graph:

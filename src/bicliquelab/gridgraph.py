@@ -36,7 +36,7 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import Biclique, BicliqueSystem, Graph, or_product, pack_rows, star_partition
+from .graphs import BicliqueSystem, Graph, or_product, pack_rows, star_partition
 
 GridPoint = tuple[int, ...]
 
@@ -231,38 +231,53 @@ def grid_graph_partition(
     Each of the 30 pieces is star-partitioned in its reduced form and every
     star is blown back up through the piece's copy structure; blowing up a
     biclique keeps it a biclique, and the pieces are edge-disjoint, so the
-    union is an exact partition.
+    union is an exact partition.  The blown-up stars of all pieces are
+    gathered into one vertex array, whose sides the system then sorts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_vertex_limit(n ** 7, vertex_limit)
     total = n ** 7
     m = n * n
-    parts: list[Biclique] = []
+    pieces = []
     for piece in decompose_admissible_set():
         reduced = reduced_graph(n, piece)
         # copies[v]: the [n]^7 indices of the n^2 copies of reduced vertex v
-        copies = np.empty(total, dtype=np.int64)
-        copies[reduced.to_blowup] = np.arange(total)
-        copies = copies.reshape(-1, m)
-        for star in star_partition(reduced.graph).parts:
-            left = copies[list(star.left)].ravel().tolist()
-            right = copies[list(star.right)].ravel().tolist()
-            parts.append(Biclique(tuple(left), tuple(right)))
-    return BicliqueSystem(total, tuple(parts), 1)
+        copies = np.empty(total, dtype=np.int32)
+        copies[reduced.to_blowup] = np.arange(total, dtype=np.int32)
+        pieces.append((copies.reshape(-1, m), star_partition(reduced.graph)))
+    starts = np.cumsum([0] + [m * len(stars.vertices) for _, stars in pieces])
+    vertices = np.empty(starts[-1], dtype=np.int32)
+    for (copies, stars), lo, hi in zip(pieces, starts, starts[1:]):
+        vertices[lo:hi] = copies[stars.vertices].ravel()
+    offsets = np.concatenate(
+        [np.empty((0, 3), dtype=np.int64)]
+        + [stars.offsets * m + lo for (_, stars), lo in zip(pieces, starts)]
+    )
+    return BicliqueSystem.from_arrays(total, offsets, vertices, 1)
 
 
-def _lift(vertices: Iterable[int], coord: int, t: int, base: int) -> tuple[int, ...]:
-    """All OR-power vertex indices whose coordinate ``coord`` (0-based) is in ``vertices``."""
-    vs = np.array(sorted(vertices), dtype=np.int64)
-    prefix = np.arange(base ** coord, dtype=np.int64) * base ** (t - coord)
-    suffix = np.arange(base ** (t - coord - 1), dtype=np.int64)
-    lifted = (
-        prefix[:, None, None]
-        + vs[None, :, None] * base ** (t - coord - 1)
-        + suffix[None, None, :]
-    ).ravel()
-    return tuple(int(v) for v in lifted)
+def _lift(
+    offsets: np.ndarray, vertices: np.ndarray, coord: int, t: int, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lift every part through coordinate ``coord`` (0-based) of the t-th OR power.
+
+    A side's vertex v becomes every power vertex whose coordinate ``coord``
+    is v, the other coordinates free: index p * base^(t-coord) +
+    v * base^(t-coord-1) + s.  Listed with p outermost and s innermost, a
+    sorted side lifts to a sorted side, and every side grows by the same
+    factor, so the offsets scale by it.
+    """
+    outer, inner = base ** coord, base ** (t - coord - 1)
+    bounds = np.append(offsets[:, :2], len(vertices))
+    sizes = np.diff(bounds)
+    # one entry per (side, p, v): its side's start and length, and its place w in the side's run
+    start = np.repeat(bounds[:-1], sizes * outer)
+    length = np.repeat(sizes, sizes * outer)
+    w = np.arange(len(vertices) * outer) - start * outer
+    middle = w // length * (base * inner) + vertices[start + w % length].astype(np.int64) * inner
+    lifted = (middle[:, None] + np.arange(inner)).ravel().astype(np.int32)
+    return offsets * (outer * inner), lifted
 
 
 def power_graph_cover(
@@ -283,14 +298,14 @@ def power_graph_cover(
     power = base_graph
     for _ in range(t - 1):
         power = or_product(power, base_graph)
-    size = base_graph.order
-    lifted: list[Biclique] = []
-    for coord in range(t):
-        for b in base_parts.parts:
-            lifted.append(
-                Biclique(_lift(b.left, coord, t, size), _lift(b.right, coord, t, size))
-            )
-    return power, BicliqueSystem(power.order, tuple(lifted), t)
+    lifted = [
+        _lift(base_parts.offsets, base_parts.vertices, coord, t, base_graph.order)
+        for coord in range(t)
+    ]
+    starts = np.cumsum([0] + [len(vertices) for _, vertices in lifted])
+    offsets = np.concatenate([o + lo for (o, _), lo in zip(lifted, starts)])
+    vertices = np.concatenate([vertices for _, vertices in lifted])
+    return power, BicliqueSystem.from_arrays(power.order, offsets, vertices, t)
 
 
 def projection_dichotomy(points: Iterable[GridPoint]) -> bool:
