@@ -109,7 +109,12 @@ def _max_clique_masks(
             stack.pop()
             cand &= ~(1 << v)
 
-    expand(0, [], start)
+    try:
+        expand(0, [], start)
+    finally:
+        # expand's closure refers to expand; deleting it breaks that cycle,
+        # so the search state is freed now, budget hit or not
+        del expand
     return best, best_set
 
 
@@ -328,11 +333,12 @@ def _min_cover(sets: list[int], owners: list[list[int]], t: int | None) -> list[
         return None
 
     limit = 1
-    while True:
-        res = dfs(0, 0, limit, [])
-        if res is not None:
-            return res
+    while (res := dfs(0, 0, limit, [])) is None:
         limit += 1
+    # dfs's closure refers to dfs; deleting it breaks that cycle, so the
+    # search state is freed now
+    del dfs
+    return res
 
 
 Rectangle = tuple[tuple[int, ...], tuple[int, ...]]

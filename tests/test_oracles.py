@@ -4,6 +4,7 @@ The brute-force references here enumerate subsets / colorings / rectangle
 sets directly, sharing no code with the branch-and-bound paths they check.
 """
 
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -346,3 +347,33 @@ class TestWitnessDigests:
                 size, witness = min_rectangle_cover(m, value)
                 lines.append(f"{entries} {value} {size} {witness}\n")
         assert _digest(lines) == WITNESS_SHA256["rect"]
+
+
+def _budget_hit():
+    with pytest.raises(ResourceLimitError):
+        independence_number(random_graph(40, 0.5, random.Random(3)), node_budget=5)
+
+
+class TestSearchStateFreed:
+    """A search's state is freed when it returns or raises: no recursive
+    closure keeps it in a reference cycle for the cyclic collector."""
+
+    SEARCHES = {
+        "alpha": lambda: independence_number(random_graph(40, 0.5, random.Random(3))),
+        "alpha-budget-hit": _budget_hit,
+        "chi": lambda: chromatic_number(random_graph(12, 0.5, random.Random(4))),
+        "bp": lambda: min_biclique_partition(random_graph(6, 0.6, random.Random(5)), 1),
+        "rect": lambda: min_rectangle_cover(
+            BoolMatrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)), 1
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_no_unreachable_objects(self, name):
+        gc.collect()
+        gc.disable()
+        try:
+            self.SEARCHES[name]()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
