@@ -260,7 +260,9 @@ def cmd_verify(graph_path: str, partition_path: str, config: RunConfig) -> tuple
 def cmd_oracle(what: str, graph_path: str, t: int, config: RunConfig) -> tuple[str, bool]:
     graph = formats.read_graph(_read_path(graph_path), vertex_limit=config.vertex_limit)
     if what == "alpha":
-        value, witness = oracles.independence_number(graph)
+        value, witness = oracles.independence_number(
+            graph, order_limit=config.alpha_order_limit, node_budget=config.oracle_node_budget
+        )
         return f"alpha {value}\nwitness {' '.join(str(v) for v in witness)}\n", True
     if what == "chi":
         value, coloring = oracles.chromatic_number(graph)

@@ -163,6 +163,15 @@ class TestFileWorkflows:
         assert code == 0
         assert out.startswith("alpha 2\n")
 
+    def test_oracle_alpha_uses_run_config_order_limit(self, tmp_path):
+        # 300 vertices are above the oracle's own default limit (256) and
+        # within RunConfig.alpha_order_limit, which demo already uses
+        gpath = tmp_path / "g.dimacs"
+        gpath.write_text("p edge 300 0\n", encoding="ascii")
+        code, out, _ = run_cli("oracle", "--graph", str(gpath), "--what", "alpha")
+        assert code == 0
+        assert out.startswith("alpha 300\n")
+
     def test_oracle_bp(self, tmp_path):
         gpath = tmp_path / "g.dimacs"
         gpath.write_text(
