@@ -29,7 +29,6 @@ Canonical index maps (part of the public contract):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,18 +54,6 @@ def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
         if not 1 <= p <= len(xs):
             raise ValueError(f"position {p} outside [1, {len(xs)}]")
     return tuple(xs[p - 1] for p in pos)
-
-
-def grid_points(n: int, arity: int) -> list[GridPoint]:
-    """All points of [n]^arity in canonical (index) order."""
-    return list(product(range(1, n + 1), repeat=arity))
-
-
-def point_index(x: GridPoint, n: int) -> int:
-    idx = 0
-    for c in x:
-        idx = idx * n + (c - 1)
-    return idx
 
 
 def index_point(idx: int, n: int, arity: int) -> GridPoint:
