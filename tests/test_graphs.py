@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliquelab import graphs
 from bicliquelab.corpus import graphs_up_to, random_graph
@@ -478,6 +480,38 @@ def _mutants(graph, system, rng):
         adj[u, v] = adj[v, u] = False
         out.append((Graph(adj), system))
     return out
+
+
+@st.composite
+def _graphs_with_systems(draw):
+    """A system of up to six bicliques over range(n), n <= 12, and a host
+    graph: half the time the system's pairs plus drawn extra edges, else
+    drawn edges alone, so that passes, bad multiplicities and parts that are
+    not bicliques all occur."""
+    n = draw(st.integers(0, 12))
+    parts = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 6))):
+            vs = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+            cut = draw(st.integers(1, len(vs) - 1))
+            parts.append(Biclique(tuple(vs[:cut]), tuple(vs[cut:])))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {p for p in pairs if draw(st.booleans())}
+    if draw(st.booleans()):
+        edges |= {(min(u, w), max(u, w)) for b in parts for u in b.left for w in b.right}
+    system = BicliqueSystem(n, parts, draw(st.integers(1, 3)))
+    return Graph.from_edges(n, sorted(edges)), system
+
+
+class TestVerifyProperty:
+    """A property version of ``TestVerifyDifferential``: the verdict and the
+    witness agree with ``naive_verify``'s pair count on drawn systems."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_graphs_with_systems())
+    def test_agrees_with_naive_pair_count(self, case):
+        graph, system = case
+        assert verify_biclique_system(graph, system) == naive_verify(graph, system)
 
 
 class TestVerifyDifferential:

@@ -9,12 +9,15 @@ malformed text.
 import hashlib
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliquelab import clis, corpus, oracles
 from bicliquelab.errors import FormatError
 from bicliquelab.formats import read_system, write_system
-from bicliquelab.graphs import star_partition
+from bicliquelab.graphs import Biclique, BicliqueSystem, star_partition
 from bicliquelab.gridgraph import grid_graph_partition, power_graph_cover
 
 
@@ -223,3 +226,96 @@ class TestSystemDifferential:
     @pytest.mark.parametrize("index", range(len(MALFORMED)))
     def test_read_system_outcomes(self, index):
         assert _outcome(MALFORMED[index]) == MALFORMED_OUTCOMES[index]
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@st.composite
+def _parts(draw, n):
+    """Up to six bicliques over range(n): disjoint nonempty sides, in drawn order."""
+    if n < 2:
+        return []
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        vs = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        cut = draw(st.integers(1, len(vs) - 1))
+        parts.append((vs[:cut], vs[cut:]))
+    return parts
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(0, 40))
+    return BicliqueSystem(
+        n, [Biclique(left, right) for left, right in draw(_parts(n))], draw(st.integers(1, 3))
+    )
+
+
+_ODD_TOKENS = ["x", ":", "+1", "1_0", "-0", "٣", "1.5", "0x1", "part"] + [
+    str(v) for v in (2**31 - 1, 2**31, 5 * 10**9, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1)
+]
+
+
+@st.composite
+def _token(draw):
+    """A small vertex number mostly; else a token that int() refuses or reads
+    differently, or a number past the int32 or int64 range."""
+    if draw(st.integers(0, 9)):
+        return str(draw(st.integers(-1, 8)))
+    return draw(st.sampled_from(_ODD_TOKENS))
+
+
+@st.composite
+def _texts(draw):
+    """System texts whose header fields and part sides are mostly small
+    numbers and sometimes odd tokens, with a dropped colon, an unknown
+    record, a wrong field or part count now and then; sometimes any text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text())
+    count = draw(st.integers(0, 5))
+    head = [
+        draw(st.one_of(st.integers(0, 9).map(str), _token())),
+        draw(st.one_of(st.just(str(count)), _token())),
+        draw(st.one_of(st.sampled_from("123"), _token())),
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        head = head[: draw(st.sampled_from([2, 4]))]
+    lines = ["bicliquesystem " + " ".join(head)]
+    for _ in range(count):
+        left, right = draw(st.lists(_token(), max_size=4)), draw(st.lists(_token(), max_size=4))
+        sep = draw(st.sampled_from([":"] * 9 + [""]))
+        record = draw(st.sampled_from(["part"] * 9 + ["edge"]))
+        lines.append(" ".join([record, *left, sep, *right]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n  \n"]))
+
+
+class TestSystemProperties:
+    @_PROPERTY
+    @given(_systems())
+    def test_text_round_trip(self, system):
+        assert read_system(write_system(system)) == system
+
+    @_PROPERTY
+    @given(_systems(), st.randoms(use_true_random=False))
+    def test_arrays_sort_sides(self, system, rng):
+        """from_arrays on the same parts with shuffled sides builds the same system."""
+        sides = [list(side) for b in system.parts for side in (b.left, b.right)]
+        for side in sides:
+            rng.shuffle(side)
+        bounds = np.cumsum([0, *map(len, sides)])
+        offsets = np.stack((bounds[:-1:2], bounds[1::2], bounds[2::2]), axis=1)
+        vertices = np.array([v for side in sides for v in side], dtype=np.int32)
+        again = BicliqueSystem.from_arrays(
+            system.host_order, offsets, vertices, system.multiplicity_bound
+        )
+        assert again == system
+
+    @_PROPERTY
+    @given(_texts())
+    def test_any_text_reads_or_fails_with_format_error(self, text):
+        try:
+            system = read_system(text)
+        except FormatError:
+            return
+        assert read_system(write_system(system)) == system
