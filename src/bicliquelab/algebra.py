@@ -95,15 +95,12 @@ def split_intersection(cover: BicliqueSystem, indices: Iterable[int]) -> list[Bi
     dropped.  The surviving bicliques are pairwise edge-disjoint and union
     to the intersection graph.
     """
-    idx = _check_indices(cover, indices)
-    rest, last = idx[:-1], idx[-1]
-    last_b = cover[last - 1]
+    *rest, last = (cover[i - 1] for i in _check_indices(cover, indices))
     out: list[Biclique] = []
     for z in product((0, 1), repeat=len(rest)):
-        x = set(last_b.left)
-        y = set(last_b.right)
-        for bit, j in zip(z, rest):
-            b = cover[j - 1]
+        x = set(last.left)
+        y = set(last.right)
+        for bit, b in zip(z, rest):
             if bit == 0:
                 x &= set(b.left)
                 y &= set(b.right)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Any
 
 import numpy as np
@@ -209,6 +209,14 @@ class Biclique:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
+    @classmethod
+    def _trusted(cls, left: tuple[int, ...], right: tuple[int, ...]) -> "Biclique":
+        """Wrap sides known to be sorted, nonempty and disjoint (skips the checks)."""
+        b = cls.__new__(cls)
+        object.__setattr__(b, "left", left)
+        object.__setattr__(b, "right", right)
+        return b
+
     def edge_count(self) -> int:
         return len(self.left) * len(self.right)
 
@@ -259,7 +267,7 @@ class BicliqueSystem:
         self, host_order: int, parts: Sequence[Biclique] = (), multiplicity_bound: int = 1
     ):
         sides = [side for b in parts for side in (b.left, b.right)]
-        bounds = np.cumsum([0, *map(len, sides)])
+        bounds = np.array(list(accumulate(map(len, sides), initial=0)))
         vertices = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=int(bounds[-1]))
         # each Biclique has checked and sorted its sides already
         self._store(host_order, _part_offsets(bounds), vertices, multiplicity_bound)
@@ -309,10 +317,9 @@ class BicliqueSystem:
             raise ValueError("multiplicity bound must be >= 1")
         if host_order > _MAX_ORDER:
             raise ValueError(f"host order {host_order} exceeds the int32 vertex range")
-        tops = np.maximum(vertices[offsets[:, 1] - 1], vertices[offsets[:, 2] - 1])
-        outside = np.flatnonzero(tops >= host_order)
-        if outside.size:
-            i = int(outside[0])
+        if vertices.size and vertices.max() >= host_order:
+            tops = np.maximum(vertices[offsets[:, 1] - 1], vertices[offsets[:, 2] - 1])
+            i = int(np.argmax(tops >= host_order))
             raise ValueError(
                 f"part {i + 1} uses vertex {int(tops[i])} outside host order {host_order}"
             )
@@ -329,7 +336,7 @@ class BicliqueSystem:
 
     def __getitem__(self, i: int) -> Biclique:
         start, split, end = self.offsets[operator.index(i)].tolist()
-        return Biclique(
+        return Biclique._trusted(
             tuple(self.vertices[start:split].tolist()), tuple(self.vertices[split:end].tolist())
         )
 
