@@ -119,6 +119,8 @@ class TestSplitIntersection:
         assert len(parts) <= 2
         edges = sorted(e for b in parts for e in b.edges())
         assert edges == [(0, 3), (1, 2)]
+        # part 2, the largest index, orients the pieces
+        assert parts == [Biclique((0,), (3,)), Biclique((2,), (1,))]
 
     def test_empty_intersection(self):
         cover = BicliqueSystem(4, (Biclique((0,), (1,)), Biclique((2,), (3,))), 1)

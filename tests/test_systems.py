@@ -151,11 +151,18 @@ MALFORMED = (
     "  bicliquesystem 3 1 1  \n  part 0 : 1 2  \n",
     "bicliquesystem 4 3 7\npart 0 1 : 2 3\npart 0 2 : 1 3\npart 3 : 0\n",
     "bicliquesystem 0 0 1\n",
+    # rejected: a vertex equal to the host order, a bad part before the last
+    # one, unsorted sides whose values are too far apart for offset keys
+    "bicliquesystem 3 1 1\npart 0 : 3\n",
+    "bicliquesystem 3 2 1\npart 0 0 : 1\npart 0 : 1\n",
+    "bicliquesystem 5 1 1\npart 9223372036854775807 -5 : -5\n",
+    "bicliquesystem 5 1 1\n"
+    "part 9223372036854775807 -9223372036854775808 : 3 -9223372036854775808\n",
 )
 
 # per text: ("FormatError", line, message) or ("system", write_system digest)
 MALFORMED_OUTCOMES = {
-    0: ("FormatError", 1, 'line 1: empty input'),
+    0: ("FormatError", 1, "line 1: empty input"),
     1: ("FormatError", 1, "line 1: bad header ''"),
     2: ("FormatError", 1, "line 1: bad header 'foo 1 2 3'"),
     3: ("FormatError", 1, "line 1: bad header 'bicliquesystem 3 1'"),
@@ -164,38 +171,42 @@ MALFORMED_OUTCOMES = {
     6: ("FormatError", 2, "line 2: bad part line 'edge 0 : 1'"),
     7: ("FormatError", 2, "line 2: non-integer vertex in 'part 0 x : 1'"),
     8: ("FormatError", 2, "line 2: non-integer vertex in 'part 0 : 1 : 2'"),
-    9: ("FormatError", 2, 'line 2: biclique sides must be nonempty'),
-    10: ("FormatError", 2, 'line 2: biclique sides must be nonempty'),
-    11: ("FormatError", 2, 'line 2: biclique sides must be nonempty'),
-    12: ("FormatError", 2, 'line 2: biclique sides must not repeat vertices'),
-    13: ("FormatError", 2, 'line 2: biclique sides must not repeat vertices'),
-    14: ("FormatError", 2, 'line 2: biclique sides overlap: {1, 2}'),
-    15: ("FormatError", 2, 'line 2: biclique sides overlap: {9, 17}'),
-    16: ("FormatError", 2, 'line 2: biclique sides must not repeat vertices'),
-    17: ("FormatError", 2, 'line 2: biclique sides must be nonempty'),
-    18: ("FormatError", 2, 'line 2: negative vertex index'),
-    19: ("FormatError", 2, 'line 2: biclique sides overlap: {-1}'),
-    20: ("FormatError", 2, 'line 2: biclique sides must not repeat vertices'),
-    21: ("FormatError", 1, 'line 1: part 1 uses vertex 5 outside host order 3'),
-    22: ("FormatError", 1, 'line 1: part 1 uses vertex 5000000000 outside host order 3'),
-    23: ("FormatError", 1, 'line 1: part 1 uses vertex 6000000000 outside host order 3'),
-    24: ("FormatError", 2, 'line 2: biclique sides overlap: {5000000000}'),
-    25: ("FormatError", 4, 'line 4: biclique sides overlap: {1}'),
-    26: ("FormatError", 3, 'line 3: biclique sides must not repeat vertices'),
+    9: ("FormatError", 2, "line 2: biclique sides must be nonempty"),
+    10: ("FormatError", 2, "line 2: biclique sides must be nonempty"),
+    11: ("FormatError", 2, "line 2: biclique sides must be nonempty"),
+    12: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
+    13: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
+    14: ("FormatError", 2, "line 2: biclique sides overlap: {1, 2}"),
+    15: ("FormatError", 2, "line 2: biclique sides overlap: {9, 17}"),
+    16: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
+    17: ("FormatError", 2, "line 2: biclique sides must be nonempty"),
+    18: ("FormatError", 2, "line 2: negative vertex index"),
+    19: ("FormatError", 2, "line 2: biclique sides overlap: {-1}"),
+    20: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
+    21: ("FormatError", 1, "line 1: part 1 uses vertex 5 outside host order 3"),
+    22: ("FormatError", 1, "line 1: part 1 uses vertex 5000000000 outside host order 3"),
+    23: ("FormatError", 1, "line 1: part 1 uses vertex 6000000000 outside host order 3"),
+    24: ("FormatError", 2, "line 2: biclique sides overlap: {5000000000}"),
+    25: ("FormatError", 4, "line 4: biclique sides overlap: {1}"),
+    26: ("FormatError", 3, "line 3: biclique sides must not repeat vertices"),
     27: ("FormatError", 4, "line 4: bad part line 'part 2 1 x'"),
-    28: ("FormatError", 3, 'line 3: header promised 2 parts, found 1'),
-    29: ("FormatError", 3, 'line 3: header promised 2 parts, found 1'),
-    30: ("FormatError", 3, 'line 3: header promised 0 parts, found 1'),
-    31: ("FormatError", 1, 'line 1: negative host order -3'),
-    32: ("FormatError", 1, 'line 1: negative host order -3'),
-    33: ("FormatError", 1, 'line 1: multiplicity bound must be >= 1'),
-    34: ("FormatError", 1, 'line 1: multiplicity bound must be >= 1'),
-    35: ("system", '95aa1939419c9fc93dbd21ae8be4e971418cc60a6a77dce28abc30bccb1dc7e3'),
-    36: ("system", 'e77d3207ebefd2256cc43be7ac7f66ab370ca00a822b0b874170cc4130170fbe'),
-    37: ("system", 'ba4e71e2890ff94c170580d5e628f30bab4fe092678649bb2ae7655b5431b881'),
-    38: ("system", 'bd2ddc40b830a2d7495da2ac2e6b6cff850cbedee0d4b46fba92638b785ac079'),
-    39: ("system", 'effacea0e5d03b8a599f8d4082ea5d3fb9a70d265e07099a4396eb9a2c194ace'),
-    40: ("system", '55e50fe83828bdea82fcbdca3f75c1178454bc019a9bcf6898b39209b966b949'),
+    28: ("FormatError", 3, "line 3: header promised 2 parts, found 1"),
+    29: ("FormatError", 3, "line 3: header promised 2 parts, found 1"),
+    30: ("FormatError", 3, "line 3: header promised 0 parts, found 1"),
+    31: ("FormatError", 1, "line 1: negative host order -3"),
+    32: ("FormatError", 1, "line 1: negative host order -3"),
+    33: ("FormatError", 1, "line 1: multiplicity bound must be >= 1"),
+    34: ("FormatError", 1, "line 1: multiplicity bound must be >= 1"),
+    35: ("system", "95aa1939419c9fc93dbd21ae8be4e971418cc60a6a77dce28abc30bccb1dc7e3"),
+    36: ("system", "e77d3207ebefd2256cc43be7ac7f66ab370ca00a822b0b874170cc4130170fbe"),
+    37: ("system", "ba4e71e2890ff94c170580d5e628f30bab4fe092678649bb2ae7655b5431b881"),
+    38: ("system", "bd2ddc40b830a2d7495da2ac2e6b6cff850cbedee0d4b46fba92638b785ac079"),
+    39: ("system", "effacea0e5d03b8a599f8d4082ea5d3fb9a70d265e07099a4396eb9a2c194ace"),
+    40: ("system", "55e50fe83828bdea82fcbdca3f75c1178454bc019a9bcf6898b39209b966b949"),
+    41: ("FormatError", 1, "line 1: part 1 uses vertex 3 outside host order 3"),
+    42: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
+    43: ("FormatError", 2, "line 2: biclique sides overlap: {-5}"),
+    44: ("FormatError", 2, "line 2: biclique sides overlap: {-9223372036854775808}"),
 }
 
 
@@ -227,6 +238,51 @@ class TestSystemDifferential:
     def test_read_system_outcomes(self, index):
         assert _outcome(MALFORMED[index]) == MALFORMED_OUTCOMES[index]
 
+
+
+class TestFromArrays:
+    def test_takes_over_a_writable_int32_array(self):
+        vertices = np.array([2, 0, 1, 3], dtype=np.int32)
+        system = BicliqueSystem.from_arrays(4, [[0, 2, 4]], vertices)
+        assert system.vertices is vertices and not vertices.flags.writeable
+        assert system[0] == Biclique((0, 2), (1, 3))
+
+    def test_copies_a_read_only_array(self):
+        vertices = np.array([2, 0, 1], dtype=np.int32)
+        vertices.flags.writeable = False
+        system = BicliqueSystem.from_arrays(3, [[0, 2, 3]], vertices)
+        assert vertices.tolist() == [2, 0, 1]
+        assert system.vertices.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize(
+        "offsets, vertices",
+        [
+            ([[0, 1, 2], [3, 4, 5]], [0, 1, 2, 3, 4]),  # gap between parts
+            ([[0, 1, 2], [1, 2, 3]], [0, 1, 2]),  # parts overlap
+            ([[0, 1, 2]], [0, 1, 2]),  # vertices past the last part
+            ([[1, 2, 3]], [0, 1, 2]),  # first part does not start at 0
+            ([[0, 2, 1], [1, 2, 3]], [0, 1, 2]),  # split past the end
+            ([[0, 1]], [0, 1]),  # not (start, split, end) rows
+            ([[0, 1, 2]], [0.0, 1.0]),  # not integers
+            ([[0, 1, 2]], [[0, 1]]),  # not one-dimensional
+        ],
+    )
+    def test_malformed_arrays_rejected(self, offsets, vertices):
+        with pytest.raises(ValueError):
+            BicliqueSystem.from_arrays(5, offsets, np.array(vertices), 1)
+
+    def test_host_order_past_int32_rejected(self):
+        with pytest.raises(ValueError, match="int32"):
+            BicliqueSystem(2**31, [], 1)
+        with pytest.raises(FormatError) as err:
+            read_system("bicliquesystem 3000000000 0 1\n")
+        assert err.value.line == 1
+
+    def test_vertex_past_int64_named_at_its_line(self):
+        with pytest.raises(FormatError) as err:
+            read_system("bicliquesystem 3 2 1\npart 0 : 1\npart 0 : 9223372036854775808\n")
+        assert err.value.line == 3
+        assert "out of int64 range" in str(err.value)
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
