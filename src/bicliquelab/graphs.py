@@ -280,7 +280,8 @@ class BicliqueSystem:
 
         The system takes ``vertices`` over when it is a writable int32 array:
         its sides are sorted in place and it is made read-only, with no copy.
-        Any other integer array is copied.  Each part is checked as
+        A writable int64 array is sorted in place and stored as an int32
+        copy; any other integer array is copied.  Each part is checked as
         :class:`Biclique` checks its sides, and the lowest bad part raises
         ``ValueError`` with Biclique's message.
         """
@@ -298,7 +299,7 @@ class BicliqueSystem:
             or not np.array_equal(offsets[1:, 0], offsets[:-1, 2])
         ):
             raise ValueError("offsets must be (left start, split, end) rows of consecutive parts")
-        if vertices.dtype != np.int32 or not vertices.flags.writeable:
+        if vertices.dtype not in (np.int32, np.int64) or not vertices.flags.writeable:
             vertices = vertices.astype(np.int32 if vertices.dtype == np.int32 else np.int64)
         bad = _first_bad_part(offsets, vertices)
         if bad is not None:
