@@ -136,7 +136,8 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""
         for u, v in self._upper_pairs():
-            yield from zip(u.tolist(), v.tolist())
+            for lo in range(0, len(u), 4096):  # a few Python ints at a time
+                yield from zip(u[lo : lo + 4096].tolist(), v[lo : lo + 4096].tolist())
 
     def _upper_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Edges (u, v) with u < v as two index arrays, one band of unpacked rows
@@ -144,9 +145,11 @@ class Graph:
         n = self.order
         band = max(1, _BAND_BYTES // max(n, 1))
         for lo in range(0, n, band):
-            u, v = np.divmod(np.flatnonzero(_unpack_rows(self._rows[lo : lo + band], n)), n)
-            upper = v > u + lo
-            yield u[upper] + lo, v[upper]
+            block = _unpack_rows(self._rows[lo : lo + band], n)
+            for r in range(len(block)):
+                block[r, : lo + r + 1] = False  # keep the columns above the diagonal
+            u, v = np.divmod(np.flatnonzero(block), n)
+            yield u + lo, v
 
     def complement(self) -> "Graph":
         n = self.order
@@ -318,7 +321,7 @@ class BicliqueSystem:
             raise ValueError("multiplicity bound must be >= 1")
         if host_order > _MAX_ORDER:
             raise ValueError(f"host order {host_order} exceeds the int32 vertex range")
-        if vertices.size and vertices.max() >= host_order:
+        if (vertices >= host_order).any():
             tops = np.maximum(vertices[offsets[:, 1] - 1], vertices[offsets[:, 2] - 1])
             i = int(np.argmax(tops >= host_order))
             raise ValueError(
@@ -572,7 +575,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
             witness={
                 "kind": "bad-multiplicity",
                 "pair": [u, v],
-                "multiplicity": int(np.isin(sides_u ^ 1, sides_v).sum()),
+                "multiplicity": len(set((sides_u ^ 1).tolist()) & set(sides_v.tolist())),
                 "is_edge": graph.has_edge(u, v),
             },
         )
