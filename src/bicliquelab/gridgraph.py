@@ -35,7 +35,7 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import BicliqueSystem, Graph, or_product, pack_rows, star_partition
+from .graphs import BicliqueSystem, Graph, _side_bounds, or_product, pack_rows, star_partition
 
 GridPoint = tuple[int, ...]
 
@@ -237,10 +237,7 @@ def grid_graph_partition(
     vertices = np.empty(starts[-1], dtype=np.int32)
     for (copies, stars), lo, hi in zip(pieces, starts, starts[1:]):
         vertices[lo:hi] = copies[stars.vertices].ravel()
-    offsets = np.concatenate(
-        [np.empty((0, 3), dtype=np.int64)]
-        + [stars.offsets * m + lo for (_, stars), lo in zip(pieces, starts)]
-    )
+    offsets = np.concatenate([stars.offsets * m + lo for (_, stars), lo in zip(pieces, starts)])
     return BicliqueSystem.from_arrays(total, offsets, vertices, 1)
 
 
@@ -256,7 +253,7 @@ def _lift(
     factor, so the offsets scale by it.
     """
     outer, inner = base ** coord, base ** (t - coord - 1)
-    bounds = np.append(offsets[:, :2], len(vertices))
+    bounds = _side_bounds(offsets)
     sizes = np.diff(bounds)
     # one entry per (side, p, v): its side's start and length, and its place w in the side's run
     start = np.repeat(bounds[:-1], sizes * outer)
