@@ -174,7 +174,7 @@ def verify_cover_identity(
     t = cover.multiplicity_bound
     # Row u of part i's indicator, packed 8 columns to a byte.
     covers = np.zeros((d, k, (k + 7) // 8), dtype=np.uint8)
-    for i, b in enumerate(cover.parts):
+    for i, b in enumerate(cover):
         pairs = np.zeros((k, k), dtype=bool)
         pairs[np.ix_(b.left, b.right)] = True
         covers[i] = np.packbits(pairs | pairs.T, axis=1)

@@ -49,7 +49,6 @@ class RunConfig:
     alpha_order_limit: int = 2500
     oracle_node_budget: int | None = None
     ambiguous_edge: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         for name in ("vertex_limit", "power_vertex_limit", "pair_limit", "alpha_order_limit"):
@@ -333,7 +332,6 @@ def main(argv: list[str] | None = None) -> int:
             vertex_limit=args.vertex_limit,
             pair_limit=args.pair_limit,
             ambiguous_edge=args.ambiguous_edge == "edge",
-            out=args.out,
         )
         if args.command == "demo":
             text, ok = cmd_demo(args.n, config)
@@ -348,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
             text, ok = cmd_oracle(args.what, args.graph, args.t, config)
         else:
             text, ok = cmd_build(args.what, args.n, args.t, config)
+        sys.stdout.write(text)
+        if args.out:
+            Path(args.out).write_text(text, encoding="ascii")
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -360,10 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    sys.stdout.write(text)
-    if config.out:
-        Path(config.out).write_text(text, encoding="ascii")
     return EXIT_PASS if ok else EXIT_FAIL
 
 

@@ -38,7 +38,7 @@ def characteristic_vectors(partition: BicliqueSystem) -> list[CharVector]:
         raise ValueError("characteristic vectors are defined for exact partitions (t=1)")
     n = partition.host_order
     out = []
-    for b in partition.parts:
+    for b in partition:
         v = ["*"] * n
         for u in b.left:
             v[u] = "0"

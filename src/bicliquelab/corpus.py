@@ -99,7 +99,7 @@ def random_t_cover(k: int, t: int, rng: random.Random) -> BicliqueSystem:
     if t == 1:
         return base
     host = Graph.complete(k)
-    parts = list(base.parts)
+    parts = list(base)
     extras = rng.randrange(1, t + 2)
     for _ in range(extras * 4):
         if extras == 0:

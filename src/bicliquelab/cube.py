@@ -55,14 +55,6 @@ class Subcube:
         pinned = {p for p, _ in self.fixed}
         return tuple(p for p in range(1, self.dim + 1) if p not in pinned)
 
-    def size(self) -> int:
-        return 1 << self.free_dim
-
-    def contains(self, point: CubePoint) -> bool:
-        if len(point) != self.dim:
-            return False
-        return all(point[p - 1] == b for p, b in self.fixed)
-
     def points(self) -> Iterator[CubePoint]:
         """Member points, free coordinates counting up in binary (0 before 1)."""
         template = [0] * self.dim

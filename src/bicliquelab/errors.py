@@ -31,6 +31,14 @@ class FormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class PartError(ValueError):
+    """A part of a biclique system is not a biclique; ``part`` is its 0-based index."""
+
+    def __init__(self, message: str, part: int):
+        self.part = part
+        super().__init__(message)
+
+
 class WellDefinednessError(ValueError):
     """Two characteristic vectors share both a 0- and a 1-coordinate.
 

@@ -22,8 +22,8 @@ from array import array
 
 import numpy as np
 
-from .errors import FormatError, ResourceLimitError
-from .graphs import BicliqueSystem, Certificate, Graph, _first_bad_part, _part_offsets
+from .errors import FormatError, PartError, ResourceLimitError
+from .graphs import BicliqueSystem, Certificate, Graph
 from .gridgraph import DEFAULT_VERTEX_LIMIT
 
 
@@ -88,8 +88,8 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
 
 def write_system(system: BicliqueSystem) -> str:
     lines = [f"bicliquesystem {system.host_order} {len(system)} {system.multiplicity_bound}"]
-    vertices = system.vertices
-    for start, split, end in system.offsets.tolist():
+    vertices, bounds = system.vertices, system.bounds.tolist()
+    for start, split, end in zip(bounds[:-1:2], bounds[1::2], bounds[2::2]):
         left = " ".join(map(str, vertices[start:split].tolist()))
         right = " ".join(map(str, vertices[split:end].tolist()))
         lines.append(f"part {left} : {right}")
@@ -141,21 +141,24 @@ def read_system(text: str) -> BicliqueSystem:
             vertices.frombytes(side.tobytes())
             bounds.append(len(vertices))
         part_lines.append(lineno)
-    offsets = _part_offsets(bounds)
-    values = np.frombuffer(vertices, dtype=np.int64)
-    bad = _first_bad_part(offsets, values)
-    if bad is not None:
-        raise FormatError(bad[1], part_lines[bad[0]])
+    system = held = None
+    try:
+        system = BicliqueSystem.from_arrays(
+            order, bounds, np.frombuffer(vertices, dtype=np.int64), bound
+        )
+    except PartError as exc:
+        raise FormatError(str(exc), part_lines[exc.part])
+    except ValueError as exc:
+        held = FormatError(str(exc), 1)  # named only if the text has no other fault
     if error is not None:
         raise error
     if len(part_lines) != nparts:
         raise FormatError(
             f"header promised {nparts} parts, found {len(part_lines)}", len(lines) + 1
         )
-    try:
-        return BicliqueSystem.from_arrays(order, offsets, values, bound)
-    except ValueError as exc:
-        raise FormatError(str(exc), 1)
+    if held is not None:
+        raise held
+    return system
 
 
 def write_certificate(cert: Certificate) -> str:

@@ -17,6 +17,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import PartError
+
 # Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
 # word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
 # past the last vertex are always zero, so rows compare and count directly.
@@ -123,8 +125,9 @@ class Graph:
         return int(np.bitwise_count(self._rows).sum()) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not 0 <= v < self.order:
-            raise IndexError(f"vertex {v} out of range for order {self.order}")
+        for x in (u, v):
+            if not 0 <= x < self.order:
+                raise IndexError(f"vertex {x} out of range for order {self.order}")
         return bool(int(self._rows[u, v >> 6]) >> (v & 63) & 1)
 
     def degree(self, v: int) -> int:
@@ -220,9 +223,6 @@ class Biclique:
         object.__setattr__(b, "right", right)
         return b
 
-    def edge_count(self) -> int:
-        return len(self.left) * len(self.right)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in self.left:
             for w in self.right:
@@ -255,29 +255,33 @@ class BicliqueSystem:
 
     There is no object per part.  ``vertices`` is one read-only int32 array
     holding part 0's left side, its right side, then part 1's sides and so
-    on, each side sorted; row i of the read-only int64 ``offsets`` array,
-    shape (parts, 3), is part i's (left start, split, end) in it.
-    ``system[i]`` builds part i as a :class:`Biclique`, and ``parts`` is a
-    read-only sequence view that builds them on access.
+    on, each side sorted; the read-only int64 ``bounds`` array, of length
+    2 * parts + 1, holds where each side starts and then where the last
+    ends, so part i is ``vertices[bounds[2i]:bounds[2i+1]]`` on the left
+    and ``vertices[bounds[2i+1]:bounds[2i+2]]`` on the right.  The system
+    is a read-only sequence of its parts: ``system[i]`` builds part i as a
+    :class:`Biclique`.
 
     ``BicliqueSystem(host_order, bicliques, t)`` flattens a sequence of
     bicliques; producers hand over arrays with :meth:`from_arrays`.
     """
 
-    __slots__ = ("host_order", "multiplicity_bound", "offsets", "vertices")
+    __slots__ = ("host_order", "multiplicity_bound", "bounds", "vertices")
 
     def __init__(
         self, host_order: int, parts: Sequence[Biclique] = (), multiplicity_bound: int = 1
     ):
         sides = [side for b in parts for side in (b.left, b.right)]
-        bounds = np.array(list(accumulate(map(len, sides), initial=0)))
+        bounds = np.fromiter(
+            accumulate(map(len, sides), initial=0), dtype=np.int64, count=len(sides) + 1
+        )
         vertices = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=int(bounds[-1]))
         # each Biclique has checked and sorted its sides already
-        self._store(host_order, _part_offsets(bounds), vertices, multiplicity_bound)
+        self._store(host_order, bounds, vertices, multiplicity_bound)
 
     @classmethod
     def from_arrays(
-        cls, host_order: int, offsets: np.ndarray, vertices: np.ndarray, multiplicity_bound: int = 1
+        cls, host_order: int, bounds: np.ndarray, vertices: np.ndarray, multiplicity_bound: int = 1
     ) -> "BicliqueSystem":
         """A system from its arrays, laid out as the class describes; sides may be unsorted.
 
@@ -286,32 +290,30 @@ class BicliqueSystem:
         A writable int64 array is sorted in place and stored as an int32
         copy; any other integer array is copied.  Each part is checked as
         :class:`Biclique` checks its sides, and the lowest bad part raises
-        ``ValueError`` with Biclique's message.
+        :class:`PartError` with Biclique's message and the part's index.
         """
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
         vertices = np.asarray(vertices)
         if vertices.ndim != 1 or vertices.dtype.kind not in "iu":
             raise ValueError("vertices must be a one-dimensional integer array")
-        if offsets.ndim != 2 or offsets.shape[1] != 3:
-            raise ValueError(f"offsets must have shape (parts, 3), got {offsets.shape}")
-        bounds = _side_bounds(offsets)
         if (
-            bounds[0] != 0
+            bounds.ndim != 1
+            or len(bounds) % 2 == 0
+            or bounds[0] != 0
             or bounds[-1] != len(vertices)
             or (np.diff(bounds) < 0).any()
-            or not np.array_equal(offsets[1:, 0], offsets[:-1, 2])
         ):
-            raise ValueError("offsets must be (left start, split, end) rows of consecutive parts")
+            raise ValueError("bounds must rise from 0 to len(vertices) in 2 * parts steps")
         if vertices.dtype not in (np.int32, np.int64) or not vertices.flags.writeable:
             vertices = vertices.astype(np.int32 if vertices.dtype == np.int32 else np.int64)
-        bad = _first_bad_part(offsets, vertices)
+        bad = _first_bad_part(bounds, vertices)
         if bad is not None:
-            raise ValueError(bad[1])
+            raise PartError(bad[1], bad[0])
         system = cls.__new__(cls)
-        system._store(host_order, offsets, vertices, multiplicity_bound)
+        system._store(host_order, bounds, vertices, multiplicity_bound)
         return system
 
-    def _store(self, host_order, offsets, vertices, multiplicity_bound) -> None:
+    def _store(self, host_order, bounds, vertices, multiplicity_bound) -> None:
         """Check the host order, the bound and the vertex range; then keep the
         arrays, whose parts are valid bicliques with sorted sides."""
         host_order, bound = operator.index(host_order), operator.index(multiplicity_bound)
@@ -322,38 +324,45 @@ class BicliqueSystem:
         if host_order > _MAX_ORDER:
             raise ValueError(f"host order {host_order} exceeds the int32 vertex range")
         if (vertices >= host_order).any():
-            tops = np.maximum(vertices[offsets[:, 1] - 1], vertices[offsets[:, 2] - 1])
+            # each side's last vertex is its largest
+            tops = vertices[bounds[1:] - 1].reshape(-1, 2).max(axis=1)
             i = int(np.argmax(tops >= host_order))
             raise ValueError(
                 f"part {i + 1} uses vertex {int(tops[i])} outside host order {host_order}"
             )
         object.__setattr__(self, "host_order", host_order)
         object.__setattr__(self, "multiplicity_bound", bound)
-        object.__setattr__(self, "offsets", _frozen(offsets))
+        object.__setattr__(self, "bounds", _frozen(bounds))
         object.__setattr__(self, "vertices", _frozen(vertices.astype(np.int32, copy=False)))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"BicliqueSystem is immutable: cannot set {name!r}")
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return len(self.bounds) // 2
 
     def __getitem__(self, i: int) -> Biclique:
-        start, split, end = self.offsets[operator.index(i)].tolist()
+        """Part ``i`` (an int; negative counts from the end) as a :class:`Biclique`."""
+        i = range(len(self))[operator.index(i)]
+        start, split, end = self.bounds[2 * i : 2 * i + 3].tolist()
         return Biclique._trusted(
             tuple(self.vertices[start:split].tolist()), tuple(self.vertices[split:end].tolist())
         )
 
+    def __iter__(self) -> Iterator[Biclique]:
+        return map(self.__getitem__, range(len(self)))
+
     @property
-    def parts(self) -> "_PartsView":
-        return _PartsView(self)
+    def parts(self) -> "BicliqueSystem":
+        """The system itself, which is the sequence of its parts."""
+        return self
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BicliqueSystem)
             and self.host_order == other.host_order
             and self.multiplicity_bound == other.multiplicity_bound
-            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.bounds, other.bounds)
             and np.array_equal(self.vertices, other.vertices)
         )
 
@@ -366,49 +375,7 @@ class BicliqueSystem:
         )
 
 
-class _PartsView(Sequence):
-    """The parts of a system as :class:`Biclique` values, built on each access.
-
-    Slices are tuples, and a view compares equal to any sequence of the same
-    bicliques.  It holds only the system, so it adds no memory.
-    """
-
-    __slots__ = ("_system",)
-
-    def __init__(self, system: BicliqueSystem):
-        self._system = system
-
-    def __len__(self) -> int:
-        return len(self._system)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._system.__getitem__, range(len(self))[i]))
-        return self._system[i]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Sequence)
-            and len(self) == len(other)
-            and all(map(operator.eq, self, other))
-        )
-
-    def __add__(self, other: Sequence[Biclique]) -> tuple[Biclique, ...]:
-        return tuple(self) + tuple(other)
-
-
-def _part_offsets(bounds: np.ndarray) -> np.ndarray:
-    """(left start, split, end) rows from the side boundaries [0, split_0, end_0, split_1, ...]."""
-    bounds = np.asarray(bounds, dtype=np.int64)
-    return np.stack((bounds[:-1:2], bounds[1::2], bounds[2::2]), axis=1)
-
-
-def _side_bounds(offsets: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_part_offsets`: where each side starts, then where the last ends."""
-    return np.append(offsets[:, :2], offsets[-1, 2] if len(offsets) else 0)
-
-
-def _first_bad_part(offsets: np.ndarray, vertices: np.ndarray) -> tuple[int, str] | None:
+def _first_bad_part(bounds: np.ndarray, vertices: np.ndarray) -> tuple[int, str] | None:
     """Sort every side in place, then find the lowest part that is not a biclique.
 
     Returns that part's index with :func:`_biclique_error`'s message for it,
@@ -419,13 +386,13 @@ def _first_bad_part(offsets: np.ndarray, vertices: np.ndarray) -> tuple[int, str
     that is also a left-side key is a vertex on both sides of its part.
     Values too far apart for such keys are replaced by their ranks first.
     """
-    ends = offsets[:, 2]
+    ends = bounds[2::2]
     lo = 0
-    while lo < len(offsets):
-        hi = max(lo + 1, int(np.searchsorted(ends, offsets[lo, 0] + _CHECK_ENTRIES, "right")))
-        chunk = offsets[lo:hi] - offsets[lo, 0]
-        values = vertices[offsets[lo, 0] : ends[hi - 1]]
-        sizes = np.diff(_side_bounds(chunk))
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, bounds[2 * lo] + _CHECK_ENTRIES, "right")))
+        chunk = bounds[2 * lo : 2 * hi + 1] - bounds[2 * lo]
+        values = vertices[bounds[2 * lo] : bounds[2 * hi]]
+        sizes = np.diff(chunk)
         bad = (sizes[0::2] == 0) | (sizes[1::2] == 0)
         if values.size:
             low, ranked = int(values.min()), None
@@ -455,7 +422,7 @@ def _first_bad_part(offsets: np.ndarray, vertices: np.ndarray) -> tuple[int, str
                 bad[side[values < 0] >> 1] = True
         if bad.any():
             i = int(np.argmax(bad))
-            start, split, end = chunk[i].tolist()
+            start, split, end = chunk[2 * i : 2 * i + 3].tolist()
             left, right = values[start:split].tolist(), values[split:end].tolist()
             return lo + i, _biclique_error(tuple(left), tuple(right))
         lo = hi
@@ -539,7 +506,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         counters.append(counter)
     chunk = max(1, _MASK_BYTES // (16 * max(words, 1)))
     for lo in range(0, len(system), chunk):
-        _count_chunk(counters, system.offsets[lo : lo + chunk], system.vertices, band)
+        _count_chunk(counters, system.bounds[2 * lo : 2 * (lo + chunk) + 1], system.vertices, band)
 
     first_bad = None
     max_mult = 0
@@ -563,9 +530,8 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         u, v = first_bad
         # the sides holding u and v; u is on one side of a part and v on the
         # other iff side s holds u and side s ^ 1 holds v
-        bounds = _side_bounds(system.offsets)
         sides_u, sides_v = (
-            np.searchsorted(bounds, np.flatnonzero(system.vertices == x), "right") - 1
+            np.searchsorted(system.bounds, np.flatnonzero(system.vertices == x), "right") - 1
             for x in (u, v)
         )
         return Certificate(
@@ -588,11 +554,10 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
 
 
 def _count_chunk(
-    counters: list[np.ndarray], offsets: np.ndarray, vertices: np.ndarray, band: int
+    counters: list[np.ndarray], bounds: np.ndarray, vertices: np.ndarray, band: int
 ) -> None:
-    """Add the pair incidences of the parts at ``offsets`` into the per-band ``counters``."""
+    """Add the pair incidences of the parts with side ``bounds`` into the per-band ``counters``."""
     words = counters[0].shape[2]
-    bounds = _side_bounds(offsets)
     verts = vertices[bounds[0] : bounds[-1]]
     sizes = np.diff(bounds)
     side_of = np.arange(len(sizes), dtype=np.int32).repeat(sizes)
@@ -638,7 +603,7 @@ def _count_band(
     mask_ids = mask_ids[order]
     rows = verts[order[: len(degree)]]
     active = len(degree) - np.bincount(degree).cumsum()[:-1]
-    offsets = [0, *active.cumsum().tolist()]
+    starts = [0, *active.cumsum().tolist()]  # where each round begins in mask_ids
 
     local = counter[:, rows]
     digits = len(counter) - 1
@@ -650,10 +615,10 @@ def _count_band(
         while (
             k < rounds - j
             and 2 * k * c <= per_gather
-            and 2 * k * c <= 2 * (offsets[min(j + 2 * k, rounds)] - offsets[j]) + slack
+            and 2 * k * c <= 2 * (starts[min(j + 2 * k, rounds)] - starts[j]) + slack
         ):
             k *= 2
-        ids = mask_ids[offsets[j] : offsets[min(j + k, rounds)]]
+        ids = mask_ids[starts[j] : starts[min(j + k, rounds)]]
         if len(ids) < k * c:
             padded = np.full((k, c), len(masks) - 1, dtype=ids.dtype)
             padded[: rounds - j][np.arange(c) < active[j : j + k, None]] = ids
@@ -771,9 +736,11 @@ def star_partition(graph: Graph) -> BicliqueSystem:
     # each star's center goes right before its later neighbours, which are
     # already sorted and grouped by center
     vertices = np.insert(np.concatenate(later), (degree.cumsum() - degree)[stars], stars)
-    ends = (degree[stars] + 1).cumsum()
-    offsets = np.stack((ends - degree[stars] - 1, ends - degree[stars], ends), axis=1)
-    return BicliqueSystem.from_arrays(graph.order, offsets, vertices.astype(np.int32), 1)
+    # star i is [center] then its degree[stars[i]] later neighbours
+    bounds = np.zeros(2 * len(stars) + 1, dtype=np.int64)
+    bounds[1::2] = 1
+    bounds[2::2] = degree[stars]
+    return BicliqueSystem.from_arrays(graph.order, bounds.cumsum(), vertices.astype(np.int32), 1)
 
 
 def blowup(graph: Graph, m: int) -> Graph:

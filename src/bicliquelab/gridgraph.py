@@ -35,7 +35,7 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import BicliqueSystem, Graph, _side_bounds, or_product, pack_rows, star_partition
+from .graphs import BicliqueSystem, Graph, or_product, pack_rows, star_partition
 
 GridPoint = tuple[int, ...]
 
@@ -237,12 +237,13 @@ def grid_graph_partition(
     vertices = np.empty(starts[-1], dtype=np.int32)
     for (copies, stars), lo, hi in zip(pieces, starts, starts[1:]):
         vertices[lo:hi] = copies[stars.vertices].ravel()
-    offsets = np.concatenate([stars.offsets * m + lo for (_, stars), lo in zip(pieces, starts)])
-    return BicliqueSystem.from_arrays(total, offsets, vertices, 1)
+    ends = (stars.bounds[1:] * m + lo for (_, stars), lo in zip(pieces, starts))
+    bounds = np.concatenate([[0], *ends])
+    return BicliqueSystem.from_arrays(total, bounds, vertices, 1)
 
 
 def _lift(
-    offsets: np.ndarray, vertices: np.ndarray, coord: int, t: int, base: int
+    bounds: np.ndarray, vertices: np.ndarray, coord: int, t: int, base: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lift every part through coordinate ``coord`` (0-based) of the t-th OR power.
 
@@ -250,10 +251,9 @@ def _lift(
     is v, the other coordinates free: index p * base^(t-coord) +
     v * base^(t-coord-1) + s.  Listed with p outermost and s innermost, a
     sorted side lifts to a sorted side, and every side grows by the same
-    factor, so the offsets scale by it.
+    factor, so the side bounds scale by it.
     """
     outer, inner = base ** coord, base ** (t - coord - 1)
-    bounds = _side_bounds(offsets)
     sizes = np.diff(bounds)
     # one entry per (side, p, v): its side's start and length, and its place w in the side's run
     start = np.repeat(bounds[:-1], sizes * outer)
@@ -261,7 +261,7 @@ def _lift(
     w = np.arange(len(vertices) * outer) - start * outer
     middle = w // length * (base * inner) + vertices[start + w % length].astype(np.int64) * inner
     lifted = (middle[:, None] + np.arange(inner)).ravel().astype(np.int32)
-    return offsets * (outer * inner), lifted
+    return bounds * (outer * inner), lifted
 
 
 def power_graph_cover(
@@ -283,13 +283,13 @@ def power_graph_cover(
     for _ in range(t - 1):
         power = or_product(power, base_graph)
     lifted = [
-        _lift(base_parts.offsets, base_parts.vertices, coord, t, base_graph.order)
+        _lift(base_parts.bounds, base_parts.vertices, coord, t, base_graph.order)
         for coord in range(t)
     ]
     starts = np.cumsum([0] + [len(vertices) for _, vertices in lifted])
-    offsets = np.concatenate([o + lo for (o, _), lo in zip(lifted, starts)])
+    bounds = np.concatenate([[0], *(b[1:] + lo for (b, _), lo in zip(lifted, starts))])
     vertices = np.concatenate([vertices for _, vertices in lifted])
-    return power, BicliqueSystem.from_arrays(power.order, offsets, vertices, t)
+    return power, BicliqueSystem.from_arrays(power.order, bounds, vertices, t)
 
 
 def projection_dichotomy(points: Iterable[GridPoint]) -> bool:

@@ -41,7 +41,7 @@ class TestDemo:
 
 
 class TestSuites:
-    @pytest.mark.parametrize("name", ["cube", "peck"])
+    @pytest.mark.parametrize("name", ["cube", "partition", "peck"])
     def test_suite_passes(self, name):
         text, ok = cmd_suite(name, RunConfig())
         assert ok
@@ -186,3 +186,10 @@ class TestFileWorkflows:
         code, stdout, _ = run_cli("--out", str(out_path), "demo", "--n", "1")
         assert code == 0
         assert out_path.read_text(encoding="ascii") == stdout
+
+    def test_unwritable_out_file_io_error(self, tmp_path):
+        out_path = tmp_path / "missing" / "report.txt"
+        code, _, err = run_cli("--out", str(out_path), "demo", "--n", "1")
+        assert code == 2
+        assert err.startswith("io error:")
+        assert "Traceback" not in err

@@ -8,14 +8,15 @@ malformed text.
 
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicliquelab import clis, corpus, oracles
-from bicliquelab.errors import FormatError
+from bicliquelab import clis, corpus, graphs, oracles
+from bicliquelab.errors import FormatError, PartError
 from bicliquelab.formats import read_system, write_system
 from bicliquelab.graphs import Biclique, BicliqueSystem, star_partition
 from bicliquelab.gridgraph import grid_graph_partition, power_graph_cover
@@ -238,38 +239,60 @@ class TestSystemDifferential:
     def test_read_system_outcomes(self, index):
         assert _outcome(MALFORMED[index]) == MALFORMED_OUTCOMES[index]
 
+    def test_read_system_checks_parts_once(self):
+        check = graphs._first_bad_part.__code__
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is check:
+                calls.append(event)
+
+        text = write_system(grid_graph_partition(2))
+        sys.setprofile(count)
+        try:
+            read_system(text)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 1
 
 
 class TestFromArrays:
     def test_takes_over_a_writable_int32_array(self):
         vertices = np.array([2, 0, 1, 3], dtype=np.int32)
-        system = BicliqueSystem.from_arrays(4, [[0, 2, 4]], vertices)
+        system = BicliqueSystem.from_arrays(4, [0, 2, 4], vertices)
         assert system.vertices is vertices and not vertices.flags.writeable
         assert system[0] == Biclique((0, 2), (1, 3))
 
     def test_copies_a_read_only_array(self):
         vertices = np.array([2, 0, 1], dtype=np.int32)
         vertices.flags.writeable = False
-        system = BicliqueSystem.from_arrays(3, [[0, 2, 3]], vertices)
+        system = BicliqueSystem.from_arrays(3, [0, 2, 3], vertices)
         assert vertices.tolist() == [2, 0, 1]
         assert system.vertices.tolist() == [0, 2, 1]
 
     @pytest.mark.parametrize(
-        "offsets, vertices",
+        "offsets, vertices",  # offsets: the side bounds into vertices
         [
-            ([[0, 1, 2], [3, 4, 5]], [0, 1, 2, 3, 4]),  # gap between parts
-            ([[0, 1, 2], [1, 2, 3]], [0, 1, 2]),  # parts overlap
-            ([[0, 1, 2]], [0, 1, 2]),  # vertices past the last part
-            ([[1, 2, 3]], [0, 1, 2]),  # first part does not start at 0
-            ([[0, 2, 1], [1, 2, 3]], [0, 1, 2]),  # split past the end
-            ([[0, 1]], [0, 1]),  # not (start, split, end) rows
-            ([[0, 1, 2]], [0.0, 1.0]),  # not integers
-            ([[0, 1, 2]], [[0, 1]]),  # not one-dimensional
+            ([0, 1, 2], [0, 1, 2]),  # vertices past the last part
+            ([1, 2, 3], [0, 1, 2]),  # first part does not start at 0
+            ([0, 2, 1, 2, 3], [0, 1, 2]),  # a side ends before it starts
+            ([0, 1], [0, 1]),  # even length: a part without its right side
+            ([], []),  # no final end
+            ([[0, 1, 2]], [0, 1]),  # bounds not one-dimensional
+            ([0, 1, 2], [0.0, 1.0]),  # not integers
+            ([0, 1, 2], [[0, 1]]),  # not one-dimensional
         ],
     )
     def test_malformed_arrays_rejected(self, offsets, vertices):
         with pytest.raises(ValueError):
             BicliqueSystem.from_arrays(5, offsets, np.array(vertices), 1)
+
+    def test_lowest_bad_part_named_by_index(self):
+        vertices = np.array([0, 1, 2, 3, 1, 1, 4, 4, 4], dtype=np.int32)
+        with pytest.raises(PartError) as err:
+            BicliqueSystem.from_arrays(5, [0, 1, 2, 3, 4, 6, 7, 8, 9], vertices)
+        assert err.value.part == 2
+        assert str(err.value) == "biclique sides must not repeat vertices"
 
     def test_host_order_past_int32_rejected(self):
         with pytest.raises(ValueError, match="int32"):
@@ -283,6 +306,23 @@ class TestFromArrays:
             read_system("bicliquesystem 3 2 1\npart 0 : 1\npart 0 : 9223372036854775808\n")
         assert err.value.line == 3
         assert "out of int64 range" in str(err.value)
+
+
+class TestSystemSequence:
+    def test_parts_by_index(self):
+        system = BicliqueSystem(4, [Biclique((0,), (1,)), Biclique((2,), (3, 1))], 2)
+        assert system.parts is system
+        assert len(system) == 2
+        assert list(system) == [Biclique((0,), (1,)), Biclique((2,), (1, 3))]
+        assert system[-1] == system[1] == Biclique((2,), (1, 3))
+        assert system[-2] == system[0]
+
+    @pytest.mark.parametrize("index", [2, -3, 0.0, slice(0, 1)])
+    def test_only_int_indices_in_range(self, index):
+        system = BicliqueSystem(4, [Biclique((0,), (1,)), Biclique((2,), (3, 1))], 2)
+        with pytest.raises(IndexError if isinstance(index, int) else TypeError):
+            system[index]
+
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -360,10 +400,9 @@ class TestSystemProperties:
         for side in sides:
             rng.shuffle(side)
         bounds = np.cumsum([0, *map(len, sides)])
-        offsets = np.stack((bounds[:-1:2], bounds[1::2], bounds[2::2]), axis=1)
         vertices = np.array([v for side in sides for v in side], dtype=np.int32)
         again = BicliqueSystem.from_arrays(
-            system.host_order, offsets, vertices, system.multiplicity_bound
+            system.host_order, bounds, vertices, system.multiplicity_bound
         )
         assert again == system
 
