@@ -124,16 +124,21 @@ class Graph:
     def edge_count(self) -> int:
         return int(np.bitwise_count(self._rows).sum()) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        for x in (u, v):
+    def _check_vertices(self, vertices: Sequence[int]) -> None:
+        for x in vertices:
             if not 0 <= x < self.order:
                 raise IndexError(f"vertex {x} out of range for order {self.order}")
+
+    def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertices((u, v))
         return bool(int(self._rows[u, v >> 6]) >> (v & 63) & 1)
 
     def degree(self, v: int) -> int:
+        self._check_vertices((v,))
         return int(np.bitwise_count(self._rows[v]).sum())
 
     def neighbors(self, v: int) -> list[int]:
+        self._check_vertices((v,))
         return np.flatnonzero(_unpack_rows(self._rows[v], self.order)).tolist()
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -168,6 +173,7 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         vs = np.array(vertices, dtype=np.int64)
+        self._check_vertices(vs.tolist())
         return Graph._trusted(pack_rows(_unpack_rows(self._rows[vs], self.order)[:, vs]))
 
     def neighbor_masks(self) -> list[int]:
@@ -292,10 +298,12 @@ class BicliqueSystem:
         :class:`Biclique` checks its sides, and the lowest bad part raises
         :class:`PartError` with Biclique's message and the part's index.
         """
-        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
-        vertices = np.asarray(vertices)
+        bounds, vertices = np.asarray(bounds), np.asarray(vertices)
+        if bounds.dtype.kind not in "iu":
+            raise ValueError("bounds must be an integer array")
         if vertices.ndim != 1 or vertices.dtype.kind not in "iu":
             raise ValueError("vertices must be a one-dimensional integer array")
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
         if (
             bounds.ndim != 1
             or len(bounds) % 2 == 0
@@ -561,9 +569,9 @@ def _count_chunk(
     verts = vertices[bounds[0] : bounds[-1]]
     sizes = np.diff(bounds)
     side_of = np.arange(len(sizes), dtype=np.int32).repeat(sizes)
-    # side 2i is part i's left, 2i+1 its right, and the extra last row is the
-    # zero mask; a side's vertices are distinct, so adding bits ORs them
-    masks = np.zeros((len(sizes) + 1, words), dtype=_WORD)
+    # side 2i is part i's left, 2i+1 its right; a side's vertices are
+    # distinct, so adding bits ORs them
+    masks = np.zeros((len(sizes), words), dtype=_WORD)
     np.add.at(
         masks.reshape(-1),
         side_of * np.int64(words) + (verts >> 6),
@@ -587,13 +595,9 @@ def _count_band(
 
     ``verts`` is sorted.  Rows are ordered by decreasing incidence count,
     so round j adds the j-th mask of each of the first ``active[j]`` rows,
-    a contiguous prefix.  Consecutive rounds are gathered together, up to
-    about ``_BAND_BYTES`` of masks, and summed by a halving tree before
-    they reach the counter, so a vertex in many parts costs few numpy
-    calls.  A gather covers a power of two of rounds, padded to the width
-    of its first with the zero mask (the last row of ``masks``); it grows
-    only while the padding stays below the real masks plus a small slack,
-    so padding at most about doubles the work.
+    a contiguous prefix.  Each round adds one mask per row with one ripple
+    of half adders up the planes; the carry out of the top plane goes to
+    the sticky overflow plane.
     """
     counts = np.bincount(verts)
     degree = counts[counts.nonzero()[0]]
@@ -603,81 +607,19 @@ def _count_band(
     mask_ids = mask_ids[order]
     rows = verts[order[: len(degree)]]
     active = len(degree) - np.bincount(degree).cumsum()[:-1]
-    starts = [0, *active.cumsum().tolist()]  # where each round begins in mask_ids
 
     local = counter[:, rows]
-    digits = len(counter) - 1
-    per_gather = max(1, _BAND_BYTES // masks[0].nbytes)
-    slack = per_gather // 64
-    j, rounds = 0, len(active)
-    while j < rounds:
-        c, k = int(active[j]), 1
-        while (
-            k < rounds - j
-            and 2 * k * c <= per_gather
-            and 2 * k * c <= 2 * (starts[min(j + 2 * k, rounds)] - starts[j]) + slack
-        ):
-            k *= 2
-        ids = mask_ids[starts[j] : starts[min(j + k, rounds)]]
-        if len(ids) < k * c:
-            padded = np.full((k, c), len(masks) - 1, dtype=ids.dtype)
-            padded[: rounds - j][np.arange(c) < active[j : j + k, None]] = ids
-            ids = padded
-        planes, over = _tree_sum(masks[ids], k, digits)
-        carry = _ripple([plane[:c] for plane in local[:-1]], planes, digits)
-        for extra in (carry, over):
-            if extra is not None:
-                local[-1, :c] |= extra
-        j += k
+    lo = 0
+    for c in active.tolist():
+        carry = masks[mask_ids[lo : lo + c]]
+        for plane in local[:-1]:
+            plane = plane[:c]
+            both = plane & carry
+            plane ^= carry
+            carry = both
+        local[-1, :c] |= carry
+        lo += c
     counter[:, rows] = local
-
-
-def _tree_sum(
-    masks: np.ndarray, k: int, digits: int
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Sum ``k`` (a power of two) stacked groups of one-bit rows, bit-sliced.
-
-    Returns at most ``digits`` planes and the sticky overflow (None if none).
-    """
-    planes = [masks.reshape(k, -1, masks.shape[-1])]
-    over = None
-    while k > 1:
-        k //= 2
-        low = [plane[:k] for plane in planes]
-        carry = _ripple(low, [plane[k:] for plane in planes], digits)
-        if over is not None:
-            over = over[:k] | over[k:]
-        if carry is not None:
-            over = carry if over is None else over | carry
-        planes = low
-    return [plane[0] for plane in planes], None if over is None else over[0]
-
-
-def _ripple(a: list[np.ndarray], b: list[np.ndarray], digits: int) -> np.ndarray | None:
-    """Add the bit-sliced number ``b`` into ``a`` in place (planes lowest first).
-
-    Needs ``len(a) >= len(b)``.  ``a`` gains a top plane while it has fewer
-    than ``digits``; otherwise the carry out of its top plane is returned.
-    Returns None when there is no carry out.
-    """
-    carry = None
-    for i, x in enumerate(a):
-        y = b[i] if i < len(b) else None
-        if y is None and carry is None:
-            return None
-        if y is None or carry is None:
-            z = carry if y is None else y
-            carry = x & z
-            x ^= z
-        else:
-            half = x ^ y
-            carry_out = (x & y) | (half & carry)
-            np.bitwise_xor(half, carry, out=x)
-            carry = carry_out
-    if carry is not None and len(a) < digits:
-        a.append(carry)
-        return None
-    return carry
 
 
 def _plane_max(planes: np.ndarray) -> int:

@@ -53,6 +53,13 @@ class TestGraph:
             with pytest.raises(IndexError):
                 p3.has_edge(u, v)
 
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_vertex_queries_check_range(self, v):
+        p3 = Graph.path(3)
+        for query in (p3.degree, p3.neighbors, lambda x: p3.induced([x, 0])):
+            with pytest.raises(IndexError, match=f"vertex {v} out of range for order 3"):
+                query(v)
+
     def test_adjacency_read_only(self):
         g = Graph.complete(3)
         with pytest.raises(ValueError):
@@ -547,7 +554,8 @@ class TestVerifyDifferential:
         rng = random.Random(20100224)
         sizes = list(self.SIZES) + [rng.randrange(3, 140) for _ in range(12)]
         for n in sizes:
-            for t in (1, 2, 3):
+            # t = 4, 7, 8 give bias 3, 0, 7: carries ripple through three or four planes
+            for t in (1, 2, 3, 4, 7, 8):
                 graph, system = _random_cover(n, t, rng)
                 self._check_with_mutants(graph, system, rng)
 

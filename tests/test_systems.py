@@ -281,6 +281,7 @@ class TestFromArrays:
             ([[0, 1, 2]], [0, 1]),  # bounds not one-dimensional
             ([0, 1, 2], [0.0, 1.0]),  # not integers
             ([0, 1, 2], [[0, 1]]),  # not one-dimensional
+            ([0.0, 1.9, 2.2], [0, 1]),  # bounds not integers
         ],
     )
     def test_malformed_arrays_rejected(self, offsets, vertices):
