@@ -49,7 +49,6 @@ from .oracles import (
     chromatic_number,
     independence_at_most,
     independence_number,
-    max_clique,
     min_biclique_partition,
     min_rectangle_cover,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "independence_at_most",
     "independence_number",
     "intersection_graph",
-    "max_clique",
     "min_biclique_partition",
     "min_rectangle_cover",
     "or_product",

@@ -305,8 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--n", type=int, required=True)
 
     p_suite = sub.add_parser("suite", help="run one named check group")
-    p_suite.add_argument("name", nargs="?", choices=SUITES)
-    p_suite.add_argument("--suite", dest="suite_flag", choices=SUITES)
+    p_suite.add_argument("name", choices=SUITES)
 
     p_verify = sub.add_parser("verify", help="verify a biclique system against a graph")
     p_verify.add_argument("--graph", required=True)
@@ -325,8 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = RunConfig(
             vertex_limit=args.vertex_limit,
@@ -336,10 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             text, ok = cmd_demo(args.n, config)
         elif args.command == "suite":
-            name = args.name or args.suite_flag
-            if name is None:
-                parser.error("suite requires a name (positional or --suite)")
-            text, ok = cmd_suite(name, config)
+            text, ok = cmd_suite(args.name, config)
         elif args.command == "verify":
             text, ok = cmd_verify(args.graph, args.partition, config)
         elif args.command == "oracle":

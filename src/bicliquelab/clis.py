@@ -19,33 +19,38 @@ a fixed-width vertex name of ceil(log2 m) bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ResourceLimitError, WellDefinednessError
-from .graphs import Biclique, BicliqueSystem, Certificate, Graph, pack_rows, verify_biclique_system
-from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
+from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
+from .oracles import BoolMatrix, _iter_bits, _mask_of, chromatic_number, min_rectangle_cover
 
 # A characteristic vector is a string over {0,1,*}: position j holds 0 if
 # vertex j is in the biclique's left part, 1 if in the right part, * otherwise.
 CharVector = str
 
 
-def characteristic_vectors(partition: BicliqueSystem) -> list[CharVector]:
-    """One vector per biclique of a declared partition (multiplicity bound 1)."""
+def _side_masks(partition: BicliqueSystem) -> tuple[list[int], list[int]]:
+    """Each part's left and right side as vertex masks (bit v = vertex v)."""
     if partition.multiplicity_bound != 1:
         raise ValueError("characteristic vectors are defined for exact partitions (t=1)")
-    n = partition.host_order
-    out = []
-    for b in partition:
-        v = ["*"] * n
-        for u in b.left:
-            v[u] = "0"
-        for w in b.right:
-            v[w] = "1"
-        out.append("".join(v))
-    return out
+    parts = list(partition)
+    return [_mask_of(b.left) for b in parts], [_mask_of(b.right) for b in parts]
+
+
+def characteristic_vectors(partition: BicliqueSystem) -> list[CharVector]:
+    """One vector per biclique of a declared partition (multiplicity bound 1)."""
+    lefts, rights = _side_masks(partition)
+    return [
+        "".join(
+            "0" if left >> j & 1 else "1" if right >> j & 1 else "*"
+            for j in range(partition.host_order)
+        )
+        for left, right in zip(lefts, rights)
+    ]
 
 
 def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -> Graph:
@@ -54,23 +59,24 @@ def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -
 
     A pair sharing both certifies the input was not a valid partition (the
     corresponding edge would be covered twice) and raises
-    :class:`WellDefinednessError`.  Pairs sharing neither are resolved by
-    ``ambiguous_edge`` (default: non-edge).
+    :class:`WellDefinednessError` with the lowest shared vertex of each
+    kind.  Pairs sharing neither are resolved by ``ambiguous_edge``
+    (default: non-edge).
     """
-    vectors = characteristic_vectors(partition)
-    m = len(vectors)
-    adj = np.zeros((m, m), dtype=bool)
+    lefts, rights = _side_masks(partition)
+    m = len(lefts)
+    edges = []
     for i in range(m):
-        vi = vectors[i]
         for j in range(i + 1, m):
-            vj = vectors[j]
-            one = next((p for p in range(len(vi)) if vi[p] == vj[p] == "1"), None)
-            zero = next((p for p in range(len(vi)) if vi[p] == vj[p] == "0"), None)
-            if one is not None and zero is not None:
-                raise WellDefinednessError(i + 1, j + 1, one, zero)
-            edge = one is not None or (zero is None and ambiguous_edge)
-            adj[i, j] = adj[j, i] = edge
-    return Graph._trusted(pack_rows(adj))
+            one = rights[i] & rights[j]
+            zero = lefts[i] & lefts[j]
+            if one and zero:
+                raise WellDefinednessError(
+                    i + 1, j + 1, next(_iter_bits(one)), next(_iter_bits(zero))
+                )
+            if one or (not zero and ambiguous_edge):
+                edges.append((i, j))
+    return Graph.from_edges(m, edges)
 
 
 @dataclass(frozen=True)
@@ -78,64 +84,58 @@ class ClisInstance:
     """A clique-vs-independent-set instance: a public graph, ordered families
     of cliques and independent sets, and the 0/1 matrix of intersection sizes.
 
-    Construction re-checks everything: each listed clique is pairwise
-    adjacent, each independent set pairwise non-adjacent, every
-    intersection has size at most one, and the matrix matches.
+    Construction checks that each listed clique is pairwise adjacent and
+    each independent set pairwise non-adjacent, with no vertex repeated or
+    out of range, and derives ``matrix`` from the families' masks.  A
+    clique and an independent set share at most one vertex, so every entry
+    is 0 or 1.
     """
 
     graph: Graph
     cliques: tuple[tuple[int, ...], ...]
     independents: tuple[tuple[int, ...], ...]
-    matrix: BoolMatrix
+    matrix: BoolMatrix = field(init=False)
+    neighbor_masks: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masks = self.graph.neighbor_masks()
+        rows = []
         for c in self.cliques:
-            members = _mask_of(c)
-            if len(set(c)) != len(c) or any(members & ~masks[u] != 1 << u for u in c):
+            members = _members(c, len(masks))
+            if members is None or any(members & ~masks[u] != 1 << u for u in c):
                 raise ValueError(f"{c} is not a clique")
+            rows.append(members)
+        cols = []
         for s in self.independents:
-            members = _mask_of(s)
-            if any(members & masks[u] for u in s):
+            members = _members(s, len(masks))
+            if members is None or any(members & masks[u] for u in s):
                 raise ValueError(f"{s} is not an independent set")
-        if (self.matrix.rows, self.matrix.cols) != (len(self.cliques), len(self.independents)):
-            raise ValueError("matrix shape does not match the families")
-        for p, c in enumerate(self.cliques):
-            cs = set(c)
-            for q, s in enumerate(self.independents):
-                inter = len(cs & set(s))
-                if inter > 1:
-                    raise ValueError(
-                        f"clique {p} and independent set {q} share {inter} > 1 vertices"
-                    )
-                if inter != int(self.matrix.entries[p, q]):
-                    raise ValueError(f"matrix entry ({p},{q}) disagrees with |C & I|")
+            cols.append(members)
+        entries = np.array([(r & c).bit_count() for r in rows for c in cols], dtype=np.uint8)
+        object.__setattr__(self, "matrix", BoolMatrix(entries.reshape(len(rows), len(cols))))
+        object.__setattr__(self, "neighbor_masks", masks)
 
 
-def _mask_of(vertices) -> int:
-    """The vertex set as a Python int bitmask (bit v = vertex v)."""
-    return sum(1 << v for v in set(vertices))
-
-
-def _subsets_closed_under(adjsets: list[set[int]], n: int) -> list[tuple[int, ...]]:
-    """All vertex sets pairwise related by ``adjsets`` (includes the empty set),
-    sorted lexicographically."""
-    out: list[tuple[int, ...]] = [()]
-
-    def grow(base: list[int], candidates: set[int]) -> None:
-        for v in sorted(candidates):
-            cur = base + [v]
-            out.append(tuple(cur))
-            grow(cur, candidates & adjsets[v] & set(range(v + 1, n)))
-
-    grow([], set(range(n)))
-    return sorted(out)
+def _members(vertices: tuple[int, ...], n: int) -> int | None:
+    """The vertices as a mask, or None if one repeats or lies past n - 1."""
+    mask = _mask_of(vertices)
+    return mask if mask.bit_count() == len(vertices) and not mask >> n else None
 
 
 def all_cliques(graph: Graph) -> list[tuple[int, ...]]:
-    """Every clique of the graph, empty set and singletons included."""
-    n = graph.order
-    return _subsets_closed_under([set(graph.neighbors(v)) for v in range(n)], n)
+    """Every clique of the graph, empty set and singletons included, sorted
+    lexicographically."""
+    masks = graph.neighbor_masks()
+    out: list[tuple[int, ...]] = [()]
+    stack = [((), (1 << graph.order) - 1)]  # a clique and the vertices that extend it
+    while stack:
+        base, cand = stack.pop()
+        for v in _iter_bits(cand):
+            clique = base + (v,)
+            out.append(clique)
+            # extend only by higher vertices, so each clique is built once
+            stack.append((clique, cand & masks[v] & -(2 << v)))
+    return sorted(out)
 
 
 def all_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
@@ -145,14 +145,7 @@ def all_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
 
 def full_instance(graph: Graph) -> ClisInstance:
     """The instance over *all* cliques and independent sets of the graph."""
-    cliques = all_cliques(graph)
-    independents = all_independent_sets(graph)
-    mat = np.zeros((len(cliques), len(independents)), dtype=np.uint8)
-    for p, c in enumerate(cliques):
-        cs = set(c)
-        for q, s in enumerate(independents):
-            mat[p, q] = len(cs & set(s))
-    return ClisInstance(graph, tuple(cliques), tuple(independents), BoolMatrix(mat))
+    return ClisInstance(graph, tuple(all_cliques(graph)), tuple(all_independent_sets(graph)))
 
 
 def canonical_instance(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -> ClisInstance:
@@ -161,27 +154,14 @@ def canonical_instance(partition: BicliqueSystem, *, ambiguous_edge: bool = Fals
     independent set.  The intersection matrix has zero diagonal.
     """
     gamma = biclique_graph(partition, ambiguous_edge=ambiguous_edge)
-    vectors = characteristic_vectors(partition)
-    n = partition.host_order
-    cliques = tuple(
-        tuple(q for q, v in enumerate(vectors) if v[j] == "1") for j in range(n)
-    )
-    independents = tuple(
-        tuple(q for q, v in enumerate(vectors) if v[j] == "0") for j in range(n)
-    )
-    mat = np.zeros((n, n), dtype=np.uint8)
-    for p in range(n):
-        cs = set(cliques[p])
-        for q in range(n):
-            inter = len(cs & set(independents[q]))
-            if inter > 1:
-                raise ValueError(
-                    f"vertices {p},{q}: edge covered {inter} times; not a partition"
-                )
-            mat[p, q] = inter
-    if any(mat[j, j] for j in range(n)):
+    lefts, rights = _side_masks(partition)
+    hosts = range(partition.host_order)
+    cliques = tuple(tuple(q for q, right in enumerate(rights) if right >> j & 1) for j in hosts)
+    independents = tuple(tuple(q for q, left in enumerate(lefts) if left >> j & 1) for j in hosts)
+    inst = ClisInstance(gamma, cliques, independents)
+    if inst.matrix.entries.diagonal().any():
         raise AssertionError("diagonal must be zero: no vector holds 0 and 1 at once")
-    return ClisInstance(gamma, cliques, independents, BoolMatrix(mat))
+    return inst
 
 
 def chi_lower_bound_check(
@@ -207,30 +187,33 @@ def chi_lower_bound_check(
     chi, _ = chromatic_number(graph)
     params = {"order": n, "zero_cover": cover_size, "chromatic": chi}
 
-    diag_sets = []
-    covered_diag: set[int] = set()
+    diag_sets = 0
+    covered = 0
     masks = graph.neighbor_masks()
     for rows, cols in rects:
-        diag = sorted(set(rows) & set(cols))
+        diag = _mask_of(rows) & _mask_of(cols)
         if not diag:
             continue
-        if any(_mask_of(diag) & masks[u] for u in diag):
+        if any(diag & masks[u] for u in _iter_bits(diag)):
             return Certificate(
                 claim="chi-lower-bound",
                 parameters=params,
                 verdict=False,
-                witness={"kind": "rectangle-set-not-independent", "vertices": diag},
+                witness={
+                    "kind": "rectangle-set-not-independent",
+                    "vertices": list(_iter_bits(diag)),
+                },
             )
-        diag_sets.append(diag)
-        covered_diag.update(diag)
-    if covered_diag != set(range(n)):
+        diag_sets += 1
+        covered |= diag
+    if covered != (1 << n) - 1:
         return Certificate(
             claim="chi-lower-bound",
             parameters=params,
             verdict=False,
             witness={
                 "kind": "diagonal-not-covered",
-                "missing": sorted(set(range(n)) - covered_diag),
+                "missing": list(_iter_bits(~covered & (1 << n) - 1)),
             },
         )
     if cover_size < chi:
@@ -244,7 +227,7 @@ def chi_lower_bound_check(
         claim="chi-lower-bound",
         parameters=params,
         verdict=True,
-        witness={"independent_sets_from_rectangles": len(diag_sets)},
+        witness={"independent_sets_from_rectangles": diag_sets},
     )
 
 
@@ -278,31 +261,26 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     are at most floor(log2 m) + 1 rounds.
     """
     try:
-        clique = set(inst.cliques[clique_index])
-        indep = set(inst.independents[independent_index])
+        clique_order = sorted(inst.cliques[clique_index])
+        indep_order = sorted(inst.independents[independent_index])
     except IndexError as exc:
         raise ValueError(f"invalid family index: {exc}") from exc
+    clique, indep = _mask_of(clique_order), _mask_of(indep_order)
     m = inst.graph.order
-    masks = inst.graph.neighbor_masks()
+    masks = inst.neighbor_masks
     width = _name_bits(m)
     live = (1 << m) - 1  # bitmask of the live vertices
     rounds: list[tuple[str, str]] = []
-    total = 0
 
     def say(speaker: str, vertex: int | None) -> None:
-        nonlocal total
         if vertex is None:
             rounds.append((speaker, "0"))
-            total += 1
         else:
-            name = format(vertex, "b").zfill(width) if width else ""
-            rounds.append((speaker, "1" + name))
-            total += 1 + width
+            rounds.append((speaker, "1" + (format(vertex, "b").zfill(width) if width else "")))
 
     def finish(answer: int) -> Transcript:
-        return Transcript(tuple(rounds), answer, total)
+        return Transcript(tuple(rounds), answer, sum(len(bits) for _, bits in rounds))
 
-    clique_order, indep_order = sorted(clique), sorted(indep)
     while True:
         if not live:
             return finish(0)
@@ -319,7 +297,7 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
         if pick is not None:
             alice_sent = True
             say("A", pick)
-            if pick in indep:
+            if indep >> pick & 1:
                 return finish(1)
             live &= masks[pick]
             if not live:
@@ -338,7 +316,7 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
         )
         if pick is not None:
             say("B", pick)
-            if pick in clique:
+            if clique >> pick & 1:
                 return finish(1)
             live &= ~masks[pick]  # keeps pick itself: it is not its own neighbor
         else:
@@ -350,11 +328,9 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
 def disjoint_pairs(graph: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (clique, independent set) pairs with empty intersection, sorted
     lexicographically; these are the vertices of the pair graph."""
-    cliques = all_cliques(graph)
-    independents = all_independent_sets(graph)
-    return sorted(
-        (c, s) for c in cliques for s in independents if not set(c) & set(s)
-    )
+    cliques = [(c, _mask_of(c)) for c in all_cliques(graph)]
+    independents = [(s, _mask_of(s)) for s in all_independent_sets(graph)]
+    return sorted((c, s) for c, cm in cliques for s, sm in independents if not cm & sm)
 
 
 def build_pair_graph(
@@ -367,28 +343,23 @@ def build_pair_graph(
     the pairs whose independent set contains v span a biclique; every edge
     lies in one or two of these (one per witnessing vertex, and a crossing
     can have at most one witness per direction), so the system is a valid
-    2-cover of size at most the original order.
+    2-cover of size at most the original order.  The graph is built from
+    the pair definition, not from the bicliques, so the closing
+    verification compares two routes.
     """
     pairs = disjoint_pairs(graph)
     if len(pairs) > pair_limit:
         raise ResourceLimitError("pair_limit", pair_limit, len(pairs))
     count = len(pairs)
-    sets = [(set(c), set(s)) for c, s in pairs]
-    adj = np.zeros((count, count), dtype=bool)
-    for a in range(count):
-        ca, ia = sets[a]
-        for b in range(a + 1, count):
-            cb, ib = sets[b]
-            if (ca & ib) or (cb & ia):
-                adj[a, b] = adj[b, a] = True
-    pair_graph = Graph._trusted(pack_rows(adj))
+    cl = [_mask_of(c) for c, _ in pairs]
+    ind = [_mask_of(s) for _, s in pairs]
+    edges = [(a, b) for a, b in combinations(range(count), 2) if cl[a] & ind[b] or cl[b] & ind[a]]
+    pair_graph = Graph.from_edges(count, edges)
 
     parts = []
     for v in range(graph.order):
-        left = tuple(i for i, (c, _) in enumerate(sets) if v in c)
-        right = tuple(i for i, (_, s) in enumerate(sets) if v in s)
-        if set(left) & set(right):
-            raise AssertionError("a pair cannot hold the same vertex on both sides")
+        left = tuple(i for i in range(count) if cl[i] >> v & 1)
+        right = tuple(i for i in range(count) if ind[i] >> v & 1)
         if left and right:
             parts.append(Biclique(left, right))
     system = BicliqueSystem(count, tuple(parts), 2)

@@ -133,14 +133,6 @@ class Graph:
         self._check_vertices((u, v))
         return bool(int(self._rows[u, v >> 6]) >> (v & 63) & 1)
 
-    def degree(self, v: int) -> int:
-        self._check_vertices((v,))
-        return int(np.bitwise_count(self._rows[v]).sum())
-
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertices((v,))
-        return np.flatnonzero(_unpack_rows(self._rows[v], self.order)).tolist()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""
         for u, v in self._upper_pairs():
@@ -298,7 +290,10 @@ class BicliqueSystem:
         :class:`Biclique` checks its sides, and the lowest bad part raises
         :class:`PartError` with Biclique's message and the part's index.
         """
-        bounds, vertices = np.asarray(bounds), np.asarray(vertices)
+        # an empty list reads as float64, so an array with no entries is taken as int64
+        bounds, vertices = (
+            a if a.size else a.astype(np.int64) for a in (np.asarray(bounds), np.asarray(vertices))
+        )
         if bounds.dtype.kind not in "iu":
             raise ValueError("bounds must be an integer array")
         if vertices.ndim != 1 or vertices.dtype.kind not in "iu":

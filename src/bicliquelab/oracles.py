@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,8 +66,16 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """The vertex set as a bitmask (bit v = vertex v)."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _max_clique_masks(
-    masks: list[int], start: int, prime: int, node_budget: int | None
+    masks: list[int], prime: int, node_budget: int | None
 ) -> tuple[int, list[int] | None]:
     """Maximum clique via branch and bound with a greedy-coloring upper bound.
 
@@ -110,7 +118,7 @@ def _max_clique_masks(
             cand &= ~(1 << v)
 
     try:
-        expand(0, [], start)
+        expand(0, [], (1 << len(masks)) - 1)
     finally:
         # expand's closure refers to expand; deleting it breaks that cycle,
         # so the search state is freed now, budget hit or not
@@ -118,16 +126,17 @@ def _max_clique_masks(
     return best, best_set
 
 
-def _greedy_clique(masks: list[int], n: int) -> list[int]:
-    """Greedy clique by descending degree; seeds the exact search."""
-    degs = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    clique: list[int] = []
-    cand = (1 << n) - 1
-    for v in degs:
+def _max_clique(masks: list[int], node_budget: int | None) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum clique with a sorted witness: a greedy clique by
+    descending degree primes the branch and bound."""
+    seed: list[int] = []
+    cand = (1 << len(masks)) - 1
+    for v in sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v)):
         if cand >> v & 1:
-            clique.append(v)
+            seed.append(v)
             cand &= masks[v]
-    return clique
+    best, found = _max_clique_masks(masks, len(seed), node_budget)
+    return best, tuple(sorted(found if found is not None else seed))
 
 
 def independence_number(
@@ -145,13 +154,7 @@ def independence_number(
     n = graph.order
     if n > order_limit:
         raise ResourceLimitError("alpha_order_limit", order_limit, n)
-    if n == 0:
-        return 0, ()
-    masks = graph.complement().neighbor_masks()
-    seed = _greedy_clique(masks, n)
-    best, found = _max_clique_masks(masks, (1 << n) - 1, len(seed), node_budget)
-    witness = tuple(sorted(found if found is not None else seed))
-    return best, witness
+    return _max_clique(graph.complement().neighbor_masks(), node_budget)
 
 
 def independence_at_most(
@@ -163,27 +166,10 @@ def independence_at_most(
     branches that could beat it; no order guard, since the cutoff makes
     large structured instances tractable.
     """
-    n = graph.order
-    if n == 0:
-        return True, None
-    masks = graph.complement().neighbor_masks()
-    best, found = _max_clique_masks(masks, (1 << n) - 1, bound, node_budget)
+    _, found = _max_clique_masks(graph.complement().neighbor_masks(), bound, node_budget)
     if found is None:
         return True, None
     return False, tuple(sorted(found[: bound + 1]))
-
-
-def max_clique(
-    graph: Graph, *, node_budget: int | None = None
-) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique with witness (independence of the complement)."""
-    n = graph.order
-    if n == 0:
-        return 0, ()
-    masks = graph.neighbor_masks()
-    seed = _greedy_clique(masks, n)
-    best, found = _max_clique_masks(masks, (1 << n) - 1, len(seed), node_budget)
-    return best, tuple(sorted(found if found is not None else seed))
 
 
 def chromatic_number(
@@ -198,7 +184,7 @@ def chromatic_number(
     if n > order_limit:
         raise ResourceLimitError("chi_order_limit", order_limit, n)
     masks = graph.neighbor_masks()
-    lb = max_clique(graph)[0]
+    lb = _max_clique(masks, None)[0]
     greedy = _dsatur(masks, n)
     ub = max(greedy, default=-1) + 1
     for k in range(lb, ub):
@@ -262,7 +248,7 @@ def _all_bicliques(graph: Graph) -> list[Biclique]:
         right = [v for v in range(n) if assign[v] == 1]
         if not left or not right or left[0] > right[0]:
             continue
-        right_mask = sum(1 << w for w in right)
+        right_mask = _mask_of(right)
         if all(masks[u] & right_mask == right_mask for u in left):
             out.append(Biclique(tuple(left), tuple(right)))
     return out

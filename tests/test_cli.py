@@ -47,6 +47,11 @@ class TestSuites:
         assert ok
         assert text.endswith("status pass\n")
 
+    def test_clis_with_ambiguous_pairs_as_edges(self):
+        code, out, _ = run_cli("--ambiguous-edge", "edge", "suite", "clis")
+        assert code == 0
+        assert out.endswith("status pass\n")
+
     def test_suite_deterministic_across_processes(self):
         _, a, _ = run_cli("suite", "peck")
         _, b, _ = run_cli("suite", "peck")
@@ -66,6 +71,12 @@ class TestExitCodes:
     def test_missing_suite_name(self):
         code, _, _ = run_cli("suite")
         assert code == 2
+
+    def test_suite_flag_spelling_refused(self):
+        code, out, err = run_cli("suite", "--suite", "cube")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_resource_limit_exit(self):
         code, _, err = run_cli("demo", "--n", "4")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from bicliquelab.clis import (
+    ClisInstance,
     all_cliques,
     all_independent_sets,
     biclique_graph,
@@ -61,9 +62,11 @@ class TestBicliqueGraph:
     def test_contradiction_raises(self):
         # both parts put 0 at vertex 0 and 1 at vertex 1: edge (0,1) covered twice
         bad = BicliqueSystem(3, (Biclique((0,), (1,)), Biclique((0,), (1, 2))), 1)
-        with pytest.raises(WellDefinednessError) as err:
-            biclique_graph(bad)
-        assert err.value.part_a == 1 and err.value.part_b == 2
+        for build in (biclique_graph, canonical_instance):
+            with pytest.raises(WellDefinednessError) as err:
+                build(bad)
+            assert err.value.part_a == 1 and err.value.part_b == 2
+            assert (err.value.shared_one, err.value.shared_zero) == (1, 0)
 
     def test_never_raises_on_verified_partitions(self):
         rng = random.Random(41)
@@ -101,6 +104,24 @@ class TestCanonicalInstance:
         inst = canonical_instance(BicliqueSystem(3, (), 1))
         assert inst.cliques == ((), (), ())
         assert inst.matrix.rows == 3
+
+
+class TestClisInstance:
+    def test_repeated_vertex_refused_in_either_family(self):
+        with pytest.raises(ValueError, match="not a clique"):
+            ClisInstance(Graph.empty(2), ((0, 0),), ((),))
+        with pytest.raises(ValueError, match="not an independent set"):
+            ClisInstance(Graph.empty(2), ((),), ((0, 0),))
+
+    def test_vertex_out_of_range_refused(self):
+        with pytest.raises(ValueError, match="not a clique"):
+            ClisInstance(Graph.empty(2), ((2,),), ())
+        with pytest.raises(ValueError, match="not an independent set"):
+            ClisInstance(Graph.empty(2), (), ((0, 2),))
+
+    def test_matrix_derived_from_families(self):
+        inst = ClisInstance(Graph.path(3), ((0, 1), (2,), ()), ((0, 2), (1,)))
+        assert inst.matrix.entries.tolist() == [[1, 1], [1, 0], [0, 0]]
 
 
 class TestChiLowerBound:

@@ -35,7 +35,7 @@ class TestGraph:
     def test_complete(self):
         k4 = Graph.complete(4)
         assert k4.edge_count() == 6
-        assert k4.degree(0) == 3
+        assert k4.neighbor_masks() == [0b1110, 0b1101, 0b1011, 0b0111]
 
     def test_complement(self):
         c5 = Graph.cycle(5)
@@ -56,9 +56,8 @@ class TestGraph:
     @pytest.mark.parametrize("v", [-1, 3])
     def test_vertex_queries_check_range(self, v):
         p3 = Graph.path(3)
-        for query in (p3.degree, p3.neighbors, lambda x: p3.induced([x, 0])):
-            with pytest.raises(IndexError, match=f"vertex {v} out of range for order 3"):
-                query(v)
+        with pytest.raises(IndexError, match=f"vertex {v} out of range for order 3"):
+            p3.induced([v, 0])
 
     def test_adjacency_read_only(self):
         g = Graph.complete(3)
@@ -307,10 +306,6 @@ class TestPackedGraphDifferential:
             assert g.adjacency.dtype == bool
             assert np.array_equal(g.adjacency, adj)
             assert g.edge_count() == int(adj.sum()) // 2
-            assert [g.degree(v) for v in range(n)] == adj.sum(axis=1).tolist()
-            assert [g.neighbors(v) for v in range(n)] == [
-                np.flatnonzero(adj[v]).tolist() for v in range(n)
-            ]
             assert list(g.edges()) == [
                 (u, v) for u in range(n) for v in range(u + 1, n) if adj[u, v]
             ]

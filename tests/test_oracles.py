@@ -21,7 +21,6 @@ from bicliquelab.oracles import (
     chromatic_number,
     independence_at_most,
     independence_number,
-    max_clique,
     min_biclique_partition,
     min_rectangle_cover,
 )
@@ -84,6 +83,12 @@ class TestIndependence:
             assert all(not g.has_edge(u, v) for u, v in combinations(witness, 2))
             assert value == brute_alpha(g)
 
+    def test_complements_of_clique_examples(self):
+        # the maximum clique of g is the maximum independent set of its complement
+        assert independence_number(Graph.complete(5).complement()) == (5, (0, 1, 2, 3, 4))
+        assert independence_number(Graph.cycle(5).complement())[0] == 2
+        assert independence_number(Graph.empty(3).complement())[0] == 1
+
     def test_or_product_bound_pentagon(self):
         prod = or_product(Graph.cycle(5), Graph.cycle(5))
         assert independence_number(prod)[0] <= 4
@@ -100,13 +105,6 @@ class TestIndependence:
         assert not ok
         assert len(witness) == 2
         assert not g.has_edge(*witness)
-
-
-class TestMaxClique:
-    def test_examples(self):
-        assert max_clique(Graph.complete(5))[0] == 5
-        assert max_clique(Graph.cycle(5))[0] == 2
-        assert max_clique(Graph.empty(3))[0] == 1
 
 
 class TestChromatic:

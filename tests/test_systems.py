@@ -288,6 +288,11 @@ class TestFromArrays:
         with pytest.raises(ValueError):
             BicliqueSystem.from_arrays(5, offsets, np.array(vertices), 1)
 
+    @pytest.mark.parametrize("vertices", [[], np.array([]), np.zeros(0, dtype=np.int32)])
+    def test_empty_vertices_of_any_dtype(self, vertices):
+        for bounds in ([0], np.array([0])):
+            assert BicliqueSystem.from_arrays(3, bounds, vertices) == BicliqueSystem(3, (), 1)
+
     def test_lowest_bad_part_named_by_index(self):
         vertices = np.array([0, 1, 2, 3, 1, 1, 4, 4, 4], dtype=np.int32)
         with pytest.raises(PartError) as err:
