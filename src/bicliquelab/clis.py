@@ -19,8 +19,10 @@ a fixed-width vertex name of ceil(log2 m) bits.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -125,17 +127,22 @@ def _members(vertices: tuple[int, ...], n: int) -> int | None:
 def all_cliques(graph: Graph) -> list[tuple[int, ...]]:
     """Every clique of the graph, empty set and singletons included, sorted
     lexicographically."""
+    return sorted(_cliques(graph))
+
+
+def _cliques(graph: Graph) -> Iterator[tuple[int, ...]]:
+    """Every clique of the graph once, the empty one first; the search holds
+    no more cliques than it has yielded, so a caller may stop it early."""
     masks = graph.neighbor_masks()
-    out: list[tuple[int, ...]] = [()]
+    yield ()
     stack = [((), (1 << graph.order) - 1)]  # a clique and the vertices that extend it
     while stack:
         base, cand = stack.pop()
         for v in _iter_bits(cand):
             clique = base + (v,)
-            out.append(clique)
+            yield clique
             # extend only by higher vertices, so each clique is built once
             stack.append((clique, cand & masks[v] & -(2 << v)))
-    return sorted(out)
 
 
 def all_independent_sets(graph: Graph) -> list[tuple[int, ...]]:
@@ -328,9 +335,16 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
 def disjoint_pairs(graph: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (clique, independent set) pairs with empty intersection, sorted
     lexicographically; these are the vertices of the pair graph."""
-    cliques = [(c, _mask_of(c)) for c in all_cliques(graph)]
-    independents = [(s, _mask_of(s)) for s in all_independent_sets(graph)]
-    return sorted((c, s) for c, cm in cliques for s, sm in independents if not cm & sm)
+    return _disjoint(all_cliques(graph), all_independent_sets(graph))
+
+
+def _disjoint(
+    cliques: list[tuple[int, ...]], independents: list[tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (clique, independent set) pairs with empty intersection, sorted."""
+    cm = [(c, _mask_of(c)) for c in cliques]
+    im = [(s, _mask_of(s)) for s in independents]
+    return sorted((c, s) for c, m in cm for s, sm in im if not m & sm)
 
 
 def build_pair_graph(
@@ -346,11 +360,30 @@ def build_pair_graph(
     2-cover of size at most the original order.  The graph is built from
     the pair definition, not from the bicliques, so the closing
     verification compares two routes.
+
+    ``pair_limit`` is applied before any pair is formed.  The empty clique
+    pairs with every independent set and the empty independent set with
+    every clique, so a family larger than the limit is refused as soon as
+    its enumeration passes the limit (the error then names that family's
+    size, a lower bound on the pairs).  Otherwise the pairs are counted
+    exactly first: a clique and an independent set share at most one
+    vertex, so |C|·|I| − Σ_v c_v·i_v pairs are disjoint, where c_v and i_v
+    count the cliques and the independent sets that hold v.
     """
-    pairs = disjoint_pairs(graph)
-    if len(pairs) > pair_limit:
-        raise ResourceLimitError("pair_limit", pair_limit, len(pairs))
-    count = len(pairs)
+    families = []
+    for g in (graph, graph.complement()):
+        family = list(islice(_cliques(g), pair_limit + 1))
+        if len(family) > pair_limit:
+            raise ResourceLimitError("pair_limit", pair_limit, len(family))
+        families.append(family)
+    cliques, independents = families
+    in_cliques, in_independents = (Counter(chain.from_iterable(f)) for f in families)
+    count = len(cliques) * len(independents) - sum(
+        k * in_independents[v] for v, k in in_cliques.items()
+    )
+    if count > pair_limit:
+        raise ResourceLimitError("pair_limit", pair_limit, count)
+    pairs = _disjoint(cliques, independents)
     cl = [_mask_of(c) for c, _ in pairs]
     ind = [_mask_of(s) for _, s in pairs]
     edges = [(a, b) for a, b in combinations(range(count), 2) if cl[a] & ind[b] or cl[b] & ind[a]]

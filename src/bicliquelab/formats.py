@@ -25,6 +25,7 @@ import numpy as np
 from .errors import FormatError, PartError, ResourceLimitError
 from .graphs import BicliqueSystem, Certificate, Graph
 from .gridgraph import DEFAULT_VERTEX_LIMIT
+from .packed import rows_from_masks
 
 
 def write_graph(graph: Graph) -> str:
@@ -38,8 +39,8 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
     ``ResourceLimitError`` before any edge is parsed or any array allocated."""
     order: int | None = None
     expected = 0
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
+    masks: list[int] = []  # per vertex, the neighbours read so far as a bitmask
+    count = 0
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -59,6 +60,7 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
                 raise FormatError(f"negative header fields in {line!r}", lineno)
             if order > vertex_limit:
                 raise ResourceLimitError("vertex_limit", vertex_limit, order)
+            masks = [0] * order
         elif fields[0] == "e":
             if order is None:
                 raise FormatError("edge before header", lineno)
@@ -70,29 +72,37 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
                 raise FormatError(f"non-integer endpoints in {line!r}", lineno)
             if not (1 <= u <= order and 1 <= v <= order) or u == v:
                 raise FormatError(f"endpoints out of range in {line!r}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen_edges:
+            u, v = u - 1, v - 1
+            if masks[u] >> v & 1:
                 raise FormatError(f"duplicate edge in {line!r}", lineno)
-            seen_edges.add(key)
-            edges.append((u - 1, v - 1))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            count += 1
         else:
             raise FormatError(f"unknown record {fields[0]!r}", lineno)
     if order is None:
         raise FormatError("missing header", lineno + 1)
-    if len(edges) != expected:
-        raise FormatError(
-            f"header promised {expected} edges, found {len(edges)}", lineno + 1
-        )
-    return Graph.from_edges(order, edges)
+    if count != expected:
+        raise FormatError(f"header promised {expected} edges, found {count}", lineno + 1)
+    # the masks are symmetric, loop-free and in range by the checks above
+    return Graph._trusted(rows_from_masks(masks, order))
 
 
 def write_system(system: BicliqueSystem) -> str:
     lines = [f"bicliquesystem {system.host_order} {len(system)} {system.multiplicity_bound}"]
-    vertices, bounds = system.vertices, system.bounds.tolist()
+    # one string per distinct vertex, never one per host vertex (the host
+    # order may be 2**31 - 1); the stable sort is the verifier's, so a small
+    # run pages in no second sort's code, as np.unique would
+    order = system.vertices.argsort(kind="stable")
+    ordered = system.vertices[order]
+    runs = np.flatnonzero(np.diff(ordered, prepend=-1))  # where each distinct vertex begins
+    names = np.array([str(v) for v in ordered[runs].tolist()], dtype=object)
+    tokens = np.empty(len(order), dtype=object)
+    tokens[order] = names.repeat(np.diff(runs, append=len(order)))
+    tokens = tokens.tolist()
+    bounds = system.bounds.tolist()
     for start, split, end in zip(bounds[:-1:2], bounds[1::2], bounds[2::2]):
-        left = " ".join(map(str, vertices[start:split].tolist()))
-        right = " ".join(map(str, vertices[split:end].tolist()))
-        lines.append(f"part {left} : {right}")
+        lines.append(f"part {' '.join(tokens[start:split])} : {' '.join(tokens[split:end])}")
     return "\n".join(lines) + "\n"
 
 

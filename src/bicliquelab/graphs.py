@@ -18,27 +18,10 @@ from typing import Any
 import numpy as np
 
 from .errors import PartError
+from .packed import BITS, WORD, count_chunk, pack_rows, plane_max, rows_from_masks, unpack_rows
 
-# Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
-# word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
-# past the last vertex are always zero, so rows compare and count directly.
-_WORD = np.dtype("<u8")
 _BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
 _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
-_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=_WORD), dtype=_WORD)  # word with bit i set
-
-
-def pack_rows(dense: np.ndarray) -> np.ndarray:
-    """Bool rows of length n packed into ``ceil(n / 64)`` little-endian uint64 words each."""
-    count, n = dense.shape
-    packed = np.zeros((count, (n + 63) // 64), dtype=_WORD)
-    packed.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
-    return packed
-
-
-def _unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bits of each packed row, as bool rows (inverse of :func:`pack_rows`)."""
-    return np.unpackbits(packed.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
 
 
 class Graph:
@@ -71,7 +54,7 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls._trusted(np.zeros((n, (n + 63) // 64), dtype=_WORD))
+        return cls._trusted(np.zeros((n, (n + 63) // 64), dtype=WORD))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -103,9 +86,7 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        width = 8 * ((n + 63) // 64)
-        packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-        return cls._trusted(np.frombuffer(packed, dtype=_WORD).reshape(n, width // 8))
+        return cls._trusted(rows_from_masks(masks, n))
 
     @property
     def order(self) -> int:
@@ -119,7 +100,7 @@ class Graph:
     @property
     def adjacency(self) -> np.ndarray:
         """Read-only bool adjacency matrix, unpacked from the rows on each call."""
-        return _frozen(_unpack_rows(self._rows, self.order))
+        return _frozen(unpack_rows(self._rows, self.order))
 
     def edge_count(self) -> int:
         return int(np.bitwise_count(self._rows).sum()) // 2
@@ -145,7 +126,7 @@ class Graph:
         n = self.order
         band = max(1, _BAND_BYTES // max(n, 1))
         for lo in range(0, n, band):
-            block = _unpack_rows(self._rows[lo : lo + band], n)
+            block = unpack_rows(self._rows[lo : lo + band], n)
             for r in range(len(block)):
                 block[r, : lo + r + 1] = False  # keep the columns above the diagonal
             u, v = np.divmod(np.flatnonzero(block), n)
@@ -155,18 +136,18 @@ class Graph:
         n = self.order
         rows = ~self._rows
         if n % 64:
-            rows[:, -1] &= _BITS[n % 64] - np.uint64(1)
+            rows[:, -1] &= BITS[n % 64] - np.uint64(1)
         # the diagonal bits of rows 64k..64k+63 sit in word k, one row apart
         flat, words = rows.reshape(-1), rows.shape[1]
         for k in range(words):
             diagonal = flat[k * (64 * words + 1) :: words][: min(64, n - 64 * k)]
-            diagonal &= ~_BITS[: len(diagonal)]
+            diagonal &= ~BITS[: len(diagonal)]
         return Graph._trusted(rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         vs = np.array(vertices, dtype=np.int64)
         self._check_vertices(vs.tolist())
-        return Graph._trusted(pack_rows(_unpack_rows(self._rows[vs], self.order)[:, vs]))
+        return Graph._trusted(pack_rows(unpack_rows(self._rows[vs], self.order)[:, vs]))
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor sets packed into Python int bitmasks (bit v = vertex v)."""
@@ -473,12 +454,27 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     band of rows starting at vertex ``lo`` keeps only the columns from word
     ``lo // 64`` on, which halves memory and work: every unordered pair,
     and the first bad pair in row-major order (whose row is below its
-    column), is still seen.  Masks are built for a bounded chunk of parts
-    at a time, so the extra memory is about (planes + 1) * n*n/16 bytes,
-    a few bounded buffers, and index arrays linear in the vertex-part
-    incidences; there is no per-pair count array.  A part is a biclique
-    iff it covers no non-edge, so (i) is settled from the counters, and
-    the part witness is searched only when some non-edge is covered.
+    column), is still seen.
+
+    A band adds its incidences in rounds: round j adds to each row with
+    more than j incidences its j-th mask, by one ripple of half adders
+    between two scratch buffers that are made once per band and belong to
+    the call, so concurrent calls share no state.  Once only a few narrow
+    rows are left with many rounds to go, a tail step sums each remaining
+    row's masks at once with exact integer arithmetic and the same sticky
+    overflow, so a pair in 65,537 parts costs no 65,537 ripples.
+
+    Masks are built for a bounded chunk of parts at a time, so the extra
+    memory is about (planes + 1) * n*n/16 bytes for the counters; the
+    chunk's mask table (about ``_MASK_BYTES``), which drops each band's
+    leading columns in place; a band copy of the counter (about
+    ``_BAND_BYTES`` per plane); the two round buffers and the tail step's
+    chunks (about ``_BAND_BYTES`` each); and index arrays linear in the
+    vertex-part incidences.  There is no per-pair count array.
+
+    A part is a biclique iff it covers no non-edge, so (i) is settled from
+    the counters, and the part witness is searched only when some non-edge
+    is covered.
     """
     if system.host_order != graph.order:
         raise ValueError(
@@ -498,18 +494,21 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     digits = t.bit_length()
     bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
     # plane k starts as bit k of the bias in every position: all ones or zeros
-    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(_WORD)
+    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(WORD)
     band = max(1, _BAND_BYTES // (8 * max(words, 1)))
     # one counter per band of rows, holding the columns from the band's
     # first row on (see above); the last plane is the overflow
     counters = []
     for lo in range(0, n, band):
-        counter = np.empty((digits + 1, min(band, n - lo), words - lo // 64), dtype=_WORD)
+        counter = np.empty((digits + 1, min(band, n - lo), words - lo // 64), dtype=WORD)
         counter[...] = fill[:, None, None]
         counters.append(counter)
+    # a chunk's side masks: at most _MASK_BYTES / 8 words, or two rows of
+    # under 2**25 words each (vertex ids are int32)
     chunk = max(1, _MASK_BYTES // (16 * max(words, 1)))
     for lo in range(0, len(system), chunk):
-        _count_chunk(counters, system.bounds[2 * lo : 2 * (lo + chunk) + 1], system.vertices, band)
+        bounds = system.bounds[2 * lo : 2 * (lo + chunk) + 1]
+        count_chunk(counters, bounds, system.vertices, band, _BAND_BYTES)
 
     first_bad = None
     max_mult = 0
@@ -527,7 +526,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
             r = int(np.flatnonzero(bad.any(axis=1))[0])
             v = int(np.flatnonzero(np.unpackbits(bad[r].view(np.uint8), bitorder="little"))[0])
             first_bad = (lo + r, 64 * first + v)
-        max_mult = max(max_mult, _plane_max(planes) - bias)
+        max_mult = max(max_mult, plane_max(planes) - bias)
 
     if first_bad is not None:
         u, v = first_bad
@@ -556,78 +555,6 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     )
 
 
-def _count_chunk(
-    counters: list[np.ndarray], bounds: np.ndarray, vertices: np.ndarray, band: int
-) -> None:
-    """Add the pair incidences of the parts with side ``bounds`` into the per-band ``counters``."""
-    words = counters[0].shape[2]
-    verts = vertices[bounds[0] : bounds[-1]]
-    sizes = np.diff(bounds)
-    side_of = np.arange(len(sizes), dtype=np.int32).repeat(sizes)
-    # side 2i is part i's left, 2i+1 its right; a side's vertices are
-    # distinct, so adding bits ORs them
-    masks = np.zeros((len(sizes), words), dtype=_WORD)
-    np.add.at(
-        masks.reshape(-1),
-        side_of * np.int64(words) + (verts >> 6),
-        np.left_shift(1, (verts & 63).astype(_WORD), dtype=_WORD),
-    )
-    # every vertex receives the mask of the opposite side of each of its parts
-    order = verts.argsort(kind="stable")
-    verts, opposite = verts[order], (side_of ^ 1)[order]
-    bounds = np.searchsorted(verts, np.arange(0, len(counters) * band + 1, band))
-    for i, counter in enumerate(counters):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo < hi:
-            start = i * band
-            _count_band(counter, verts[lo:hi] - start, opposite[lo:hi], masks[:, start // 64 :])
-
-
-def _count_band(
-    counter: np.ndarray, verts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray
-) -> None:
-    """Add ``masks[mask_ids[i]]`` into row ``verts[i]`` of ``counter``, for all i.
-
-    ``verts`` is sorted.  Rows are ordered by decreasing incidence count,
-    so round j adds the j-th mask of each of the first ``active[j]`` rows,
-    a contiguous prefix.  Each round adds one mask per row with one ripple
-    of half adders up the planes; the carry out of the top plane goes to
-    the sticky overflow plane.
-    """
-    counts = np.bincount(verts)
-    degree = counts[counts.nonzero()[0]]
-    rank = np.arange(len(verts)) - (degree.cumsum() - degree).repeat(degree)
-    # by round, then by decreasing degree; the sort is stable, so ties keep row order
-    order = np.lexsort((-degree.repeat(degree), rank))
-    mask_ids = mask_ids[order]
-    rows = verts[order[: len(degree)]]
-    active = len(degree) - np.bincount(degree).cumsum()[:-1]
-
-    local = counter[:, rows]
-    lo = 0
-    for c in active.tolist():
-        carry = masks[mask_ids[lo : lo + c]]
-        for plane in local[:-1]:
-            plane = plane[:c]
-            both = plane & carry
-            plane ^= carry
-            carry = both
-        local[-1, :c] |= carry
-        lo += c
-    counter[:, rows] = local
-
-
-def _plane_max(planes: np.ndarray) -> int:
-    """Largest value held in the bit-sliced counter ``planes``, overflow aside."""
-    value, candidates = 0, None
-    for k in reversed(range(len(planes))):
-        hit = planes[k] if candidates is None else candidates & planes[k]
-        if hit.any():
-            value |= 1 << k
-            candidates = hit
-    return value
-
-
 def _non_biclique_part(graph: Graph, system: BicliqueSystem, params: dict) -> Certificate:
     """Fail on the lowest-numbered part whose block holds a non-edge.
 
@@ -637,13 +564,13 @@ def _non_biclique_part(graph: Graph, system: BicliqueSystem, params: dict) -> Ce
     for i in range(len(system)):
         b = system[i]
         right = np.array(b.right, dtype=np.int64)
-        mask = np.zeros(graph.rows.shape[1], dtype=_WORD)
-        np.bitwise_or.at(mask, right >> 6, _BITS[right & 63])
+        mask = np.zeros(graph.rows.shape[1], dtype=WORD)
+        np.bitwise_or.at(mask, right >> 6, BITS[right & 63])
         rows = graph.rows[list(b.left)]
         missing = (mask & ~rows).any(axis=1)
         if missing.any():
             r = int(np.flatnonzero(missing)[0])
-            c = int(np.flatnonzero(~_unpack_rows(rows[r], graph.order)[right])[0])
+            c = int(np.flatnonzero(~unpack_rows(rows[r], graph.order)[right])[0])
             return Certificate(
                 claim="biclique-system",
                 parameters=params,
@@ -699,9 +626,9 @@ def or_product(g: Graph, h: Graph) -> Graph:
     so no n×n bool array is ever held.
     """
     size = g.order * h.order
-    rows = np.empty((size, (size + 63) // 64), dtype=_WORD)
+    rows = np.empty((size, (size + 63) // 64), dtype=WORD)
     hadj = h.adjacency
     for a in range(g.order):
-        band = _unpack_rows(g.rows[a], g.order)[None, :, None] | hadj[:, None, :]
+        band = unpack_rows(g.rows[a], g.order)[None, :, None] | hadj[:, None, :]
         rows[a * h.order : (a + 1) * h.order] = pack_rows(band.reshape(h.order, size))
     return Graph._trusted(rows)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import BicliqueSystem, Graph, or_product, pack_rows, star_partition
+from .graphs import BicliqueSystem, Graph, or_product, star_partition
+from .packed import pack_rows
 
 GridPoint = tuple[int, ...]
 

@@ -95,6 +95,12 @@ class TestExitCodes:
         assert err.startswith("resource limit:")
         assert "Traceback" not in err
 
+    def test_pair_limit_flag(self):
+        code, out, err = run_cli("--pair-limit", "10", "suite", "clis")
+        assert code == 3
+        assert "pair_limit exceeded" in err
+        assert "Traceback" not in err
+
     def test_vertex_limit_flag(self):
         code, _, _ = run_cli("--vertex-limit", "10", "demo", "--n", "2")
         assert code == 3

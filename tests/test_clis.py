@@ -282,3 +282,24 @@ class TestPairGraph:
     def test_pair_limit(self):
         with pytest.raises(ResourceLimitError):
             build_pair_graph(Graph.empty(4), pair_limit=10)
+
+    def test_pair_limit_refuses_before_enumerating(self):
+        # 2**18 independent sets and 2,621,440 pairs: the refusal comes once
+        # the independent sets pass the limit, not after forming the pairs
+        with pytest.raises(ResourceLimitError) as exc:
+            build_pair_graph(Graph.empty(18), pair_limit=10)
+        assert exc.value.limit_name == "pair_limit"
+        assert exc.value.requested == 11
+
+    def test_pair_count_is_exact(self):
+        # when both families fit, the refusal names the exact pair count,
+        # and a limit equal to that count is admitted
+        for gamma in graphs_up_to(4):
+            count = len(disjoint_pairs(gamma))
+            pair_graph, _ = build_pair_graph(gamma, pair_limit=count)
+            assert pair_graph.order == count
+            families = len(all_cliques(gamma)), len(all_independent_sets(gamma))
+            if max(families) < count:
+                with pytest.raises(ResourceLimitError) as exc:
+                    build_pair_graph(gamma, pair_limit=count - 1)
+                assert exc.value.requested == count

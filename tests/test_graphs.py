@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicliquelab import graphs
+from bicliquelab import graphs, packed
 from bicliquelab.corpus import graphs_up_to, random_graph
 from bicliquelab.graphs import (
     Biclique,
@@ -461,6 +461,27 @@ def _one_part_per_edge(graph, t, rng):
     return BicliqueSystem(graph.order, tuple(parts), t)
 
 
+def _deep_cover(n, t, rng):
+    """A system where two hub rows lie in hundreds of parts and the other
+    rows in a few, with its host graph (the union of its parts).
+
+    The hubs' shared edge is covered 256 times and each hub's edges to the
+    other vertices 100-300 times in all, so counts land on both sides of a
+    bound t near 256.
+    """
+    hubs = rng.sample(range(n), 2)
+    rest = [v for v in range(n) if v not in hubs]
+    parts = [Biclique((hubs[0],), (hubs[1],))] * 256
+    for hub in hubs:
+        parts += [Biclique((hub,), (rng.choice(rest),)) for _ in range(rng.randrange(100, 300))]
+    for _ in range(len(rest) // 2):
+        vs = rng.sample(rest, rng.randrange(2, 5))
+        parts.append(Biclique(tuple(vs[:1]), tuple(vs[1:])))
+    rng.shuffle(parts)
+    edges = {(min(u, v), max(u, v)) for b in parts for u in b.left for v in b.right}
+    return Graph.from_edges(n, sorted(edges)), BicliqueSystem(n, tuple(parts), t)
+
+
 def _mutants(graph, system, rng):
     """Drop, duplicate, foreign vertex, non-edge part, deleted host edge."""
     n, parts, t = system.host_order, list(system.parts), system.multiplicity_bound
@@ -561,6 +582,32 @@ class TestVerifyDifferential:
             graph = random_graph(n, 0.02 + 0.1 * rng.random(), rng)
             for t in (1, 2, 3):
                 self._check_with_mutants(graph, _one_part_per_edge(graph, t, rng), rng)
+
+    def test_deep_rows(self):
+        # the deep rows' late rounds go to the tail step; t = 255, 256, 257
+        # take 8, 9 and 9 planes, with bias 0, 255 and 254
+        rng = random.Random(2561)
+        for n in (3, 65, 130):
+            for t in (255, 256, 257):
+                graph, system = _deep_cover(n, t, rng)
+                self._check_with_mutants(graph, system, rng)
+
+    def test_tail_starts_partway_through_a_band(self, monkeypatch):
+        # shallow rows finish in the rounds and the hubs in the tail step,
+        # all in one band's counter
+        switches = []
+        tail_round = packed._tail_round
+
+        def spy(active, *args):
+            switches.append((tail_round(active, *args), len(active)))
+            return switches[-1][0]
+
+        monkeypatch.setattr(packed, "_tail_round", spy)
+        # hundreds of shallow rows keep the first rounds cheaper than the
+        # tail step, even in one wide band
+        graph, system = _deep_cover(700, 256, random.Random(4099))
+        self._check(graph, system)
+        assert any(0 < tail < rounds for tail, rounds in switches)
 
     def test_star_partitions(self):
         rng = random.Random(1002)
