@@ -5,15 +5,14 @@ Everything here is exact or it raises: resource guards produce explicit
 always returned alongside values so callers can re-verify them without
 trusting the search.
 
-Solvers use Python-int bitmasks for vertex sets (bit v = vertex v), which
-keeps the branch-and-bound loops allocation-free.
+Solvers use Python-int bitmasks for vertex sets (bit v = vertex v), so a
+search node costs a few integer operations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -198,60 +197,77 @@ def _dsatur(masks: list[int], k: int) -> list[int] | None:
     """Backtracking DSATUR (Brelaz 1979): a proper coloring with at most k
     colors, or None if there is none.
 
-    The next vertex has the most distinct neighbour colors, then the highest
-    degree, then the lowest index.  Colors are tried in order and a new one
-    only after every used one, so with k = n nothing backtracks and the
-    result is DSATUR's greedy coloring.
+    The next vertex sees the most colors, then has the highest degree, then
+    the lowest index: with vertices relabelled in degree order, the lowest
+    bit of the top nonempty ``by_sat`` class.  Coloring v with c moves v's
+    uncolored neighbours that lacked c up one class.  A new color comes only
+    after every used one, so with k = n the result is the greedy coloring.
     """
     n = len(masks)
-    degree = [m.bit_count() for m in masks]
-    colors = [-1] * n
-    classes: list[int] = []  # vertex mask of each color
-
-    def saturation(u: int) -> int:
-        return sum(1 for members in classes if members & masks[u])
+    order = sorted(range(n), key=lambda u: (-masks[u].bit_count(), u))
+    label = sorted(range(n), key=order.__getitem__)  # inverse of order
+    adj = [_mask_of(label[w] for w in _iter_bits(masks[u])) for u in order]
+    colors = [-1] * n  # by label
+    near: list[int] = []  # near[c]: vertices with a neighbour of color c
+    by_sat = [(1 << n) - 1] + [0] * k  # by_sat[s]: uncolored, seeing s colors
 
     def bt(uncolored: int) -> bool:
         if not uncolored:
             return True
-        v = max(_iter_bits(uncolored), key=lambda u: (saturation(u), degree[u], -u))
-        rest = uncolored & ~(1 << v)
-        used = len(classes)
+        used = s = len(near)
+        while not by_sat[s]:
+            s -= 1
+        bit = by_sat[s] & -by_sat[s]
+        v = bit.bit_length() - 1
+        by_sat[s] ^= bit
+        saved = by_sat[:]
         for c in range(min(used + 1, k)):
             if c == used:
-                classes.append(0)
-            elif classes[c] & masks[v]:
+                near.append(0)
+            elif near[c] & bit:
                 continue
-            classes[c] |= 1 << v
+            gain = adj[v] & uncolored & ~near[c]
+            for r in range(s, -1, -1):  # top down: each vertex moves once
+                moving = by_sat[r] & gain
+                by_sat[r] ^= moving
+                by_sat[r + 1] |= moving
+            near[c], before = near[c] | adj[v], near[c]
             colors[v] = c
-            if bt(rest):
+            if bt(uncolored ^ bit):
                 return True
-            classes[c] &= ~(1 << v)
-        del classes[used:]
+            near[c] = before
+            by_sat[:] = saved
+        del near[used:]
+        by_sat[s] |= bit
         return False
 
     found = bt((1 << n) - 1)
-    # bt's closure refers to bt; deleting it breaks that cycle, so the search
-    # state is freed now and not at the next cyclic garbage collection.
-    del bt
-    return colors if found else None
+    del bt  # break bt's reference cycle, so its state is freed now
+    return [colors[i] for i in label] if found else None
 
 
 def _all_bicliques(graph: Graph) -> list[Biclique]:
-    """Every biclique of the graph, deduplicated across side swaps, in a
-    deterministic order (each vertex goes left, right, or out)."""
-    n = graph.order
+    """Every biclique, deduplicated across side swaps, in the order of the
+    assignments (each vertex left, right or out; vertex 0 first).  The right
+    sides of L are the submasks of its common neighbourhood above its lowest
+    vertex; the sort key spells the assignment in base 4.
+    """
+    n, full = graph.order, (1 << graph.order) - 1
     masks = graph.neighbor_masks()
-    out = []
-    for assign in product((0, 1, 2), repeat=n):
-        left = [v for v in range(n) if assign[v] == 0]
-        right = [v for v in range(n) if assign[v] == 1]
-        if not left or not right or left[0] > right[0]:
-            continue
-        right_mask = _mask_of(right)
-        if all(masks[u] & right_mask == right_mask for u in left):
-            out.append(Biclique(tuple(left), tuple(right)))
-    return out
+    spread = [0] * (1 << n)  # spread[m]: digit 1 at each vertex of m
+    common = [full] + [0] * full  # common[L]: vertices adjacent to all of L
+    found = []
+    for left in range(1, 1 << n):
+        low = left & -left
+        v = low.bit_length() - 1
+        spread[left] = spread[left ^ low] | 1 << 2 * (n - 1 - v)
+        common[left] = common[left ^ low] & masks[v]
+        right = rights = common[left] & -(low << 1)
+        while right:
+            found.append((left, right))
+            right = (right - 1) & rights
+    found.sort(key=lambda lr: 2 * spread[full ^ lr[0] ^ lr[1]] + spread[lr[1]])
+    return [Biclique._trusted(tuple(_iter_bits(l)), tuple(_iter_bits(r))) for l, r in found]
 
 
 def min_biclique_partition(
@@ -275,10 +291,7 @@ def min_biclique_partition(
     eidx = {e: i for i, e in enumerate(edges)}
     bicliques = _all_bicliques(graph)
     sets = [sum(1 << eidx[e] for e in b.edges()) for b in bicliques]
-    owners: list[list[int]] = [[] for _ in edges]
-    for bi, m in enumerate(sets):
-        for e in _iter_bits(m):
-            owners[e].append(bi)
+    owners = [[bi for bi, m in enumerate(sets) if m >> e & 1] for e in range(len(edges))]
     chosen = _min_cover(sets, owners, t)
     return len(chosen), BicliqueSystem(n, tuple(bicliques[i] for i in chosen), t)
 
@@ -287,43 +300,37 @@ def _min_cover(sets: list[int], owners: list[list[int]], t: int | None) -> list[
     """Exact minimum cover of the elements 0..len(owners)-1 by bitmask ``sets``,
     as a list of set indices, via iterative deepening.
 
-    Each node branches on the lowest uncovered element, over ``owners[e]`` (the
-    sets holding e) in order, and skips any set that would put an element in
-    more than ``t`` chosen sets (``None``: no cap).  The witness is the first
-    optimum in this order, so reruns are bit-stable.
+    Each node branches on the lowest uncovered element, over ``owners[e]`` in
+    order, and skips a set that would put an element in more than ``t``
+    chosen sets (``None``: no cap): ``level[k]`` holds the elements in more
+    than k chosen sets.  The witness is the first optimum in this order.
     """
-    universe = (1 << len(owners)) - 1
     max_size = max(m.bit_count() for m in sets)
-    counts = [0] * len(owners)
 
-    def dfs(covered: int, depth: int, limit: int, chosen: list[int]) -> list[int] | None:
-        remaining = universe & ~covered
-        if remaining == 0:
-            return list(chosen)
-        if depth == limit or depth + (remaining.bit_count() + max_size - 1) // max_size > limit:
-            return None
+    def dfs(remaining: int, room: int, chosen: list[int], level: list[int]) -> list[int] | None:
+        # room: sets this branch may still take; enter only children that fit
         e = (remaining & -remaining).bit_length() - 1
         for i in owners[e]:
             m = sets[i]
-            if t is not None and any(counts[j] >= t for j in _iter_bits(m)):
+            if level and m & level[-1]:
                 continue
-            for j in _iter_bits(m):
-                counts[j] += 1
+            rest = remaining & ~m
+            if not rest:
+                return chosen + [i]
+            if (rest.bit_count() + max_size - 1) // max_size >= room:
+                continue
             chosen.append(i)
-            res = dfs(covered | m, depth + 1, limit, chosen)
+            # m lifts its elements one level; every element is below level 0
+            res = dfs(rest, room - 1, chosen, [hi | lo & m for lo, hi in zip([-1] + level, level)])
             chosen.pop()
-            for j in _iter_bits(m):
-                counts[j] -= 1
             if res is not None:
                 return res
         return None
 
-    limit = 1
-    while (res := dfs(0, 0, limit, [])) is None:
+    limit = (len(owners) + max_size - 1) // max_size
+    while (res := dfs((1 << len(owners)) - 1, limit, [], [0] * (t or 0))) is None:
         limit += 1
-    # dfs's closure refers to dfs; deleting it breaks that cycle, so the
-    # search state is freed now
-    del dfs
+    del dfs  # break dfs's reference cycle, so its state is freed now
     return res
 
 
@@ -344,14 +351,7 @@ def _maximal_rectangles(
     r, c = mat.shape
     if 1 << r > budget:
         raise ResourceLimitError("rectangle_budget", budget, 1 << r)
-    # column mask of allowed columns per row
-    row_cols = []
-    for i in range(r):
-        m = 0
-        for j in range(c):
-            if mat[i, j] == value:
-                m |= 1 << j
-        row_cols.append(m)
+    row_cols = [_mask_of(np.flatnonzero(row == value).tolist()) for row in mat]
     fullcols = (1 << c) - 1
     seen: set[tuple[int, int]] = set()
     rects: list[Rectangle] = []
@@ -361,16 +361,11 @@ def _maximal_rectangles(
             cols &= row_cols[i]
         if cols == 0:
             continue
-        rows = 0
-        for i in range(r):
-            if row_cols[i] & cols == cols:
-                rows |= 1 << i
-        key = (rows, cols)
-        if key in seen:
+        rows = _mask_of(i for i in range(r) if row_cols[i] & cols == cols)
+        if (rows, cols) in seen:
             continue
-        seen.add(key)
-        rr = tuple(_iter_bits(rows))
-        cc = tuple(_iter_bits(cols))
+        seen.add((rows, cols))
+        rr, cc = tuple(_iter_bits(rows)), tuple(_iter_bits(cols))
         rects.append((cc, rr) if transposed else (rr, cc))
     return rects
 

@@ -119,9 +119,9 @@ def _count_band(
     local = counter.take(rows, axis=1)
     gathered = np.empty((len(rows), width), dtype=WORD)
     spare = np.empty_like(gathered)
-    for j, c in enumerate(active[:tail].tolist()):
-        np.take(masks, mask_ids[starts[j] : starts[j] + c], axis=0, out=gathered[:c], mode="clip")
+    for lo, c in zip(starts.tolist(), active[:tail].tolist()):
         carry, both = gathered[:c], spare[:c]
+        masks.take(mask_ids[lo : lo + c], axis=0, out=carry, mode="clip")
         for plane in local[:-1, :c]:
             np.bitwise_and(plane, carry, out=both)
             plane ^= carry
@@ -145,8 +145,11 @@ def _tail_round(
     which cost one call per ``_CALL_BYTES``.  The tail starts at the first
     round from which it is cheaper than the rounds left: once few narrow
     rows are left with many rounds to go.  Wide bands never take it, since
-    a word costs the tail step far more than a round.
+    a word costs the tail step far more than a round.  The tail step makes
+    at least 20 calls, so a band of few rounds never takes it.
     """
+    if planes * len(active) <= 10:
+        return len(active)
     rounds_left = len(active) - np.arange(len(active))
     bytes_left = (starts[-1] - starts[:-1]) * (64 * width)
     chunks = bytes_left // scratch + active

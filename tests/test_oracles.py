@@ -7,10 +7,12 @@ sets directly, sharing no code with the branch-and-bound paths they check.
 import gc
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliquelab.corpus import graphs_up_to, random_graph
 from bicliquelab.errors import ResourceLimitError
@@ -18,6 +20,9 @@ from bicliquelab.formats import write_system
 from bicliquelab.graphs import Biclique, BicliqueSystem, Graph, or_product, star_partition, verify_biclique_system
 from bicliquelab.oracles import (
     BoolMatrix,
+    _all_bicliques,
+    _dsatur,
+    _min_cover,
     chromatic_number,
     independence_at_most,
     independence_number,
@@ -157,8 +162,6 @@ class TestMinBicliquePartition:
 
     def test_k4_floor_cross_checked(self):
         # independent exhaustive check that 2 parts cannot partition K4
-        from bicliquelab.oracles import _all_bicliques
-
         assert brute_min_cover_of_k4_is_not_two_at_t1(_all_bicliques(Graph.complete(4)))
         assert min_biclique_partition(Graph.complete(4))[0] == 3
 
@@ -375,3 +378,171 @@ class TestSearchStateFreed:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# Reference copies of the searches as they were before they kept their state
+# incrementally: each node rescans what its parent knew.  The searches must
+# return exactly what these return, refutations and search order included.
+
+
+def reference_dsatur(masks: list[int], k: int) -> list[int] | None:
+    """DSATUR that recounts every uncoloured vertex's saturation at every node."""
+    n = len(masks)
+    degree = [m.bit_count() for m in masks]
+    colors = [-1] * n
+    classes: list[int] = []
+
+    def saturation(u: int) -> int:
+        return sum(1 for members in classes if members & masks[u])
+
+    def bt(uncolored: int) -> bool:
+        if not uncolored:
+            return True
+        v = max(
+            (u for u in range(n) if uncolored >> u & 1), key=lambda u: (saturation(u), degree[u], -u)
+        )
+        rest = uncolored & ~(1 << v)
+        used = len(classes)
+        for c in range(min(used + 1, k)):
+            if c == used:
+                classes.append(0)
+            elif classes[c] & masks[v]:
+                continue
+            classes[c] |= 1 << v
+            colors[v] = c
+            if bt(rest):
+                return True
+            classes[c] &= ~(1 << v)
+        del classes[used:]
+        return False
+
+    return colors if bt((1 << n) - 1) else None
+
+
+def reference_all_bicliques(g: Graph) -> list[Biclique]:
+    """Every biclique, by walking all 3^n left/right/out assignments in product order."""
+    masks = g.neighbor_masks()
+    out = []
+    for assign in product((0, 1, 2), repeat=g.order):
+        left = [v for v in range(g.order) if assign[v] == 0]
+        right = [v for v in range(g.order) if assign[v] == 1]
+        if not left or not right or left[0] > right[0]:
+            continue
+        right_mask = sum(1 << v for v in right)
+        if all(masks[u] & right_mask == right_mask for u in left):
+            out.append(Biclique(tuple(left), tuple(right)))
+    return out
+
+
+def reference_min_cover(sets: list[int], owners: list[list[int]], t: int | None) -> list[int]:
+    """Iterative-deepening exact cover that keeps the multiplicity cap as a
+    per-element count list, tested and updated one element at a time."""
+    universe = (1 << len(owners)) - 1
+    max_size = max(m.bit_count() for m in sets)
+    counts = [0] * len(owners)
+
+    def members(m: int) -> list[int]:
+        return [j for j in range(len(owners)) if m >> j & 1]
+
+    def dfs(covered: int, depth: int, limit: int, chosen: list[int]) -> list[int] | None:
+        remaining = universe & ~covered
+        if remaining == 0:
+            return list(chosen)
+        if depth == limit or depth + (remaining.bit_count() + max_size - 1) // max_size > limit:
+            return None
+        e = (remaining & -remaining).bit_length() - 1
+        for i in owners[e]:
+            m = sets[i]
+            if t is not None and any(counts[j] >= t for j in members(m)):
+                continue
+            for j in members(m):
+                counts[j] += 1
+            chosen.append(i)
+            res = dfs(covered | m, depth + 1, limit, chosen)
+            chosen.pop()
+            for j in members(m):
+                counts[j] -= 1
+            if res is not None:
+                return res
+        return None
+
+    limit = 1
+    while (res := dfs(0, 0, limit, [])) is None:
+        limit += 1
+    return res
+
+
+def biclique_cover_sets(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """The edge sets of every biclique and each edge's owners, as min_biclique_partition builds them."""
+    eidx = {e: i for i, e in enumerate(g.edges())}
+    sets = [sum(1 << eidx[e] for e in b.edges()) for b in _all_bicliques(g)]
+    return sets, [[i for i, m in enumerate(sets) if m >> e & 1] for e in range(len(eidx))]
+
+
+@st.composite
+def small_graphs(draw, min_order: int = 6, max_order: int = 8, max_edges: int | None = None):
+    n = draw(st.integers(min_order, max_order))
+    pairs = list(combinations(range(n), 2))
+    if not pairs:
+        return Graph.empty(n)
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)))
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestSearchesMatchReferences:
+    """The incremental searches return byte for byte what the rescanning
+    references return, on every graph up to 5 vertices and on random graphs
+    of 6 to 8 vertices."""
+
+    @staticmethod
+    def _check_dsatur(g: Graph) -> None:
+        masks = g.neighbor_masks()
+        colorings = [_dsatur(masks, k) for k in range(g.order + 1)]
+        assert colorings == [reference_dsatur(masks, k) for k in range(g.order + 1)]
+        # refuted from the clique number up to chi - 1, found from chi on
+        chi = chromatic_number(g)[0]
+        assert [k for k, c in enumerate(colorings) if c is None] == list(range(chi))
+
+    @staticmethod
+    def _check_min_cover(g: Graph) -> None:
+        if not g.edge_count():
+            return
+        sets, owners = biclique_cover_sets(g)
+        for t in (1, 2, 3, None):
+            assert _min_cover(sets, owners, t) == reference_min_cover(sets, owners, t)
+
+    def test_every_small_graph(self):
+        for g in graphs_up_to(5):
+            self._check_dsatur(g)
+            assert _all_bicliques(g) == reference_all_bicliques(g)
+            self._check_min_cover(g)
+
+    @_PROPERTY
+    @given(small_graphs())
+    def test_dsatur(self, g):
+        self._check_dsatur(g)
+
+    @_PROPERTY
+    @given(small_graphs())
+    def test_all_bicliques(self, g):
+        assert _all_bicliques(g) == reference_all_bicliques(g)
+
+    @_PROPERTY
+    @given(small_graphs(max_edges=12))
+    def test_min_cover(self, g):
+        self._check_min_cover(g)
+
+
+class TestIndependenceAtMost:
+    @_PROPERTY
+    @given(small_graphs(min_order=1, max_order=12))
+    def test_agrees_with_independence_number(self, g):
+        alpha = independence_number(g)[0]
+        for bound in range(g.order + 1):
+            ok, witness = independence_at_most(g, bound)
+            assert ok == (alpha <= bound)
+            if not ok:
+                assert len(set(witness)) == bound + 1
+                assert not any(g.has_edge(u, v) for u, v in combinations(witness, 2))
