@@ -16,7 +16,6 @@ from .cube import (
     Subcube,
     admissible_set,
     decompose_admissible_set,
-    diff_pattern,
     edge_triple_subcubes,
     three_cube_nonconstant,
     verify_subcube_partition,
@@ -53,7 +52,6 @@ from .oracles import (
     min_rectangle_cover,
 )
 from .algebra import (
-    intersection_graph,
     peck_bound,
     rank_certificate,
     split_intersection,
@@ -70,7 +68,6 @@ from .clis import (
     canonical_instance,
     characteristic_vectors,
     chi_lower_bound_check,
-    disjoint_pairs,
     full_instance,
     yannakakis_protocol,
 )
@@ -106,8 +103,6 @@ __all__ = [
     "chi_lower_bound_check",
     "chromatic_number",
     "decompose_admissible_set",
-    "diff_pattern",
-    "disjoint_pairs",
     "edge_triple_subcubes",
     "full_instance",
     "grid_graph",
@@ -115,7 +110,6 @@ __all__ = [
     "grid_graph_piece",
     "independence_at_most",
     "independence_number",
-    "intersection_graph",
     "min_biclique_partition",
     "min_rectangle_cover",
     "or_product",

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
+from .packed import WORD, pack_rows, unpack_rows
 
 SIGN_RULES = ("odd-positive", "even-positive")
 
@@ -72,16 +73,6 @@ def _check_indices(cover: BicliqueSystem, indices: Iterable[int]) -> tuple[int, 
     if idx[0] < 1 or idx[-1] > len(cover):
         raise ValueError(f"part indices must lie in 1..{len(cover)}, got {idx}")
     return idx
-
-
-def intersection_graph(cover: BicliqueSystem, indices: Iterable[int]) -> Graph:
-    """Graph of the pairs covered by *every* part named in ``indices`` (1-based)."""
-    idx = _check_indices(cover, indices)
-    edges: set[tuple[int, int]] | None = None
-    for i in idx:
-        part_edges = set(cover[i - 1].edges())
-        edges = part_edges if edges is None else edges & part_edges
-    return Graph.from_edges(cover.host_order, sorted(edges))
 
 
 def split_intersection(cover: BicliqueSystem, indices: Iterable[int]) -> list[Biclique]:
@@ -158,9 +149,9 @@ def verify_cover_identity(
     records the rule used and the maximum absolute entry discrepancy.
 
     Each index set's intersection is the AND of its parts' symmetric 0/1
-    pair indicators (bit-packed, d*k*k/8 bytes), summed with its sign into
-    an int64 matrix, a bounded batch of index sets at a time.  Every
-    entry is bounded by 2^(min(t, d)+1); min(t, d) > 60 raises
+    pair indicators (packed rows, d*k*ceil(k/64) words), summed with its
+    sign into an int64 matrix, a bounded batch of index sets at a time.
+    Every entry is bounded by 2^(min(t, d)+1); min(t, d) > 60 raises
     ``ResourceLimitError`` before any index set is enumerated.  An unknown
     ``sign_rule`` raises ``ValueError`` before any work, even on a cover
     with no parts.
@@ -172,12 +163,12 @@ def verify_cover_identity(
     k = cover.host_order
     d = len(cover)
     t = cover.multiplicity_bound
-    # Row u of part i's indicator, packed 8 columns to a byte.
-    covers = np.zeros((d, k, (k + 7) // 8), dtype=np.uint8)
+    # row u of part i's indicator, as a packed row
+    covers = np.zeros((d, k, (k + 63) // 64), dtype=WORD)
     for i, b in enumerate(cover):
         pairs = np.zeros((k, k), dtype=bool)
         pairs[np.ix_(b.left, b.right)] = True
-        covers[i] = np.packbits(pairs | pairs.T, axis=1)
+        covers[i] = pack_rows(pairs | pairs.T)
     total = np.zeros((k, k), dtype=np.int64)
     for s in range(1, size + 1):
         sign = _sign(s, sign_rule)
@@ -188,8 +179,7 @@ def verify_cover_identity(
             common = covers[idx[:, 0]]
             for j in range(1, s):
                 common &= covers[idx[:, j]]
-            common = np.unpackbits(common, axis=2, count=k)
-            total += sign * common.sum(axis=0, dtype=np.int64)
+            total += sign * unpack_rows(common, k).sum(axis=0, dtype=np.int64)
     diff = _ones_minus_identity(k) - total
     discrepancy = int(np.abs(diff).max(initial=0))
     params = {

@@ -36,22 +36,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-SUITES = ("cube", "partition", "peck", "clis")
-
 
 @dataclass
 class RunConfig:
     """Knobs shared by the commands; all limits are positive."""
 
     vertex_limit: int = gridgraph.DEFAULT_VERTEX_LIMIT
-    power_vertex_limit: int = gridgraph.DEFAULT_POWER_VERTEX_LIMIT
     pair_limit: int = 5000
     alpha_order_limit: int = 2500
     oracle_node_budget: int | None = None
     ambiguous_edge: bool = False
 
     def __post_init__(self):
-        for name in ("vertex_limit", "power_vertex_limit", "pair_limit", "alpha_order_limit"):
+        for name in ("vertex_limit", "pair_limit", "alpha_order_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -71,8 +68,7 @@ class _Report:
         self.lines.append(f"check {label} {'pass' if passed else 'FAIL'}")
 
     def certificate(self, label: str, cert: Certificate) -> None:
-        self.ok &= cert.verdict
-        self.lines.append(f"check {label} {'pass' if cert.verdict else 'FAIL'}")
+        self.check(label, cert.verdict)
         self.lines.append("certificate " + formats.write_certificate(cert).rstrip("\n"))
 
     def text(self) -> str:
@@ -231,17 +227,16 @@ def _suite_clis(rep: _Report, config: RunConfig) -> None:
     rep.check("zero-cover-at-most-chi-up-to-3", chi_ok)
 
 
+SUITES = {
+    "cube": _suite_cube, "partition": _suite_partition, "peck": _suite_peck, "clis": _suite_clis
+}
+
+
 def cmd_suite(name: str, config: RunConfig) -> tuple[str, bool]:
     """Run one named check group and report per-check certificates."""
     rep = _Report()
     rep.line(f"suite {name}")
-    runner = {
-        "cube": _suite_cube,
-        "partition": _suite_partition,
-        "peck": _suite_peck,
-        "clis": _suite_clis,
-    }[name]
-    runner(rep, config)
+    SUITES[name](rep, config)
     return rep.text(), rep.ok
 
 
@@ -280,7 +275,7 @@ def cmd_build(what: str, n: int, t: int, config: RunConfig) -> tuple[str, bool]:
             ),
             True,
         )
-    _, cover = gridgraph.power_graph_cover(n, t, vertex_limit=config.power_vertex_limit)
+    _, cover = gridgraph.power_graph_cover(n, t)
     return formats.write_system(cover), True
 
 
@@ -290,8 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification workbench for biclique partitions, "
         "t-covers, and clique-vs-independent-set reductions.",
     )
-    parser.add_argument("--vertex-limit", type=int, default=gridgraph.DEFAULT_VERTEX_LIMIT)
-    parser.add_argument("--pair-limit", type=int, default=5000)
+    parser.add_argument("--vertex-limit", type=int, default=RunConfig.vertex_limit)
+    parser.add_argument("--pair-limit", type=int, default=RunConfig.pair_limit)
     parser.add_argument(
         "--ambiguous-edge",
         choices=("edge", "nonedge"),

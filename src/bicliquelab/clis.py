@@ -22,13 +22,14 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, cycle, islice
 
 import numpy as np
 
 from .errors import ResourceLimitError, WellDefinednessError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
-from .oracles import BoolMatrix, _iter_bits, _mask_of, chromatic_number, min_rectangle_cover
+from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
+from .packed import iter_bits, mask_of
 
 # A characteristic vector is a string over {0,1,*}: position j holds 0 if
 # vertex j is in the biclique's left part, 1 if in the right part, * otherwise.
@@ -40,7 +41,7 @@ def _side_masks(partition: BicliqueSystem) -> tuple[list[int], list[int]]:
     if partition.multiplicity_bound != 1:
         raise ValueError("characteristic vectors are defined for exact partitions (t=1)")
     parts = list(partition)
-    return [_mask_of(b.left) for b in parts], [_mask_of(b.right) for b in parts]
+    return [mask_of(b.left) for b in parts], [mask_of(b.right) for b in parts]
 
 
 def characteristic_vectors(partition: BicliqueSystem) -> list[CharVector]:
@@ -74,7 +75,7 @@ def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -
             zero = lefts[i] & lefts[j]
             if one and zero:
                 raise WellDefinednessError(
-                    i + 1, j + 1, next(_iter_bits(one)), next(_iter_bits(zero))
+                    i + 1, j + 1, next(iter_bits(one)), next(iter_bits(zero))
                 )
             if one or (not zero and ambiguous_edge):
                 edges.append((i, j))
@@ -120,7 +121,7 @@ class ClisInstance:
 
 def _members(vertices: tuple[int, ...], n: int) -> int | None:
     """The vertices as a mask, or None if one repeats or lies past n - 1."""
-    mask = _mask_of(vertices)
+    mask = mask_of(vertices)
     return mask if mask.bit_count() == len(vertices) and not mask >> n else None
 
 
@@ -138,7 +139,7 @@ def _cliques(graph: Graph) -> Iterator[tuple[int, ...]]:
     stack = [((), (1 << graph.order) - 1)]  # a clique and the vertices that extend it
     while stack:
         base, cand = stack.pop()
-        for v in _iter_bits(cand):
+        for v in iter_bits(cand):
             clique = base + (v,)
             yield clique
             # extend only by higher vertices, so each clique is built once
@@ -198,17 +199,17 @@ def chi_lower_bound_check(
     covered = 0
     masks = graph.neighbor_masks()
     for rows, cols in rects:
-        diag = _mask_of(rows) & _mask_of(cols)
+        diag = mask_of(rows) & mask_of(cols)
         if not diag:
             continue
-        if any(diag & masks[u] for u in _iter_bits(diag)):
+        if any(diag & masks[u] for u in iter_bits(diag)):
             return Certificate(
                 claim="chi-lower-bound",
                 parameters=params,
                 verdict=False,
                 witness={
                     "kind": "rectangle-set-not-independent",
-                    "vertices": list(_iter_bits(diag)),
+                    "vertices": list(iter_bits(diag)),
                 },
             )
         diag_sets += 1
@@ -220,7 +221,7 @@ def chi_lower_bound_check(
             verdict=False,
             witness={
                 "kind": "diagonal-not-covered",
-                "missing": list(_iter_bits(~covered & (1 << n) - 1)),
+                "missing": list(iter_bits(~covered & (1 << n) - 1)),
             },
         )
     if cover_size < chi:
@@ -249,10 +250,6 @@ class Transcript:
     total_bits: int
 
 
-def _name_bits(m: int) -> int:
-    return math.ceil(math.log2(m)) if m > 1 else 0
-
-
 def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index: int) -> Transcript:
     """Simulate the halving protocol on a live induced subgraph.
 
@@ -272,78 +269,50 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
         indep_order = sorted(inst.independents[independent_index])
     except IndexError as exc:
         raise ValueError(f"invalid family index: {exc}") from exc
-    clique, indep = _mask_of(clique_order), _mask_of(indep_order)
+    clique, indep = mask_of(clique_order), mask_of(indep_order)
     m = inst.graph.order
     masks = inst.neighbor_masks
-    width = _name_bits(m)
+    width = math.ceil(math.log2(m)) if m > 1 else 0
     live = (1 << m) - 1  # bitmask of the live vertices
     rounds: list[tuple[str, str]] = []
-
-    def say(speaker: str, vertex: int | None) -> None:
-        if vertex is None:
-            rounds.append((speaker, "0"))
-        else:
-            rounds.append((speaker, "1" + (format(vertex, "b").zfill(width) if width else "")))
-
-    def finish(answer: int) -> Transcript:
-        return Transcript(tuple(rounds), answer, sum(len(bits) for _, bits in rounds))
-
-    while True:
+    # per speaker: the names allowed, the set where a name answers 1, the sign
+    # s with s * (2 * live degree - live order) <= 0, and the mask XORed onto
+    # the neighbours to give the half kept (Bob's keeps the named vertex)
+    speakers = (("A", clique_order, indep, 1, 0), ("B", indep_order, clique, -1, -1))
+    answer, alice_passed = 0, False
+    for speaker, names, hits, sign, keep in cycle(speakers):
         if not live:
-            return finish(0)
+            break
         h = live.bit_count()
-        alice_sent = False
         pick = next(
             (
                 v
-                for v in clique_order
-                if live >> v & 1 and 2 * (masks[v] & live).bit_count() <= h
+                for v in names
+                if live >> v & 1 and sign * (2 * (masks[v] & live).bit_count() - h) <= 0
             ),
             None,
         )
-        if pick is not None:
-            alice_sent = True
-            say("A", pick)
-            if indep >> pick & 1:
-                return finish(1)
-            live &= masks[pick]
-            if not live:
-                return finish(0)
-            h = live.bit_count()
-        else:
-            say("A", None)
-
-        pick = next(
-            (
-                v
-                for v in indep_order
-                if live >> v & 1 and 2 * (masks[v] & live).bit_count() >= h
-            ),
-            None,
-        )
-        if pick is not None:
-            say("B", pick)
-            if clique >> pick & 1:
-                return finish(1)
-            live &= ~masks[pick]  # keeps pick itself: it is not its own neighbor
-        else:
-            say("B", None)
-            if not alice_sent:
-                return finish(0)
-
-
-def disjoint_pairs(graph: Graph) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (clique, independent set) pairs with empty intersection, sorted
-    lexicographically; these are the vertices of the pair graph."""
-    return _disjoint(all_cliques(graph), all_independent_sets(graph))
+        if pick is None:
+            rounds.append((speaker, "0"))
+            if alice_passed:
+                break
+            alice_passed = speaker == "A"
+            continue
+        rounds.append((speaker, "1" + (format(pick, "b").zfill(width) if width else "")))
+        if hits >> pick & 1:
+            answer = 1
+            break
+        live &= masks[pick] ^ keep
+        alice_passed = False
+    return Transcript(tuple(rounds), answer, sum(len(bits) for _, bits in rounds))
 
 
 def _disjoint(
     cliques: list[tuple[int, ...]], independents: list[tuple[int, ...]]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The (clique, independent set) pairs with empty intersection, sorted."""
-    cm = [(c, _mask_of(c)) for c in cliques]
-    im = [(s, _mask_of(s)) for s in independents]
+    cm = [(c, mask_of(c)) for c in cliques]
+    im = [(s, mask_of(s)) for s in independents]
     return sorted((c, s) for c, m in cm for s, sm in im if not m & sm)
 
 
@@ -384,8 +353,8 @@ def build_pair_graph(
     if count > pair_limit:
         raise ResourceLimitError("pair_limit", pair_limit, count)
     pairs = _disjoint(cliques, independents)
-    cl = [_mask_of(c) for c, _ in pairs]
-    ind = [_mask_of(s) for _, s in pairs]
+    cl = [mask_of(c) for c, _ in pairs]
+    ind = [mask_of(s) for _, s in pairs]
     edges = [(a, b) for a, b in combinations(range(count), 2) if cl[a] & ind[b] or cl[b] & ind[a]]
     pair_graph = Graph.from_edges(count, edges)
 

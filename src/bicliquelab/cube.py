@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .graphs import Certificate
 
@@ -86,17 +86,6 @@ class CubeSet:
 
     def __contains__(self, point: CubePoint) -> bool:
         return tuple(point) in self.members
-
-
-def diff_pattern(x: Iterable[int], y: Iterable[int]) -> CubePoint:
-    """Coordinatewise disagreement pattern: bit i is 1 exactly when x_i != y_i.
-
-    Symmetric in its arguments; identical inputs map to the all-zero point.
-    """
-    xs, ys = tuple(x), tuple(y)
-    if len(xs) != len(ys):
-        raise ValueError(f"arity mismatch: {len(xs)} vs {len(ys)}")
-    return tuple(int(a != b) for a, b in zip(xs, ys))
 
 
 def _q3_minus() -> list[CubePoint]:

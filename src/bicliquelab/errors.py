@@ -18,9 +18,10 @@ class ResourceLimitError(RuntimeError):
         self.limit_name = limit_name
         self.limit = limit
         self.requested = requested
-        super().__init__(
-            f"{limit_name} exceeded: requested {requested}, limit {limit}"
-        )
+        # Python refuses int-to-str past 4,300 digits by default; 10,000 bits are 3,011
+        bits = requested.bit_length()
+        size = requested if bits <= 10_000 else f"a {bits}-bit number"
+        super().__init__(f"{limit_name} exceeded: requested {size}, limit {limit}")
 
 
 class FormatError(ValueError):

@@ -18,7 +18,9 @@ from typing import Any
 import numpy as np
 
 from .errors import PartError
-from .packed import BITS, WORD, count_chunk, pack_rows, plane_max, rows_from_masks, unpack_rows
+from .packed import (
+    BITS, WORD, count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks, unpack_rows
+)
 
 _BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
 _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
@@ -59,16 +61,6 @@ class Graph:
     @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls.empty(n).complement()
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        if n < 3:
-            raise ValueError("cycle needs at least 3 vertices")
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -151,10 +143,7 @@ class Graph:
 
     def neighbor_masks(self) -> list[int]:
         """Per-vertex neighbor sets packed into Python int bitmasks (bit v = vertex v)."""
-        data, width = self._rows.tobytes(), 8 * self._rows.shape[1]
-        return [
-            int.from_bytes(data[v * width : (v + 1) * width], "little") for v in range(self.order)
-        ]
+        return masks_from_rows(self._rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -445,32 +434,9 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     order, covered 0 or more than t times, with its exact multiplicity.
     On a pass ``max_multiplicity`` is exact.
 
-    Each vertex row of the pair-count matrix is a bit-sliced counter over
-    packed rows: ``min(t, parts).bit_length()`` bit planes plus a sticky
-    overflow plane.  Counts start at a bias chosen so that a count carries
-    into the overflow exactly when it passes t, and the planes hold every
-    count up to t exactly.  A part adds the mask of its right side to the
-    row of each left vertex, and vice versa.  Counts are symmetric, so a
-    band of rows starting at vertex ``lo`` keeps only the columns from word
-    ``lo // 64`` on, which halves memory and work: every unordered pair,
-    and the first bad pair in row-major order (whose row is below its
-    column), is still seen.
-
-    A band adds its incidences in rounds: round j adds to each row with
-    more than j incidences its j-th mask, by one ripple of half adders
-    between two scratch buffers that are made once per band and belong to
-    the call, so concurrent calls share no state.  Once only a few narrow
-    rows are left with many rounds to go, a tail step sums each remaining
-    row's masks at once with exact integer arithmetic and the same sticky
-    overflow, so a pair in 65,537 parts costs no 65,537 ripples.
-
-    Masks are built for a bounded chunk of parts at a time, so the extra
-    memory is about (planes + 1) * n*n/16 bytes for the counters; the
-    chunk's mask table (about ``_MASK_BYTES``), which drops each band's
-    leading columns in place; a band copy of the counter (about
-    ``_BAND_BYTES`` per plane); the two round buffers and the tail step's
-    chunks (about ``_BAND_BYTES`` each); and index arrays linear in the
-    vertex-part incidences.  There is no per-pair count array.
+    The pair counts come from :func:`bicliquelab.packed.count_pairs` (its
+    docstring describes the counter), in bands of about ``_BAND_BYTES``
+    per bit plane, from chunks of parts of about ``_MASK_BYTES`` of masks.
 
     A part is a biclique iff it covers no non-edge, so (i) is settled from
     the counters, and the part witness is searched only when some non-edge
@@ -487,46 +453,21 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         "multiplicity_bound": system.multiplicity_bound,
     }
 
-    words = (n + 63) // 64
-    # no pair is covered more often than there are parts, so a bound above
-    # the part count acts as that count and needs no more planes
-    t = min(system.multiplicity_bound, len(system))
-    digits = t.bit_length()
-    bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
-    # plane k starts as bit k of the bias in every position: all ones or zeros
-    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(WORD)
-    band = max(1, _BAND_BYTES // (8 * max(words, 1)))
-    # one counter per band of rows, holding the columns from the band's
-    # first row on (see above); the last plane is the overflow
-    counters = []
-    for lo in range(0, n, band):
-        counter = np.empty((digits + 1, min(band, n - lo), words - lo // 64), dtype=WORD)
-        counter[...] = fill[:, None, None]
-        counters.append(counter)
-    # a chunk's side masks: at most _MASK_BYTES / 8 words, or two rows of
-    # under 2**25 words each (vertex ids are int32)
-    chunk = max(1, _MASK_BYTES // (16 * max(words, 1)))
-    for lo in range(0, len(system), chunk):
-        bounds = system.bounds[2 * lo : 2 * (lo + chunk) + 1]
-        count_chunk(counters, bounds, system.vertices, band, _BAND_BYTES)
-
     first_bad = None
     max_mult = 0
-    for lo, counter in zip(range(0, n, band), counters):
-        first = lo // 64
-        row = graph.rows[lo : lo + band, first:]
-        planes, over = counter[:-1], counter[-1]
-        covered = over.copy()  # count > 0: planes no longer hold the bias
-        for k, plane in enumerate(planes):
-            covered |= ~plane if bias >> k & 1 else plane
+    counts = count_pairs(
+        n, system.bounds, system.vertices, system.multiplicity_bound, _BAND_BYTES, _MASK_BYTES
+    )
+    for lo, covered, over, high in counts:
+        row = graph.rows[lo : lo + len(covered), lo // 64 :]
         if (covered & ~row).any():
             return _non_biclique_part(graph, system, params)
         bad = row & (over | ~covered)
         if first_bad is None and bad.any():
             r = int(np.flatnonzero(bad.any(axis=1))[0])
-            v = int(np.flatnonzero(np.unpackbits(bad[r].view(np.uint8), bitorder="little"))[0])
-            first_bad = (lo + r, 64 * first + v)
-        max_mult = max(max_mult, plane_max(planes) - bias)
+            v = int(np.flatnonzero(unpack_rows(bad[r], 64 * bad.shape[1]))[0])
+            first_bad = (lo + r, lo // 64 * 64 + v)
+        max_mult = max(max_mult, high)
 
     if first_bad is not None:
         u, v = first_bad
@@ -563,14 +504,12 @@ def _non_biclique_part(graph: Graph, system: BicliqueSystem, params: dict) -> Ce
     """
     for i in range(len(system)):
         b = system[i]
-        right = np.array(b.right, dtype=np.int64)
-        mask = np.zeros(graph.rows.shape[1], dtype=WORD)
-        np.bitwise_or.at(mask, right >> 6, BITS[right & 63])
+        mask = rows_from_masks([mask_of(b.right)], graph.order)[0]
         rows = graph.rows[list(b.left)]
         missing = (mask & ~rows).any(axis=1)
         if missing.any():
             r = int(np.flatnonzero(missing)[0])
-            c = int(np.flatnonzero(~unpack_rows(rows[r], graph.order)[right])[0])
+            c = int(np.flatnonzero(~unpack_rows(rows[r], graph.order)[list(b.right)])[0])
             return Certificate(
                 claim="biclique-system",
                 parameters=params,

@@ -274,12 +274,19 @@ def power_graph_cover(
     coordinates (all other coordinates free); a power edge is covered once
     per coordinate where its endpoints are adjacent, hence between 1 and t
     times.  Cover size is at most t times the base partition size.
+
+    n^(7t) >= 2^(7t(b - 1)) for n of b bits; past the limit by that bound
+    alone, the power is not formed, and the error names ``vertex_limit + 1``.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    if n < 1 or t < 1:
+        raise ValueError("n and t must be >= 1")
+    if 7 * t * (n.bit_length() - 1) > vertex_limit.bit_length():
+        raise ResourceLimitError("vertex_limit", vertex_limit, vertex_limit + 1)
     _check_vertex_limit(n ** (7 * t), vertex_limit)
     base_graph = grid_graph(n, vertex_limit=vertex_limit)
     base_parts = grid_graph_partition(n, vertex_limit=vertex_limit)
+    if not len(base_parts):  # n = 1: the power is one vertex, and no part lifts
+        return base_graph, BicliqueSystem(1, (), t)
     power = base_graph
     for _ in range(t - 1):
         power = or_product(power, base_graph)

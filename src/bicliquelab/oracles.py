@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Graph
+from .packed import iter_bits, mask_of
 
 DEFAULT_ALPHA_ORDER_LIMIT = 256
 DEFAULT_CHI_ORDER_LIMIT = 64
@@ -56,21 +56,6 @@ class BoolMatrix:
 
     def __repr__(self) -> str:
         return f"BoolMatrix({self.rows}x{self.cols})"
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask_of(vertices: Iterable[int]) -> int:
-    """The vertex set as a bitmask (bit v = vertex v)."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _max_clique_masks(
@@ -206,7 +191,7 @@ def _dsatur(masks: list[int], k: int) -> list[int] | None:
     n = len(masks)
     order = sorted(range(n), key=lambda u: (-masks[u].bit_count(), u))
     label = sorted(range(n), key=order.__getitem__)  # inverse of order
-    adj = [_mask_of(label[w] for w in _iter_bits(masks[u])) for u in order]
+    adj = [mask_of(label[w] for w in iter_bits(masks[u])) for u in order]
     colors = [-1] * n  # by label
     near: list[int] = []  # near[c]: vertices with a neighbour of color c
     by_sat = [(1 << n) - 1] + [0] * k  # by_sat[s]: uncolored, seeing s colors
@@ -267,7 +252,7 @@ def _all_bicliques(graph: Graph) -> list[Biclique]:
             found.append((left, right))
             right = (right - 1) & rights
     found.sort(key=lambda lr: 2 * spread[full ^ lr[0] ^ lr[1]] + spread[lr[1]])
-    return [Biclique._trusted(tuple(_iter_bits(l)), tuple(_iter_bits(r))) for l, r in found]
+    return [Biclique._trusted(tuple(iter_bits(l)), tuple(iter_bits(r))) for l, r in found]
 
 
 def min_biclique_partition(
@@ -292,7 +277,8 @@ def min_biclique_partition(
     bicliques = _all_bicliques(graph)
     sets = [sum(1 << eidx[e] for e in b.edges()) for b in bicliques]
     owners = [[bi for bi, m in enumerate(sets) if m >> e & 1] for e in range(len(edges))]
-    chosen = _min_cover(sets, owners, t)
+    # no branch holds len(edges) sets (single edges cover in that many): t past it never binds
+    chosen = _min_cover(sets, owners, t if t < len(edges) else None)
     return len(chosen), BicliqueSystem(n, tuple(bicliques[i] for i in chosen), t)
 
 
@@ -351,21 +337,21 @@ def _maximal_rectangles(
     r, c = mat.shape
     if 1 << r > budget:
         raise ResourceLimitError("rectangle_budget", budget, 1 << r)
-    row_cols = [_mask_of(np.flatnonzero(row == value).tolist()) for row in mat]
+    row_cols = [mask_of(np.flatnonzero(row == value).tolist()) for row in mat]
     fullcols = (1 << c) - 1
     seen: set[tuple[int, int]] = set()
     rects: list[Rectangle] = []
     for rs in range(1, 1 << r):
         cols = fullcols
-        for i in _iter_bits(rs):
+        for i in iter_bits(rs):
             cols &= row_cols[i]
         if cols == 0:
             continue
-        rows = _mask_of(i for i in range(r) if row_cols[i] & cols == cols)
+        rows = mask_of(i for i in range(r) if row_cols[i] & cols == cols)
         if (rows, cols) in seen:
             continue
         seen.add((rows, cols))
-        rr, cc = tuple(_iter_bits(rows)), tuple(_iter_bits(cols))
+        rr, cc = tuple(iter_bits(rows)), tuple(iter_bits(cols))
         rects.append((cc, rr) if transposed else (rr, cc))
     return rects
 

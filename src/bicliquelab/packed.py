@@ -1,17 +1,20 @@
-"""Packed bit rows, and the bit-sliced pair counter that verifies covers on them.
+"""Every bit-level form of vertex sets, and the bit-sliced pair counter that verifies covers.
 
 Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
 word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
 past the last vertex are always zero, so rows compare and count directly.
 Graphs store their adjacency this way (see :class:`bicliquelab.graphs.Graph`).
+Vertex masks are Python ints with bit v set for vertex v, the form the
+exact searches and the CIS layer use; :func:`rows_from_masks` and
+:func:`masks_from_rows` convert between the two.
 
-The counter holds one row of pair counts per vertex as bit planes over
-packed rows, in bands of rows; :func:`count_chunk` adds a chunk of parts
-into it, and :func:`bicliquelab.graphs.verify_biclique_system` sets it up
-and reads the verdict.
+:func:`count_pairs` counts how often a biclique system covers each vertex
+pair, on packed rows (its docstring describes the counter).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +43,95 @@ def rows_from_masks(masks: list[int], n: int) -> np.ndarray:
     return np.frombuffer(packed, dtype=WORD).reshape(len(masks), width // 8)
 
 
-def count_chunk(
+def masks_from_rows(rows: np.ndarray) -> list[int]:
+    """Each packed row as a Python int bitmask (inverse of :func:`rows_from_masks`)."""
+    data, width = rows.tobytes(), 8 * rows.shape[1]
+    return [int.from_bytes(data[v * width : (v + 1) * width], "little") for v in range(len(rows))]
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """The vertices of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The vertex set as a bitmask (bit v = vertex v)."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def count_pairs(
+    n: int, bounds: np.ndarray, vertices: np.ndarray, t: int, band_bytes: int, mask_bytes: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    """Count how often the parts, laid out by ``bounds`` and ``vertices`` as in a
+    :class:`bicliquelab.graphs.BicliqueSystem`, cover each pair of ``n`` vertices.
+
+    Yields ``(lo, covered, over, high)`` per band of rows from vertex ``lo``:
+    packed rows of the columns from word ``lo // 64`` on, set where a pair
+    is covered at least once (``covered``) and more than t times
+    (``over``), and the band's largest count, exact when ``over`` is empty.
+
+    Each vertex row of the pair-count matrix is a bit-sliced counter over
+    packed rows: ``min(t, parts).bit_length()`` bit planes plus a sticky
+    overflow plane.  Counts start at a bias chosen so that a count carries
+    into the overflow exactly when it passes t, and the planes hold every
+    count up to t exactly.  A part adds the mask of its right side to the
+    row of each left vertex, and vice versa.  Counts are symmetric, so a
+    band of rows starting at vertex ``lo`` keeps only the columns from word
+    ``lo // 64`` on, which halves memory and work: every unordered pair,
+    and the first bad pair in row-major order (whose row is below its
+    column), is still seen.
+
+    A band adds its incidences in rounds: round j adds to each row with
+    more than j incidences its j-th mask, by one ripple of half adders
+    between two scratch buffers that are made once per band and belong to
+    the call, so concurrent calls share no state.  Once only a few narrow
+    rows are left with many rounds to go, a tail step sums each remaining
+    row's masks at once with exact integer arithmetic and the same sticky
+    overflow, so a pair in 65,537 parts costs no 65,537 ripples.
+
+    Masks are built for a bounded chunk of parts at a time, so the extra
+    memory is about (planes + 1) * n*n/16 bytes for the counters; the
+    chunk's mask table (about ``mask_bytes``), which drops each band's
+    leading columns in place; a band copy of the counter (about
+    ``band_bytes`` per plane); the two round buffers and the tail step's
+    chunks (about ``band_bytes`` each); and index arrays linear in the
+    vertex-part incidences.  There is no per-pair count array.
+    """
+    words = (n + 63) // 64
+    # no pair is covered more often than there are parts, so a bound above
+    # the part count acts as that count and needs no more planes
+    t = min(t, len(bounds) // 2)
+    digits = t.bit_length()
+    bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
+    # plane k starts as bit k of the bias in every position: all ones or zeros
+    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(WORD)[:, None, None]
+    band = max(1, band_bytes // (8 * max(words, 1)))
+    # one counter per band of rows, holding the columns from the band's
+    # first row on (see above); the last plane is the overflow
+    counters = [
+        np.broadcast_to(fill, (digits + 1, min(band, n - lo), words - lo // 64)).copy()
+        for lo in range(0, n, band)
+    ]
+    # a chunk's side masks: at most mask_bytes / 8 words, or two rows of
+    # under 2**25 words each (vertex ids are int32)
+    chunk = max(1, mask_bytes // (16 * max(words, 1)))
+    for lo in range(0, len(bounds) // 2, chunk):
+        _count_chunk(counters, bounds[2 * lo : 2 * (lo + chunk) + 1], vertices, band, band_bytes)
+    for lo, counter in zip(range(0, n, band), counters):
+        planes, over = counter[:-1], counter[-1]
+        covered = over.copy()  # count > 0: planes no longer hold the bias
+        for k, plane in enumerate(planes):
+            covered |= ~plane if bias >> k & 1 else plane
+        yield lo, covered, over, _plane_max(planes) - bias
+
+
+def _count_chunk(
     counters: list[np.ndarray], bounds: np.ndarray, vertices: np.ndarray, band: int, scratch: int
 ) -> None:
     """Add the pair incidences of the parts with side ``bounds`` into the per-band ``counters``.
@@ -185,7 +276,7 @@ def _add_tail(
     counter_row[:-1] = pack_rows((value >> shifts & 1) != 0)
 
 
-def plane_max(planes: np.ndarray) -> int:
+def _plane_max(planes: np.ndarray) -> int:
     """Largest value held in the bit-sliced counter ``planes``, overflow aside."""
     value, candidates = 0, None
     for k in reversed(range(len(planes))):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bicliquelab import algebra
 from bicliquelab.algebra import (
     SIGN_RULES,
-    intersection_graph,
     peck_bound,
     rank_certificate,
     split_intersection,
@@ -87,7 +86,17 @@ class TestPeckBound:
         assert peck_bound(0, 5) == 1
 
 
+def intersection_graph(cover, indices):
+    """Graph of the pairs covered by every part named in ``indices`` (1-based),
+    the reference that ``TestSplitIntersection`` compares the split against."""
+    idx = algebra._check_indices(cover, indices)
+    edges = set.intersection(*(set(cover[i - 1].edges()) for i in idx))
+    return Graph.from_edges(cover.host_order, sorted(edges))
+
+
 class TestIntersectionGraph:
+    """The reference above, on intersections worked out by hand."""
+
     def test_single_index_is_the_biclique(self):
         g = intersection_graph(K4_TWO_COVER, (1,))
         assert sorted(g.edges()) == sorted(K4_TWO_COVER.parts[0].edges())

@@ -1,11 +1,16 @@
 """Command-line behavior: determinism, exit codes, file workflows."""
 
+import io
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicliquelab.cli import RunConfig, cmd_demo, cmd_suite
+from bicliquelab.cli import RunConfig, cmd_demo, cmd_suite, main
 
 
 def run_cli(*argv):
@@ -141,6 +146,33 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestOversizedSizes:
+    """Sizes far past the guards are refused by their bit lengths, before any
+    power is formed, and a one-vertex power costs nothing however large t is."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build", "--what", "graph", "--n", "1" + "0" * 700),
+            ("build", "--what", "cover", "--n", "2", "--t", "10000000"),
+            ("build", "--what", "cover", "--n", "3", "--t", "30000000"),
+        ],
+    )
+    def test_refused_fast(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(list(argv)) == 3
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource limit: vertex_limit exceeded: requested ")
+
+    def test_one_vertex_power_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["build", "--what", "cover", "--n", "1", "--t", "1000000000"]) == 0
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().out == "bicliquesystem 1 0 1000000000\n"
+
+
 class TestFileWorkflows:
     def test_build_verify_round_trip(self, tmp_path):
         gpath = tmp_path / "g.dimacs"
@@ -210,3 +242,77 @@ class TestFileWorkflows:
         assert code == 2
         assert err.startswith("io error:")
         assert "Traceback" not in err
+
+
+_BIG = "1" + "0" * 700  # past Python's 4,300-digit str() limit once raised to the 7th power
+_N = ("-1", "0", "1", "2", "10000000", "30000000", "1000000000", _BIG, "x")
+# no 2: the t = 2 cover of n = 2 has 2**14 vertices, and --n 3 is left out, so
+# no example builds more than 2**14 vertices or takes long
+_T = ("-1", "0", "1", "3", "10000000", "30000000", "1000000000", _BIG, "x")
+_FILES = ("g.dimacs", "p.system", "bad.dimacs", "huge.dimacs", "nope")
+
+
+def _flag(flag, values, optional=False):
+    """``[flag, value]`` for a value drawn from ``values``; or ``[]`` too if optional."""
+    pair = st.sampled_from(values).map(lambda v: [flag, v])
+    return st.one_of(st.just([]), pair) if optional else pair
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: [x for part in lists for x in part])
+
+
+_GLOBAL = _argv(
+    _flag("--vertex-limit", ("-5", "100", "10000"), optional=True),
+    _flag("--pair-limit", ("0", "10", _BIG), optional=True),
+    _flag("--ambiguous-edge", ("edge", "nonedge", "bogus"), optional=True),
+    _flag("--out", ("report.txt", "missing/report.txt"), optional=True),
+)
+_COMMAND = st.one_of(
+    _argv(st.just(["demo"]), _flag("--n", _N)),
+    _argv(st.just(["suite"]), st.sampled_from([["cube"], ["peck"], ["bogus"]])),
+    _argv(st.just(["verify"]), _flag("--graph", _FILES), _flag("--partition", _FILES)),
+    _argv(
+        st.just(["oracle"]),
+        _flag("--graph", _FILES),
+        _flag("--what", ("alpha", "chi", "bp", "x")),
+        _flag("--t", _T, optional=True),
+    ),
+    _argv(
+        st.just(["build"]),
+        _flag("--what", ("graph", "partition", "cover", "x")),
+        _flag("--n", _N),
+        _flag("--t", _T, optional=True),
+    ),
+    # loose tokens; "partition" and "clis" are left out, so no suite of theirs runs
+    st.lists(
+        st.sampled_from(["demo", "suite", "build", "-h", "--bogus", "cube", "1", "--n"]), max_size=4
+    ),
+)
+
+
+class TestMainProperty:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        (root / "g.dimacs").write_text("p edge 3 2\ne 1 2\ne 2 3\n", encoding="ascii")
+        (root / "p.system").write_text("bicliquesystem 3 1 1\npart 1 : 0 2\n", encoding="ascii")
+        (root / "bad.dimacs").write_text("p edge 3 5\ne 1 2\n", encoding="ascii")
+        (root / "huge.dimacs").write_text("p edge 1000000000 0\n", encoding="ascii")
+        return root
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(_GLOBAL, _COMMAND)
+    def test_exit_code_or_usage_exit(self, workdir, options, command):
+        # a file name in the vocabulary stands for that file in the work directory
+        names = _FILES + ("report.txt", "missing/report.txt")
+        argv = [str(workdir / x) if x in names else x for x in options + command]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            assert exc.code in (0, 2)
+        else:
+            assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

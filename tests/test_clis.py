@@ -7,6 +7,7 @@ import pytest
 
 from bicliquelab.clis import (
     ClisInstance,
+    Transcript,
     all_cliques,
     all_independent_sets,
     biclique_graph,
@@ -14,7 +15,6 @@ from bicliquelab.clis import (
     canonical_instance,
     characteristic_vectors,
     chi_lower_bound_check,
-    disjoint_pairs,
     full_instance,
     yannakakis_protocol,
 )
@@ -24,6 +24,77 @@ from bicliquelab.graphs import Biclique, BicliqueSystem, Graph, star_partition, 
 from bicliquelab.oracles import chromatic_number, min_rectangle_cover
 
 K3_PARTITION = BicliqueSystem(3, (Biclique((0,), (1, 2)), Biclique((1,), (2,))), 1)
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_pairs(graph):
+    """The (clique, independent set) pairs with no common vertex, sorted:
+    the reference for the pair graph's vertices."""
+    return sorted(
+        (c, s)
+        for c in all_cliques(graph)
+        for s in all_independent_sets(graph)
+        if not set(c) & set(s)
+    )
+
+
+def reference_protocol(inst, clique_index, independent_index):
+    """The halving protocol with one block of code per speaker, as it was
+    first written: the reference for ``yannakakis_protocol``'s one loop."""
+    clique_order = sorted(inst.cliques[clique_index])
+    indep_order = sorted(inst.independents[independent_index])
+    clique, indep = set(clique_order), set(indep_order)
+    m = inst.graph.order
+    masks = inst.neighbor_masks
+    width = math.ceil(math.log2(m)) if m > 1 else 0
+    live = (1 << m) - 1
+    rounds = []
+
+    def say(speaker, vertex):
+        if vertex is None:
+            rounds.append((speaker, "0"))
+        else:
+            rounds.append((speaker, "1" + (format(vertex, "b").zfill(width) if width else "")))
+
+    def finish(answer):
+        return Transcript(tuple(rounds), answer, sum(len(bits) for _, bits in rounds))
+
+    while True:
+        if not live:
+            return finish(0)
+        h = live.bit_count()
+        alice_sent = False
+        pick = next(
+            (v for v in clique_order if live >> v & 1 and 2 * (masks[v] & live).bit_count() <= h),
+            None,
+        )
+        if pick is not None:
+            alice_sent = True
+            say("A", pick)
+            if pick in indep:
+                return finish(1)
+            live &= masks[pick]
+            if not live:
+                return finish(0)
+            h = live.bit_count()
+        else:
+            say("A", None)
+        pick = next(
+            (v for v in indep_order if live >> v & 1 and 2 * (masks[v] & live).bit_count() >= h),
+            None,
+        )
+        if pick is not None:
+            say("B", pick)
+            if pick in clique:
+                return finish(1)
+            live &= ~masks[pick]
+        else:
+            say("B", None)
+            if not alice_sent:
+                return finish(0)
 
 
 class TestCharacteristicVectors:
@@ -120,7 +191,8 @@ class TestClisInstance:
             ClisInstance(Graph.empty(2), (), ((0, 2),))
 
     def test_matrix_derived_from_families(self):
-        inst = ClisInstance(Graph.path(3), ((0, 1), (2,), ()), ((0, 2), (1,)))
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        inst = ClisInstance(path, ((0, 1), (2,), ()), ((0, 2), (1,)))
         assert inst.matrix.entries.tolist() == [[1, 1], [1, 0], [0, 0]]
 
 
@@ -159,11 +231,11 @@ class TestFamilies:
         assert got == [(), (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
 
     def test_independents_are_complement_cliques(self):
-        g = Graph.cycle(5)
+        g = cycle(5)
         assert all_independent_sets(g) == all_cliques(g.complement())
 
     def test_full_instance_entries(self):
-        inst = full_instance(Graph.cycle(4))
+        inst = full_instance(cycle(4))
         for p, c in enumerate(inst.cliques):
             for q, s in enumerate(inst.independents):
                 assert inst.matrix.entries[p, q] == len(set(c) & set(s))
@@ -228,6 +300,20 @@ class TestProtocol:
         with pytest.raises(ValueError):
             yannakakis_protocol(inst, 99, 0)
 
+    def test_transcripts_match_reference(self):
+        # every family pair of 40 seeded random graphs on 1-8 vertices and of
+        # every graph on up to 4 vertices: rounds, answer and bits
+        rng = random.Random(1979)
+        graphs = [random_graph(rng.randrange(1, 9), rng.random(), rng) for _ in range(40)]
+        runs = 0
+        for g in graphs + graphs_up_to(4):
+            inst = full_instance(g)
+            for ci in range(len(inst.cliques)):
+                for ii in range(len(inst.independents)):
+                    assert yannakakis_protocol(inst, ci, ii) == reference_protocol(inst, ci, ii)
+                    runs += 1
+        assert runs > 10_000
+
 
 class TestPairGraph:
     def test_k1(self):
@@ -257,9 +343,17 @@ class TestPairGraph:
             assert cert.witness["max_multiplicity"] <= 2
 
     def test_vertex_order_lexicographic(self):
+        # pair-graph vertex i is the i-th disjoint pair in lexicographic order
         gamma = Graph.complete(2)
         pairs = disjoint_pairs(gamma)
-        assert pairs == sorted(pairs)
+        _, system = build_pair_graph(gamma)
+        assert list(system) == [
+            Biclique(
+                tuple(i for i, (c, _) in enumerate(pairs) if v in c),
+                tuple(i for i, (_, s) in enumerate(pairs) if v in s),
+            )
+            for v in range(gamma.order)
+        ]
 
     def test_zero_cover_at_most_chromatic(self):
         for gamma in graphs_up_to(3):
@@ -270,7 +364,7 @@ class TestPairGraph:
             assert c0 <= chi
 
     def test_pentagon_zero_cover_at_most_chromatic(self):
-        gamma = Graph.cycle(5)
+        gamma = cycle(5)
         pair_graph, system = build_pair_graph(gamma)
         assert verify_biclique_system(pair_graph, system).verdict
         inst = full_instance(gamma)

@@ -9,7 +9,6 @@ from bicliquelab.cube import (
     Subcube,
     admissible_set,
     decompose_admissible_set,
-    diff_pattern,
     edge_triple_subcubes,
     three_cube_nonconstant,
     verify_subcube_partition,
@@ -25,27 +24,6 @@ def brute_force_admissible():
     removed.add((0, 0, 0, 0, 0, 0, 0))
     removed.add((0, 0, 0, 0, 1, 1, 1))
     return {p for p in product((0, 1), repeat=7) if p not in removed}
-
-
-class TestDiffPattern:
-    def test_identical_inputs(self):
-        assert diff_pattern((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7)) == (0,) * 7
-
-    def test_all_coordinates_differ(self):
-        assert diff_pattern((1,) * 7, (2,) * 7) == (1,) * 7
-
-    def test_mixed(self):
-        assert diff_pattern((1, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 2, 1)) == (
-            0, 0, 0, 0, 1, 1, 0,
-        )
-
-    def test_symmetric(self):
-        x, y = (1, 2, 3), (3, 2, 1)
-        assert diff_pattern(x, y) == diff_pattern(y, x)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            diff_pattern((1, 2), (1, 2, 3))
 
 
 class TestSubcube:

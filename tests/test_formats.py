@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicliquelab.corpus import random_graph
 from bicliquelab.errors import FormatError, ResourceLimitError
@@ -57,7 +59,7 @@ class TestGraphFormat:
         assert err.value.line == 3
 
     def test_writes_deterministic(self):
-        g = Graph.cycle(6)
+        g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         assert write_graph(g) == write_graph(g)
 
     def test_vertex_limit_checked_before_allocation(self, monkeypatch):
@@ -84,6 +86,61 @@ class TestGraphFormat:
     def test_negative_header_rejected(self):
         with pytest.raises(FormatError):
             read_graph("p edge -1 0\n")
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 70))
+    vertex = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=150))
+    return Graph.from_edges(n, sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]}))
+
+
+_NUMBER = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["10001", "1" + "0" * 5000, "1.5", "0x1", "\u0661"]),
+)
+_LINE = st.one_of(
+    st.tuples(st.just("p edge"), _NUMBER, _NUMBER).map(" ".join),
+    st.tuples(st.just("e"), _NUMBER, _NUMBER).map(" ".join),
+    st.lists(st.one_of(_NUMBER, st.sampled_from(["p", "edge", "e", "c", ""])), max_size=5).map(
+        " ".join
+    ),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _dimacs_like(draw):
+    """A header and edge lines that often agree, with a junk line now and then."""
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(1, max(n, 1))
+    lines = [f"e {u} {v}" for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=8))]
+    count = draw(st.one_of(st.just(len(lines)), st.integers(0, 9)))
+    lines.insert(draw(st.integers(0, len(lines))), f"p edge {n} {count}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(st.just("c note"), _LINE)))
+    return "\n".join(lines)
+
+
+class TestGraphFormatProperties:
+    @_PROPERTY
+    @given(_graphs())
+    def test_round_trip(self, graph):
+        assert read_graph(write_graph(graph)) == graph
+
+    @_PROPERTY
+    @given(st.one_of(st.text(), st.lists(_LINE, max_size=8).map("\n".join), _dimacs_like()))
+    def test_any_text_reads_or_is_refused(self, text):
+        try:
+            graph = read_graph(text)
+        except (FormatError, ResourceLimitError):
+            return
+        assert isinstance(graph, Graph)
+        assert read_graph(write_graph(graph)) == graph
 
 
 class TestSystemFormat:

@@ -20,6 +20,9 @@ from bicliquelab.graphs import (
     verify_biclique_system,
 )
 
+C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
 
 class TestGraph:
     def test_validation_rejects_loop(self):
@@ -38,26 +41,22 @@ class TestGraph:
         assert k4.neighbor_masks() == [0b1110, 0b1101, 0b1011, 0b0111]
 
     def test_complement(self):
-        c5 = Graph.cycle(5)
-        assert c5.complement() == Graph.from_edges(
+        assert C5.complement() == Graph.from_edges(
             5, [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
         )
 
     def test_neighbor_masks(self):
-        p3 = Graph.path(3)
-        assert p3.neighbor_masks() == [0b010, 0b101, 0b010]
+        assert P3.neighbor_masks() == [0b010, 0b101, 0b010]
 
     def test_has_edge_checks_both_ends(self):
-        p3 = Graph.path(3)
         for u, v in ((-1, 1), (3, 1), (1, -1), (1, 3)):
             with pytest.raises(IndexError):
-                p3.has_edge(u, v)
+                P3.has_edge(u, v)
 
     @pytest.mark.parametrize("v", [-1, 3])
     def test_vertex_queries_check_range(self, v):
-        p3 = Graph.path(3)
         with pytest.raises(IndexError, match=f"vertex {v} out of range for order 3"):
-            p3.induced([v, 0])
+            P3.induced([v, 0])
 
     def test_adjacency_read_only(self):
         g = Graph.complete(3)
@@ -107,9 +106,8 @@ class TestVerifyBicliqueSystem:
         assert cert.witness["multiplicity"] == 0
 
     def test_non_edge_cover_fails(self):
-        path = Graph.path(3)
         sys_ = BicliqueSystem(3, (Biclique((0,), (1, 2)),), 1)
-        cert = verify_biclique_system(path, sys_)
+        cert = verify_biclique_system(P3, sys_)
         assert not cert.verdict
         assert cert.witness["kind"] == "part-not-biclique"
 
@@ -198,11 +196,11 @@ class TestStarPartition:
         assert len(star_partition(Graph.empty(5)).parts) == 0
 
     def test_path(self):
-        parts = tuple(star_partition(Graph.path(3)))
+        parts = tuple(star_partition(P3))
         assert parts == (Biclique((0,), (1,)), Biclique((1,), (2,)))
         # the one-part alternative also verifies
         alt = BicliqueSystem(3, (Biclique((1,), (0, 2)),), 1)
-        assert verify_biclique_system(Graph.path(3), alt).verdict
+        assert verify_biclique_system(P3, alt).verdict
 
     def test_always_exact_partition(self):
         for g in graphs_up_to(6):
@@ -217,12 +215,12 @@ class TestBlowup:
         assert four_cycle == Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
     def test_identity_blowup(self):
-        g = Graph.cycle(5)
+        g = C5
         assert blowup(g, 1) == g
 
     def test_partition_lifts_through_blowup(self):
         rng = random.Random(13)
-        for g in [Graph.complete(4), Graph.cycle(5), random_graph(6, 0.5, rng)]:
+        for g in [Graph.complete(4), C5, random_graph(6, 0.5, rng)]:
             base = star_partition(g)
             for m in (2, 3):
                 lifted = BicliqueSystem(
@@ -250,7 +248,7 @@ class TestOrProduct:
         assert or_product(Graph.empty(3), Graph.empty(4)) == Graph.empty(12)
 
     def test_index_map(self):
-        g, h = Graph.path(3), Graph.complete(2)
+        g, h = P3, Graph.complete(2)
         prod = or_product(g, h)
         for a in range(3):
             for b in range(2):

@@ -5,9 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bicliquelab.cube import admissible_set, decompose_admissible_set, diff_pattern
+from bicliquelab.cube import admissible_set, decompose_admissible_set
 from bicliquelab.errors import ResourceLimitError
-from bicliquelab.graphs import blowup, or_product, verify_biclique_system
+from bicliquelab.graphs import BicliqueSystem, Graph, blowup, or_product, verify_biclique_system
 from bicliquelab.gridgraph import (
     GridGraphSpec,
     grid_graph,
@@ -19,6 +19,11 @@ from bicliquelab.gridgraph import (
     projection_dichotomy,
     reduced_graph,
 )
+
+
+def diff_pattern(x, y):
+    """Coordinatewise disagreement pattern: bit i is 1 exactly when x_i != y_i."""
+    return tuple(int(a != b) for a, b in zip(x, y, strict=True))
 
 
 class TestProject:
@@ -321,6 +326,37 @@ class TestPowerCover:
     def test_limit(self):
         with pytest.raises(ResourceLimitError):
             power_graph_cover(2, 3)
+
+    @pytest.mark.parametrize("n, t", [(2, 10_000_000), (3, 30_000_000), (10**700, 1)])
+    def test_oversized_refused_without_forming_the_power(self, n, t):
+        # 3 ** 210,000,000 alone takes minutes to form; the refusal comes by
+        # bit lengths and names a lower bound past the limit
+        with pytest.raises(ResourceLimitError) as exc:
+            power_graph_cover(n, t)
+        assert exc.value.limit_name == "vertex_limit"
+        assert exc.value.requested > exc.value.limit
+
+    @pytest.mark.parametrize("n, t", [(0, 1), (-1, 3), (-(10**700), 2), (2, 0)])
+    def test_nonpositive_refused(self, n, t):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            power_graph_cover(n, t)
+
+    def test_n1_any_power_is_one_vertex_with_no_parts(self):
+        # no loop over t: a billion-fold power costs what the first does
+        g, cover = power_graph_cover(1, 10**9)
+        assert g == Graph.empty(1)
+        assert cover == BicliqueSystem(1, (), 10**9)
+        assert power_graph_cover(1, 2) == (g, BicliqueSystem(1, (), 2))
+
+
+class TestResourceLimitMessage:
+    def test_any_size_prints(self):
+        # Python refuses int-to-str past 4,300 digits, so a huge size prints by its bit length
+        small, huge = ResourceLimitError("x", 10, 11), ResourceLimitError("x", 10, 10**7000)
+        assert str(small) == "x exceeded: requested 11, limit 10"
+        bits = (10**7000).bit_length()
+        assert str(huge) == f"x exceeded: requested a {bits}-bit number, limit 10"
+        assert huge.requested == 10**7000
 
 
 class TestProjectionDichotomy:

@@ -30,6 +30,8 @@ from bicliquelab.oracles import (
     min_rectangle_cover,
 )
 
+C5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+
 
 def brute_alpha(g: Graph) -> int:
     best = 0
@@ -73,7 +75,7 @@ class TestIndependence:
             assert independence_number(Graph.complete(k))[0] == 1
 
     def test_pentagon(self):
-        assert independence_number(Graph.cycle(5))[0] == 2
+        assert independence_number(C5)[0] == 2
 
     def test_empty_graph(self):
         value, witness = independence_number(Graph.empty(4))
@@ -91,11 +93,11 @@ class TestIndependence:
     def test_complements_of_clique_examples(self):
         # the maximum clique of g is the maximum independent set of its complement
         assert independence_number(Graph.complete(5).complement()) == (5, (0, 1, 2, 3, 4))
-        assert independence_number(Graph.cycle(5).complement())[0] == 2
+        assert independence_number(C5.complement())[0] == 2
         assert independence_number(Graph.empty(3).complement())[0] == 1
 
     def test_or_product_bound_pentagon(self):
-        prod = or_product(Graph.cycle(5), Graph.cycle(5))
+        prod = or_product(C5, C5)
         assert independence_number(prod)[0] <= 4
 
     def test_order_limit(self):
@@ -103,7 +105,7 @@ class TestIndependence:
             independence_number(Graph.empty(300))
 
     def test_at_most(self):
-        g = Graph.cycle(5)
+        g = C5
         ok, _ = independence_at_most(g, 2)
         assert ok
         ok, witness = independence_at_most(g, 1)
@@ -120,7 +122,7 @@ class TestChromatic:
             assert len(set(coloring)) == k
 
     def test_odd_cycle(self):
-        assert chromatic_number(Graph.cycle(5))[0] == 3
+        assert chromatic_number(C5)[0] == 3
 
     def test_bipartite(self):
         k23 = Graph.from_edges(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)])
@@ -159,6 +161,19 @@ class TestMinBicliquePartition:
             assert value == k - 1
             assert verify_biclique_system(Graph.complete(k), witness).verdict
             assert len(star_partition(Graph.complete(k)).parts) == value
+
+    def test_bound_past_the_edge_count_acts_as_no_bound(self):
+        # a cap of t >= edges never binds; a billion-fold or 700-digit t must
+        # not size the search's per-level masks
+        for g in (Graph.complete(4), C5, Graph.complete(5)):
+            edges = g.edge_count()
+            expected = min_biclique_partition(g, edges)
+            for t in (edges + 1, 10**9, 10**700):
+                value, witness = min_biclique_partition(g, t)
+                assert (value, witness.bounds.tolist(), witness.vertices.tolist()) == (
+                    expected[0], expected[1].bounds.tolist(), expected[1].vertices.tolist()
+                )
+                assert witness.multiplicity_bound == t
 
     def test_k4_floor_cross_checked(self):
         # independent exhaustive check that 2 parts cannot partition K4
