@@ -42,7 +42,7 @@ class RunConfig:
     """Knobs shared by the commands; all limits are positive."""
 
     vertex_limit: int = gridgraph.DEFAULT_VERTEX_LIMIT
-    pair_limit: int = 5000
+    pair_limit: int = clis.PAIR_LIMIT
     alpha_order_limit: int = 2500
     oracle_node_budget: int | None = None
     ambiguous_edge: bool = False

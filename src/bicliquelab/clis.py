@@ -31,6 +31,7 @@ from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_bicliqu
 from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
 from .packed import iter_bits, mask_of
 
+PAIR_LIMIT = 5000  # default for build_pair_graph's pair_limit
 # A characteristic vector is a string over {0,1,*}: position j holds 0 if
 # vertex j is in the biclique's left part, 1 if in the right part, * otherwise.
 CharVector = str
@@ -317,7 +318,7 @@ def _disjoint(
 
 
 def build_pair_graph(
-    graph: Graph, *, pair_limit: int = 5000
+    graph: Graph, *, pair_limit: int = PAIR_LIMIT
 ) -> tuple[Graph, BicliqueSystem]:
     """The graph on disjoint (clique, independent-set) pairs, with its 2-cover.
 

@@ -22,9 +22,9 @@ from array import array
 
 import numpy as np
 
-from .errors import FormatError, PartError, ResourceLimitError
+from .errors import FormatError, PartError
 from .graphs import BicliqueSystem, Certificate, Graph
-from .gridgraph import DEFAULT_VERTEX_LIMIT
+from .gridgraph import DEFAULT_VERTEX_LIMIT, check_vertex_limit
 from .packed import rows_from_masks
 
 
@@ -35,8 +35,8 @@ def write_graph(graph: Graph) -> str:
 
 
 def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
-    """Parse a DIMACS graph.  A header order above ``vertex_limit`` raises
-    ``ResourceLimitError`` before any edge is parsed or any array allocated."""
+    """Parse a DIMACS graph.  A header order above ``vertex_limit`` or the int32 range
+    raises ``ResourceLimitError`` before any edge is parsed or any array allocated."""
     order: int | None = None
     expected = 0
     masks: list[int] = []  # per vertex, the neighbours read so far as a bitmask
@@ -58,8 +58,7 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
                 raise FormatError(f"non-integer header fields in {line!r}", lineno)
             if order < 0 or expected < 0:
                 raise FormatError(f"negative header fields in {line!r}", lineno)
-            if order > vertex_limit:
-                raise ResourceLimitError("vertex_limit", vertex_limit, order)
+            check_vertex_limit(order, vertex_limit)
             masks = [0] * order
         elif fields[0] == "e":
             if order is None:

@@ -210,7 +210,7 @@ def _biclique_error(left: tuple[int, ...], right: tuple[int, ...]) -> str | None
     return None
 
 
-_MAX_ORDER = int(np.iinfo(np.int32).max)  # vertices are stored as int32
+MAX_ORDER = int(np.iinfo(np.int32).max)  # vertices are stored as int32
 _CHECK_ENTRIES = 1 << 17  # vertices per validation chunk of whole parts
 
 
@@ -294,7 +294,7 @@ class BicliqueSystem:
             raise ValueError(f"negative host order {host_order}")
         if bound < 1:
             raise ValueError("multiplicity bound must be >= 1")
-        if host_order > _MAX_ORDER:
+        if host_order > MAX_ORDER:
             raise ValueError(f"host order {host_order} exceeds the int32 vertex range")
         if (vertices >= host_order).any():
             # each side's last vertex is its largest

@@ -35,7 +35,7 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import BicliqueSystem, Graph, or_product, star_partition
+from .graphs import MAX_ORDER, BicliqueSystem, Graph, or_product, star_partition
 from .packed import pack_rows
 
 GridPoint = tuple[int, ...]
@@ -65,9 +65,9 @@ def index_point(idx: int, n: int, arity: int) -> GridPoint:
     return tuple(reversed(out))
 
 
-def _check_vertex_limit(count: int, limit: int) -> None:
-    if count > limit:
-        raise ResourceLimitError("vertex_limit", limit, count)
+def check_vertex_limit(count: int, limit: int) -> None:
+    if count > min(limit, MAX_ORDER):  # past MAX_ORDER, int32 vertex arrays overflow
+        raise ResourceLimitError("vertex_limit", min(limit, MAX_ORDER), count)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class GridGraphSpec:
         """Look up each pair's disagreement pattern in the admissible set, one
         band of rows at a time, so only the packed rows and one band's key are held."""
         count = self.n ** self.arity
-        _check_vertex_limit(count, vertex_limit)
+        check_vertex_limit(count, vertex_limit)
         mask = np.zeros(1 << self.arity, dtype=bool)
         for p in self.admissible.members:
             idx = 0
@@ -173,7 +173,7 @@ def grid_graph_piece(
         raise ValueError(f"piece subcube must have dim 7, got {part.dim}")
     if not any(b for _, b in part.fixed):
         raise ValueError("piece subcube contains the all-zero pattern (loops)")
-    _check_vertex_limit(n ** 7, vertex_limit)
+    check_vertex_limit(n ** 7, vertex_limit)
     return Graph._trusted(_subcube_rows(n, 7, part.fixed))
 
 
@@ -224,7 +224,7 @@ def grid_graph_partition(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_vertex_limit(n ** 7, vertex_limit)
+    check_vertex_limit(n ** 7, vertex_limit)
     total = n ** 7
     m = n * n
     pieces = []
@@ -282,7 +282,7 @@ def power_graph_cover(
         raise ValueError("n and t must be >= 1")
     if 7 * t * (n.bit_length() - 1) > vertex_limit.bit_length():
         raise ResourceLimitError("vertex_limit", vertex_limit, vertex_limit + 1)
-    _check_vertex_limit(n ** (7 * t), vertex_limit)
+    check_vertex_limit(n ** (7 * t), vertex_limit)
     base_graph = grid_graph(n, vertex_limit=vertex_limit)
     base_parts = grid_graph_partition(n, vertex_limit=vertex_limit)
     if not len(base_parts):  # n = 1: the power is one vertex, and no part lifts

@@ -43,19 +43,11 @@ class BoolMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BoolMatrix) and np.array_equal(self.entries, other.entries)
 
     def __repr__(self) -> str:
-        return f"BoolMatrix({self.rows}x{self.cols})"
+        return "BoolMatrix({}x{})".format(*self.entries.shape)
 
 
 def _max_clique_masks(

@@ -95,53 +95,55 @@ def count_pairs(
     row's masks at once with exact integer arithmetic and the same sticky
     overflow, so a pair in 65,537 parts costs no 65,537 ripples.
 
-    Masks are built for a bounded chunk of parts at a time, so the extra
-    memory is about (planes + 1) * n*n/16 bytes for the counters; the
-    chunk's mask table (about ``mask_bytes``), which drops each band's
-    leading columns in place; a band copy of the counter (about
-    ``band_bytes`` per plane); the two round buffers and the tail step's
-    chunks (about ``band_bytes`` each); and index arrays linear in the
-    vertex-part incidences.  There is no per-pair count array.
+    Masks are built for a bounded chunk of parts at a time.  The first chunk
+    makes each band's counter and the last reads it out and drops it, so the
+    counters take one band, about (planes + 1) * ``band_bytes``, when the parts
+    fit one chunk, and all bands, (planes + 1) * n*n/16 bytes, when they span
+    several.  The rest is the chunk's mask table (about ``mask_bytes``), which
+    drops each band's leading columns in place; a band copy of the counter and
+    the two round buffers and tail step chunks (about ``band_bytes`` each, per
+    plane for the copy); and index arrays linear in the vertex-part incidences.
     """
     words = (n + 63) // 64
+    parts = len(bounds) // 2
     # no pair is covered more often than there are parts, so a bound above
     # the part count acts as that count and needs no more planes
-    t = min(t, len(bounds) // 2)
+    t = min(t, parts)
     digits = t.bit_length()
     bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
     # plane k starts as bit k of the bias in every position: all ones or zeros
     fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(WORD)[:, None, None]
     band = max(1, band_bytes // (8 * max(words, 1)))
-    # one counter per band of rows, holding the columns from the band's
-    # first row on (see above); the last plane is the overflow
-    counters = [
-        np.broadcast_to(fill, (digits + 1, min(band, n - lo), words - lo // 64)).copy()
-        for lo in range(0, n, band)
-    ]
+    # band i's counter, from the first chunk until its read-out
+    counters: dict[int, np.ndarray] = {}
     # a chunk's side masks: at most mask_bytes / 8 words, or two rows of
     # under 2**25 words each (vertex ids are int32)
     chunk = max(1, mask_bytes // (16 * max(words, 1)))
-    for lo in range(0, len(bounds) // 2, chunk):
-        _count_chunk(counters, bounds[2 * lo : 2 * (lo + chunk) + 1], vertices, band, band_bytes)
-    for lo, counter in zip(range(0, n, band), counters):
-        planes, over = counter[:-1], counter[-1]
-        covered = over.copy()  # count > 0: planes no longer hold the bias
-        for k, plane in enumerate(planes):
-            covered |= ~plane if bias >> k & 1 else plane
-        yield lo, covered, over, _plane_max(planes) - bias
+    for first in range(0, max(parts, 1), chunk):
+        sides = bounds[2 * first : 2 * (first + chunk) + 1]
+        for i in _count_chunk(counters, fill, n, sides, vertices, band, band_bytes):
+            if first + chunk >= parts:  # no later chunk adds to band i: read it out, drop it
+                *planes, over = counters.pop(i)
+                covered = over.copy()  # count > 0: planes no longer hold the bias
+                for k, plane in enumerate(planes):
+                    covered |= ~plane if bias >> k & 1 else plane
+                yield i * band, covered, over, _plane_max(planes) - bias
 
 
 def _count_chunk(
-    counters: list[np.ndarray], bounds: np.ndarray, vertices: np.ndarray, band: int, scratch: int
-) -> None:
-    """Add the pair incidences of the parts with side ``bounds`` into the per-band ``counters``.
+    counters: dict[int, np.ndarray], fill: np.ndarray, n: int, bounds: np.ndarray,
+    vertices: np.ndarray, band: int, scratch: int
+) -> Iterator[int]:
+    """Add the pair incidences of the parts with side ``bounds`` into the band
+    ``counters`` of ``n`` vertices, yielding each band's index once it is in.
 
     Counter i holds rows ``i * band`` on, from column word ``i * band // 64``
-    on.  The caller bounds the chunk, so that its mask table (one row per
-    side) holds fewer than 2**31 words.  ``scratch`` is the byte size of the
-    blocks that move the table's columns and that the tail step sums.
+    on, and starts as the planes' ``fill``.  The caller bounds the chunk, so
+    that its mask table (one row per side) holds fewer than 2**31 words.
+    ``scratch`` is the byte size of the blocks that move the table's columns
+    and that the tail step sums.
     """
-    words = counters[0].shape[2]
+    words = (n + 63) // 64
     verts = vertices[bounds[0] : bounds[-1]]
     sizes = np.diff(bounds)
     side_of = np.arange(len(sizes), dtype=np.int32).repeat(sizes)
@@ -153,14 +155,18 @@ def _count_chunk(
     order = verts.argsort(kind="stable")
     verts, opposite = verts[order], (side_of ^ 1)[order]
     del order, side_of  # freed before the bands' scratch buffers and mask columns are made
-    bounds = np.searchsorted(verts, np.arange(0, len(counters) * band + 1, band))
-    for i, counter in enumerate(counters):
+    bounds = np.searchsorted(verts, np.arange(0, n + band, band))
+    for i in range(len(bounds) - 1):
+        if i not in counters:  # the first chunk makes band i's counter
+            shape = (len(fill), min(band, n - i * band), words - i * band // 64)
+            counters[i] = np.broadcast_to(fill, shape).copy()
         # np.take gathers without copying its whole source only from a
         # C-contiguous one, so the table sheds the columns left of each band
-        masks = _drop_columns(masks, masks.shape[1] - counter.shape[2], scratch)
+        masks = _drop_columns(masks, masks.shape[1] - counters[i].shape[2], scratch)
         lo, hi = bounds[i], bounds[i + 1]
         if lo < hi:
-            _count_band(counter, verts[lo:hi] - i * band, opposite[lo:hi], masks, scratch)
+            _count_band(counters[i], verts[lo:hi] - i * band, opposite[lo:hi], masks, scratch)
+        yield i
 
 
 def _drop_columns(table: np.ndarray, d: int, scratch: int) -> np.ndarray:
@@ -195,12 +201,14 @@ def _count_band(
     adds each remaining row's masks at once.
     """
     counts = np.bincount(verts)
-    degree = counts[counts.nonzero()[0]]
-    rank = np.arange(len(verts)) - (degree.cumsum() - degree).repeat(degree)
+    index = np.int32 if len(verts) < 1 << 31 else np.int64  # ranks and degrees are below it
+    degree = counts[counts.nonzero()[0]].astype(index)
+    rank = np.arange(len(verts), dtype=index) - (degree.cumsum(dtype=index) - degree).repeat(degree)
     # by round, then by decreasing degree; the sort is stable, so ties keep row order
     order = np.lexsort((-degree.repeat(degree), rank))
     mask_ids = mask_ids[order]
     rows = verts[order[: len(degree)]]
+    del rank, order  # freed before the counter copy and the round buffers are made
     active = len(degree) - np.bincount(degree).cumsum()[:-1]
     starts = np.concatenate(([0], active.cumsum()))  # where each round's masks begin
     width = counter.shape[2]

@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicliquelab import clis
 from bicliquelab.cli import RunConfig, cmd_demo, cmd_suite, main
+from bicliquelab.corpus import graphs_up_to
+from bicliquelab.errors import ResourceLimitError
+from bicliquelab.graphs import Graph
 
 
 def run_cli(*argv):
@@ -106,6 +110,21 @@ class TestExitCodes:
         assert "pair_limit exceeded" in err
         assert "Traceback" not in err
 
+    def test_pair_limit_shared_by_cli_and_library(self, capsys):
+        # one default, and at any limit the CLI refuses the first graph the library refuses
+        assert RunConfig().pair_limit == clis.PAIR_LIMIT
+        with pytest.raises(ResourceLimitError) as default:
+            clis.build_pair_graph(Graph.empty(13))  # 2**13 independent sets
+        assert default.value.limit == clis.PAIR_LIMIT
+        counts = [clis.build_pair_graph(g)[0].order for g in graphs_up_to(4)]
+        limit = max(counts) - 1
+        first = graphs_up_to(4)[next(i for i, count in enumerate(counts) if count > limit)]
+        with pytest.raises(ResourceLimitError) as library:
+            clis.build_pair_graph(first, pair_limit=limit)
+        assert main(["--pair-limit", str(limit), "suite", "clis"]) == 3
+        assert capsys.readouterr().err == f"resource limit: {library.value}\n"
+        assert main(["--pair-limit", str(limit + 1), "suite", "clis"]) == 0
+
     def test_vertex_limit_flag(self):
         code, _, _ = run_cli("--vertex-limit", "10", "demo", "--n", "2")
         assert code == 3
@@ -165,6 +184,25 @@ class TestOversizedSizes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("resource limit: vertex_limit exceeded: requested ")
+
+    def test_vertex_limit_past_int32_refused_fast(self, capsys):
+        # a limit above the int32 vertex range admits no more than that range,
+        # so 10**49 vertices are refused before any array is allocated
+        start = time.perf_counter()
+        assert main(["--vertex-limit", "1" + "0" * 60, "demo", "--n", "10000000"]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource limit: vertex_limit exceeded: requested 1" + "0" * 49 + ",")
+
+    def test_graph_header_past_int32_refused(self, tmp_path, capsys):
+        huge = tmp_path / "huge.dimacs"
+        huge.write_text("p edge 3000000000 0\n", encoding="ascii")
+        argv = ["--vertex-limit", "1" + "0" * 60, "oracle", "--graph", str(huge), "--what", "alpha"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: vertex_limit exceeded: requested 3000000000, limit 2147483647\n"
+        )
 
     def test_one_vertex_power_fast(self, capsys):
         start = time.perf_counter()

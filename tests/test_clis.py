@@ -154,7 +154,7 @@ class TestCanonicalInstance:
         inst = canonical_instance(K3_PARTITION)
         assert inst.cliques == ((), (0,), (0, 1))
         assert inst.independents == ((0,), (1,), ())
-        assert inst.matrix.rows == inst.matrix.cols == 3
+        assert inst.matrix.entries.shape == (3, 3)
         assert all(inst.matrix.entries[j, j] == 0 for j in range(3))
 
     def test_zero_diagonal_and_validity_sweep(self):
@@ -174,7 +174,7 @@ class TestCanonicalInstance:
     def test_edgeless(self):
         inst = canonical_instance(BicliqueSystem(3, (), 1))
         assert inst.cliques == ((), (), ())
-        assert inst.matrix.rows == 3
+        assert inst.matrix.entries.shape[0] == 3
 
 
 class TestClisInstance:

@@ -1,13 +1,14 @@
 """Graph core: bicliques, systems, verification, stars, blowups, OR products."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicliquelab import graphs, packed
+from bicliquelab import graphs, gridgraph, packed
 from bicliquelab.corpus import graphs_up_to, random_graph
 from bicliquelab.graphs import (
     Biclique,
@@ -615,3 +616,51 @@ class TestVerifyDifferential:
             for t in (1, 2, 3):
                 s = BicliqueSystem(n, system.parts, t)
                 self._check_with_mutants(graph, s, rng)
+
+
+class TestStreamedCounter:
+    """``count_pairs`` reads out each band once its last chunk is added: with
+    one chunk of parts a band's counter lives only until its read-out, with
+    several every band waits for the last chunk.  Both give the same bands."""
+
+    @staticmethod
+    def _bands(system, band_bytes, mask_bytes):
+        n, t = system.host_order, system.multiplicity_bound
+        args = (n, system.bounds, system.vertices, t, band_bytes, mask_bytes)
+        return [(lo, c.tolist(), o.tolist(), high) for lo, c, o, high in packed.count_pairs(*args)]
+
+    def _check(self, system):
+        # mask_bytes = 1 makes a chunk of each part
+        for band_bytes in (graphs._BAND_BYTES, 64):
+            one_chunk = self._bands(system, band_bytes, graphs._MASK_BYTES)
+            assert one_chunk == self._bands(system, band_bytes, 1)
+            # bands come out in row order, each row once
+            rows = [lo + r for lo, covered, _, _ in one_chunk for r in range(len(covered))]
+            assert rows == list(range(system.host_order))
+
+    def test_host_orders_zero_and_one(self):
+        for n in (0, 1):
+            for t in (1, 2):
+                self._check(BicliqueSystem(n, (), t))
+
+    def test_random_systems_and_mutants(self):
+        # passing covers, and mutants with a pair over t or a non-biclique part
+        rng = random.Random(1515)
+        for n in (2, 5, 64, 65, 130):
+            for t in (1, 2, 3, 8):
+                graph, system = _random_cover(n, t, rng)
+                self._check(system)
+                for _, mutant in _mutants(graph, system, rng):
+                    self._check(mutant)
+
+    def test_verify_holds_one_band_of_counters(self):
+        # every band's counter of the t = 2 OR-square cover together is
+        # 3 planes * 16384**2 / 16 bytes = 48 MiB; streamed, verify stays far below
+        graph, cover = gridgraph.power_graph_cover(2, 2)
+        tracemalloc.start()
+        try:
+            assert verify_biclique_system(graph, cover).verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20
