@@ -16,6 +16,7 @@ and the distinguished index of an index set is its largest element).
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, islice, product
 from math import comb
 from typing import Iterable
@@ -67,7 +68,7 @@ def peck_bound(d: int, t: int) -> int:
 
 
 def _check_indices(cover: BicliqueSystem, indices: Iterable[int]) -> tuple[int, ...]:
-    idx = tuple(sorted(set(int(i) for i in indices)))
+    idx = tuple(sorted(set(map(operator.index, indices))))
     if not idx:
         raise ValueError("index set must be nonempty")
     if idx[0] < 1 or idx[-1] > len(cover):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import ceil
 from pathlib import Path
 
-from . import algebra, clis, corpus, formats, gridgraph, oracles
+from . import algebra, clis, corpus, formats, graphs, gridgraph, oracles
 from .cube import (
     admissible_set,
     decompose_admissible_set,
@@ -41,14 +41,12 @@ EXIT_RESOURCE = 3
 class RunConfig:
     """Knobs shared by the commands; all limits are positive."""
 
-    vertex_limit: int = gridgraph.DEFAULT_VERTEX_LIMIT
+    vertex_limit: int = graphs.DEFAULT_VERTEX_LIMIT
     pair_limit: int = clis.PAIR_LIMIT
-    alpha_order_limit: int = 2500
-    oracle_node_budget: int | None = None
     ambiguous_edge: bool = False
 
     def __post_init__(self):
-        for name in ("vertex_limit", "pair_limit", "alpha_order_limit"):
+        for name in ("vertex_limit", "pair_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -103,13 +101,12 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
         else:
             disjoint &= not (seen & pg.rows).any()
             seen |= pg.rows
+    del seen, pg  # n^14/8 bytes each, and no later stage reads them
     rep.line(f"piece-edge-sum {edge_sum}")
     rep.check("piece-edges-match", edge_sum == graph.edge_count())
     rep.check("piece-edges-disjoint", disjoint)
 
-    alpha, witness = oracles.independence_number(
-        graph, order_limit=config.alpha_order_limit, node_budget=config.oracle_node_budget
-    )
+    alpha, witness = oracles.independence_number(graph)
     rep.line(f"independence-number {alpha}")
     points = [gridgraph.index_point(v, n, 7) for v in witness]
     rep.line(
@@ -254,9 +251,7 @@ def cmd_verify(graph_path: str, partition_path: str, config: RunConfig) -> tuple
 def cmd_oracle(what: str, graph_path: str, t: int, config: RunConfig) -> tuple[str, bool]:
     graph = formats.read_graph(_read_path(graph_path), vertex_limit=config.vertex_limit)
     if what == "alpha":
-        value, witness = oracles.independence_number(
-            graph, order_limit=config.alpha_order_limit, node_budget=config.oracle_node_budget
-        )
+        value, witness = oracles.independence_number(graph)
         return f"alpha {value}\nwitness {' '.join(str(v) for v in witness)}\n", True
     if what == "chi":
         value, coloring = oracles.chromatic_number(graph)

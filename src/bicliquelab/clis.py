@@ -1,11 +1,12 @@
 """Reductions between biclique partitions and the clique-vs-independent-set game.
 
-Forward direction: a biclique partition of a graph G induces characteristic
-vectors over {0,1,*}, a conflict structure on the bicliques (the graph
-``biclique_graph`` builds), and canonical clique/independent-set families
-whose intersection matrix has zero diagonal; covering that matrix's
-0-entries by monochromatic rectangles is at least as hard as properly
-coloring G.
+Forward direction: a biclique partition of a graph G gives each biclique a
+characteristic vector over {0,1,*} (position j holds 0 if vertex j is on the
+left side, 1 if on the right, * otherwise), a conflict structure on the
+bicliques (the graph ``biclique_graph`` builds), and canonical
+clique/independent-set families whose intersection matrix has zero
+diagonal; covering that matrix's 0-entries by monochromatic rectangles is
+at least as hard as properly coloring G.
 
 Reverse direction: from any graph, the disjoint (clique, independent-set)
 pairs form a new graph carrying an explicit 2-cover with one biclique per
@@ -32,9 +33,7 @@ from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
 from .packed import iter_bits, mask_of
 
 PAIR_LIMIT = 5000  # default for build_pair_graph's pair_limit
-# A characteristic vector is a string over {0,1,*}: position j holds 0 if
-# vertex j is in the biclique's left part, 1 if in the right part, * otherwise.
-CharVector = str
+CHI_CHECK_ORDER_LIMIT = 8  # largest host order chi_lower_bound_check solves
 
 
 def _side_masks(partition: BicliqueSystem) -> tuple[list[int], list[int]]:
@@ -43,18 +42,6 @@ def _side_masks(partition: BicliqueSystem) -> tuple[list[int], list[int]]:
         raise ValueError("characteristic vectors are defined for exact partitions (t=1)")
     parts = list(partition)
     return [mask_of(b.left) for b in parts], [mask_of(b.right) for b in parts]
-
-
-def characteristic_vectors(partition: BicliqueSystem) -> list[CharVector]:
-    """One vector per biclique of a declared partition (multiplicity bound 1)."""
-    lefts, rights = _side_masks(partition)
-    return [
-        "".join(
-            "0" if left >> j & 1 else "1" if right >> j & 1 else "*"
-            for j in range(partition.host_order)
-        )
-        for left, right in zip(lefts, rights)
-    ]
 
 
 def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -> Graph:
@@ -174,11 +161,7 @@ def canonical_instance(partition: BicliqueSystem, *, ambiguous_edge: bool = Fals
 
 
 def chi_lower_bound_check(
-    graph: Graph,
-    partition: BicliqueSystem,
-    *,
-    order_limit: int = 8,
-    ambiguous_edge: bool = False,
+    graph: Graph, partition: BicliqueSystem, *, ambiguous_edge: bool = False
 ) -> Certificate:
     """Certify that covering the canonical matrix's 0-entries takes at least
     as many rectangles as properly coloring the host graph.
@@ -189,8 +172,8 @@ def chi_lower_bound_check(
     graph and together they cover all vertices.
     """
     n = graph.order
-    if n > order_limit:
-        raise ResourceLimitError("chi_check_order_limit", order_limit, n)
+    if n > CHI_CHECK_ORDER_LIMIT:
+        raise ResourceLimitError("chi_check_order_limit", CHI_CHECK_ORDER_LIMIT, n)
     inst = canonical_instance(partition, ambiguous_edge=ambiguous_edge)
     cover_size, rects = min_rectangle_cover(inst.matrix, 0)
     chi, _ = chromatic_number(graph)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from typing import Iterator, Mapping
 
 from .graphs import Certificate
@@ -34,7 +35,7 @@ class Subcube:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        items = tuple(sorted((int(p), int(b)) for p, b in dict(self.fixed).items()))
+        items = tuple(sorted((index(p), index(b)) for p, b in dict(self.fixed).items()))
         for pos, bit in items:
             if not 1 <= pos <= self.dim:
                 raise ValueError(f"fixed position {pos} outside [1, {self.dim}]")

@@ -23,8 +23,7 @@ from array import array
 import numpy as np
 
 from .errors import FormatError, PartError
-from .graphs import BicliqueSystem, Certificate, Graph
-from .gridgraph import DEFAULT_VERTEX_LIMIT, check_vertex_limit
+from .graphs import DEFAULT_VERTEX_LIMIT, BicliqueSystem, Certificate, Graph, check_vertex_limit
 from .packed import rows_from_masks
 
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import PartError
+from .errors import PartError, ResourceLimitError
 from .packed import (
     BITS, WORD, count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks, unpack_rows
 )
@@ -211,7 +211,13 @@ def _biclique_error(left: tuple[int, ...], right: tuple[int, ...]) -> str | None
 
 
 MAX_ORDER = int(np.iinfo(np.int32).max)  # vertices are stored as int32
+DEFAULT_VERTEX_LIMIT = 10_000
 _CHECK_ENTRIES = 1 << 17  # vertices per validation chunk of whole parts
+
+
+def check_vertex_limit(count: int, limit: int) -> None:
+    if count > min(limit, MAX_ORDER):  # past MAX_ORDER, int32 vertex arrays overflow
+        raise ResourceLimitError("vertex_limit", min(limit, MAX_ORDER), count)
 
 
 class BicliqueSystem:

@@ -28,6 +28,7 @@ Canonical index maps (part of the public contract):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -35,12 +36,13 @@ import numpy as np
 
 from .cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from .errors import ResourceLimitError
-from .graphs import MAX_ORDER, BicliqueSystem, Graph, or_product, star_partition
+from .graphs import (
+    DEFAULT_VERTEX_LIMIT, BicliqueSystem, Graph, check_vertex_limit, or_product, star_partition
+)
 from .packed import pack_rows
 
 GridPoint = tuple[int, ...]
 
-DEFAULT_VERTEX_LIMIT = 10_000
 # The OR-power route needs n^(7t) vertices; the default admits n=2, t=2.
 DEFAULT_POWER_VERTEX_LIMIT = 16_384
 # rows per band of the disagreement key in GridGraphSpec.realize
@@ -50,7 +52,7 @@ _KEY_BAND = 256
 def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
     """Restrict a point to the given 1-based coordinate positions, in increasing order."""
     xs = tuple(x)
-    pos = sorted(set(int(p) for p in positions))
+    pos = sorted(set(map(operator.index, positions)))
     for p in pos:
         if not 1 <= p <= len(xs):
             raise ValueError(f"position {p} outside [1, {len(xs)}]")
@@ -63,11 +65,6 @@ def index_point(idx: int, n: int, arity: int) -> GridPoint:
         idx, r = divmod(idx, n)
         out.append(r + 1)
     return tuple(reversed(out))
-
-
-def check_vertex_limit(count: int, limit: int) -> None:
-    if count > min(limit, MAX_ORDER):  # past MAX_ORDER, int32 vertex arrays overflow
-        raise ResourceLimitError("vertex_limit", min(limit, MAX_ORDER), count)
 
 
 @dataclass(frozen=True)

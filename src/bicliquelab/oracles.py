@@ -20,11 +20,11 @@ from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Graph
 from .packed import iter_bits, mask_of
 
-DEFAULT_ALPHA_ORDER_LIMIT = 256
+DEFAULT_ALPHA_ORDER_LIMIT = 2500
 DEFAULT_CHI_ORDER_LIMIT = 64
-DEFAULT_BP_ORDER_LIMIT = 8
+BP_ORDER_LIMIT = 8
 DEFAULT_RECT_ENTRY_LIMIT = 64
-DEFAULT_RECT_BUDGET = 1 << 20
+RECT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def independence_number(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with one maximum independent set as witness.
 
-    Runs maximum clique on the complement.  Milliseconds up to a few
-    hundred vertices on structured instances; raise ``order_limit``
-    explicitly for larger graphs.
+    Runs maximum clique on the complement.  The default limit admits the
+    2,187-vertex grid graph at n=3, the largest the demo builds under its
+    default vertex limit; raise ``order_limit`` explicitly for larger graphs.
     """
     n = graph.order
     if n > order_limit:
@@ -247,9 +247,7 @@ def _all_bicliques(graph: Graph) -> list[Biclique]:
     return [Biclique._trusted(tuple(iter_bits(l)), tuple(iter_bits(r))) for l, r in found]
 
 
-def min_biclique_partition(
-    graph: Graph, t: int = 1, *, order_limit: int = DEFAULT_BP_ORDER_LIMIT
-) -> tuple[int, BicliqueSystem]:
+def min_biclique_partition(graph: Graph, t: int = 1) -> tuple[int, BicliqueSystem]:
     """Exact minimum size of a t-biclique cover (t=1: exact partition), with witness.
 
     Iterative deepening over the cover size; at each node the search
@@ -260,8 +258,8 @@ def min_biclique_partition(
     if t < 1:
         raise ValueError("t must be >= 1")
     n = graph.order
-    if n > order_limit:
-        raise ResourceLimitError("bp_order_limit", order_limit, n)
+    if n > BP_ORDER_LIMIT:
+        raise ResourceLimitError("bp_order_limit", BP_ORDER_LIMIT, n)
     edges = list(graph.edges())
     if not edges:
         return 0, BicliqueSystem(n, (), t)
@@ -315,9 +313,7 @@ def _min_cover(sets: list[int], owners: list[list[int]], t: int | None) -> list[
 Rectangle = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _maximal_rectangles(
-    entries: np.ndarray, value: int, budget: int
-) -> list[Rectangle]:
+def _maximal_rectangles(entries: np.ndarray, value: int) -> list[Rectangle]:
     """All maximal constant-``value`` rectangles (row set x column set).
 
     Iterates over subsets of the smaller dimension and closes each one:
@@ -327,8 +323,8 @@ def _maximal_rectangles(
     transposed = entries.shape[0] > entries.shape[1]
     mat = entries.T if transposed else entries
     r, c = mat.shape
-    if 1 << r > budget:
-        raise ResourceLimitError("rectangle_budget", budget, 1 << r)
+    if 1 << r > RECT_BUDGET:
+        raise ResourceLimitError("rectangle_budget", RECT_BUDGET, 1 << r)
     row_cols = [mask_of(np.flatnonzero(row == value).tolist()) for row in mat]
     fullcols = (1 << c) - 1
     seen: set[tuple[int, int]] = set()
@@ -349,11 +345,7 @@ def _maximal_rectangles(
 
 
 def min_rectangle_cover(
-    matrix: BoolMatrix,
-    value: int,
-    *,
-    entry_limit: int = DEFAULT_RECT_ENTRY_LIMIT,
-    budget: int = DEFAULT_RECT_BUDGET,
+    matrix: BoolMatrix, value: int, *, entry_limit: int = DEFAULT_RECT_ENTRY_LIMIT
 ) -> tuple[int, list[Rectangle]]:
     """Exact minimum number of constant-``value`` rectangles covering all
     ``value`` entries (overlaps allowed), with a witness list of rectangles.
@@ -368,7 +360,7 @@ def min_rectangle_cover(
         return 0, []
     if len(cells) > entry_limit:
         raise ResourceLimitError("rectangle_entry_limit", entry_limit, len(cells))
-    rects = _maximal_rectangles(matrix.entries, value, budget)
+    rects = _maximal_rectangles(matrix.entries, value)
     # Branch on the cell with the fewest owning rectangles, ties to the lowest:
     # owner counts never change, so with cells labelled in that order it is
     # always the lowest uncovered label.

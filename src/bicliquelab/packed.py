@@ -153,7 +153,8 @@ def _count_chunk(
     np.add.at(masks.reshape(-1), side_of * np.int32(words) + (verts >> 6), BITS[verts & 63])
     # every vertex receives the mask of the opposite side of each of its parts
     order = verts.argsort(kind="stable")
-    verts, opposite = verts[order], (side_of ^ 1)[order]
+    verts, opposite = verts[order], side_of[order]
+    opposite ^= 1  # in place: one more incidence-sized array here would set verify's peak
     del order, side_of  # freed before the bands' scratch buffers and mask columns are made
     bounds = np.searchsorted(verts, np.arange(0, n + band, band))
     for i in range(len(bounds) - 1):

@@ -250,14 +250,21 @@ class TestFileWorkflows:
         assert code == 0
         assert out.startswith("alpha 2\n")
 
-    def test_oracle_alpha_uses_run_config_order_limit(self, tmp_path):
-        # 300 vertices are above the oracle's own default limit (256) and
-        # within RunConfig.alpha_order_limit, which demo already uses
+    def test_oracle_alpha_within_order_limit(self, tmp_path):
+        # 300 vertices lie within the one α limit (2,500) that the library's
+        # independence_number and every command share
         gpath = tmp_path / "g.dimacs"
         gpath.write_text("p edge 300 0\n", encoding="ascii")
         code, out, _ = run_cli("oracle", "--graph", str(gpath), "--what", "alpha")
         assert code == 0
         assert out.startswith("alpha 300\n")
+
+    def test_oracle_alpha_past_order_limit_exit_3(self, tmp_path):
+        gpath = tmp_path / "g.dimacs"
+        gpath.write_text("p edge 2501 0\n", encoding="ascii")
+        code, out, err = run_cli("oracle", "--graph", str(gpath), "--what", "alpha")
+        assert (code, out) == (3, "")
+        assert err == "resource limit: alpha_order_limit exceeded: requested 2501, limit 2500\n"
 
     def test_oracle_bp(self, tmp_path):
         gpath = tmp_path / "g.dimacs"

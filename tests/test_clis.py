@@ -13,7 +13,6 @@ from bicliquelab.clis import (
     biclique_graph,
     build_pair_graph,
     canonical_instance,
-    characteristic_vectors,
     chi_lower_bound_check,
     full_instance,
     yannakakis_protocol,
@@ -97,23 +96,6 @@ def reference_protocol(inst, clique_index, independent_index):
                 return finish(0)
 
 
-class TestCharacteristicVectors:
-    def test_triangle_partition(self):
-        assert characteristic_vectors(K3_PARTITION) == ["011", "*01"]
-
-    def test_single_edge(self):
-        system = BicliqueSystem(2, (Biclique((0,), (1,)),), 1)
-        assert characteristic_vectors(system) == ["01"]
-
-    def test_edgeless(self):
-        assert characteristic_vectors(BicliqueSystem(3, (), 1)) == []
-
-    def test_requires_partition_bound(self):
-        system = BicliqueSystem(2, (Biclique((0,), (1,)),), 2)
-        with pytest.raises(ValueError):
-            characteristic_vectors(system)
-
-
 class TestBicliqueGraph:
     def test_triangle_partition_gives_edge(self):
         # both vectors hold 1 at vertex 2
@@ -138,6 +120,13 @@ class TestBicliqueGraph:
                 build(bad)
             assert err.value.part_a == 1 and err.value.part_b == 2
             assert (err.value.shared_one, err.value.shared_zero) == (1, 0)
+
+    def test_requires_partition_bound(self):
+        # the forward reduction is defined for exact partitions (t=1) only
+        cover = BicliqueSystem(2, (Biclique((0,), (1,)),), 2)
+        for build in (biclique_graph, canonical_instance):
+            with pytest.raises(ValueError):
+                build(cover)
 
     def test_never_raises_on_verified_partitions(self):
         rng = random.Random(41)

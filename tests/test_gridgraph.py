@@ -5,9 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bicliquelab.cube import admissible_set, decompose_admissible_set
+from bicliquelab.algebra import split_intersection
+from bicliquelab.cube import Subcube, admissible_set, decompose_admissible_set
 from bicliquelab.errors import ResourceLimitError
-from bicliquelab.graphs import BicliqueSystem, Graph, blowup, or_product, verify_biclique_system
+from bicliquelab.graphs import (
+    Biclique, BicliqueSystem, Graph, blowup, or_product, verify_biclique_system
+)
 from bicliquelab.gridgraph import (
     GridGraphSpec,
     grid_graph,
@@ -42,6 +45,21 @@ class TestProject:
             project((1, 2, 3), (0,))
         with pytest.raises(ValueError):
             project((1, 2, 3), (4,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Subcube.of(7, {1.7: 0.9}),
+        lambda: split_intersection(BicliqueSystem(2, (Biclique((0,), (1,)),), 1), [1.9]),
+        lambda: project((1, 2, 3), [1.5, 2]),
+    ],
+    ids=["subcube-position", "part-index", "project-position"],
+)
+def test_non_integer_index_refused(call):
+    # truncating 1.7 to 1 would silently answer for a different index
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestIndexMaps:

@@ -102,7 +102,7 @@ class TestIndependence:
 
     def test_order_limit(self):
         with pytest.raises(ResourceLimitError):
-            independence_number(Graph.empty(300))
+            independence_number(Graph.empty(2501))
 
     def test_at_most(self):
         g = C5
@@ -230,7 +230,7 @@ class TestMinRectangleCover:
         from bicliquelab.oracles import _maximal_rectangles
 
         m = BoolMatrix(np.eye(3, dtype=np.uint8))
-        rects = _maximal_rectangles(m.entries, 0, 1 << 20)
+        rects = _maximal_rectangles(m.entries, 0)
         assert brute_rectangle_cover(m, 0, rects) == 3
         value, witness = min_rectangle_cover(m, 0)
         assert value == 3
@@ -270,7 +270,7 @@ class TestMinRectangleCover:
                 )
             )
             for value in (0, 1):
-                rects = _maximal_rectangles(m.entries, value, 1 << 20)
+                rects = _maximal_rectangles(m.entries, value)
                 expected = brute_rectangle_cover(m, value, rects)
                 got, witness = min_rectangle_cover(m, value)
                 assert got == expected
