@@ -16,8 +16,7 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 from pathlib import Path
 
 from . import algebra, clis, corpus, formats, graphs, gridgraph, oracles
@@ -39,16 +38,14 @@ EXIT_RESOURCE = 3
 
 @dataclass
 class RunConfig:
-    """Knobs shared by the commands; all limits are positive."""
+    """Settings shared by the commands; ``vertex_limit`` is the one guard a user sets."""
 
     vertex_limit: int = graphs.DEFAULT_VERTEX_LIMIT
-    pair_limit: int = clis.PAIR_LIMIT
     ambiguous_edge: bool = False
 
     def __post_init__(self):
-        for name in ("vertex_limit", "pair_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.vertex_limit < 1:
+            raise ValueError("vertex_limit must be positive")
 
 
 class _Report:
@@ -101,9 +98,11 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
         else:
             disjoint &= not (seen & pg.rows).any()
             seen |= pg.rows
+    seen ^= graph.rows  # in place: all zero exactly when the pieces' union is the graph
+    union_ok = not seen.any()
     del seen, pg  # n^14/8 bytes each, and no later stage reads them
     rep.line(f"piece-edge-sum {edge_sum}")
-    rep.check("piece-edges-match", edge_sum == graph.edge_count())
+    rep.check("piece-edges-match", edge_sum == graph.edge_count() and union_ok)
     rep.check("piece-edges-disjoint", disjoint)
 
     alpha, witness = oracles.independence_number(graph)
@@ -125,8 +124,8 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
     rep.check("partition-size-within-bound", len(partition) <= bound)
     rep.certificate("partition-exact-once", verify_biclique_system(graph, partition))
     if len(partition):
-        ratio = Fraction(chi_lb, len(partition))
-        rep.line(f"chromatic-lb-to-partition-ratio {ratio.numerator}/{ratio.denominator}")
+        g = gcd(chi_lb, len(partition))
+        rep.line(f"chromatic-lb-to-partition-ratio {chi_lb // g}/{len(partition) // g}")
     else:
         rep.line("chromatic-lb-to-partition-ratio 0/1")
     return rep.text(), rep.ok
@@ -212,7 +211,7 @@ def _suite_clis(rep: _Report, config: RunConfig) -> None:
     reverse_ok = True
     chi_ok = True
     for gamma in corpus.graphs_up_to(4):
-        pair_graph, system = clis.build_pair_graph(gamma, pair_limit=config.pair_limit)
+        pair_graph, system = clis.build_pair_graph(gamma)
         cert = verify_biclique_system(pair_graph, system)
         reverse_ok &= cert.verdict and len(system) <= gamma.order
         if gamma.order <= 3:
@@ -281,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "t-covers, and clique-vs-independent-set reductions.",
     )
     parser.add_argument("--vertex-limit", type=int, default=RunConfig.vertex_limit)
-    parser.add_argument("--pair-limit", type=int, default=RunConfig.pair_limit)
     parser.add_argument(
         "--ambiguous-edge",
         choices=("edge", "nonedge"),
@@ -316,11 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            vertex_limit=args.vertex_limit,
-            pair_limit=args.pair_limit,
-            ambiguous_edge=args.ambiguous_edge == "edge",
-        )
+        config = RunConfig(args.vertex_limit, ambiguous_edge=args.ambiguous_edge == "edge")
         if args.command == "demo":
             text, ok = cmd_demo(args.n, config)
         elif args.command == "suite":

@@ -32,7 +32,7 @@ from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_bicliqu
 from .oracles import BoolMatrix, chromatic_number, min_rectangle_cover
 from .packed import iter_bits, mask_of
 
-PAIR_LIMIT = 5000  # default for build_pair_graph's pair_limit
+PAIR_LIMIT = 5000  # most pairs build_pair_graph forms
 CHI_CHECK_ORDER_LIMIT = 8  # largest host order chi_lower_bound_check solves
 
 
@@ -300,9 +300,7 @@ def _disjoint(
     return sorted((c, s) for c, m in cm for s, sm in im if not m & sm)
 
 
-def build_pair_graph(
-    graph: Graph, *, pair_limit: int = PAIR_LIMIT
-) -> tuple[Graph, BicliqueSystem]:
+def build_pair_graph(graph: Graph) -> tuple[Graph, BicliqueSystem]:
     """The graph on disjoint (clique, independent-set) pairs, with its 2-cover.
 
     Pairs are adjacent when either clique meets the other's independent
@@ -314,7 +312,7 @@ def build_pair_graph(
     the pair definition, not from the bicliques, so the closing
     verification compares two routes.
 
-    ``pair_limit`` is applied before any pair is formed.  The empty clique
+    ``PAIR_LIMIT`` is applied before any pair is formed.  The empty clique
     pairs with every independent set and the empty independent set with
     every clique, so a family larger than the limit is refused as soon as
     its enumeration passes the limit (the error then names that family's
@@ -325,17 +323,17 @@ def build_pair_graph(
     """
     families = []
     for g in (graph, graph.complement()):
-        family = list(islice(_cliques(g), pair_limit + 1))
-        if len(family) > pair_limit:
-            raise ResourceLimitError("pair_limit", pair_limit, len(family))
+        family = list(islice(_cliques(g), PAIR_LIMIT + 1))
+        if len(family) > PAIR_LIMIT:
+            raise ResourceLimitError("pair_limit", PAIR_LIMIT, len(family))
         families.append(family)
     cliques, independents = families
     in_cliques, in_independents = (Counter(chain.from_iterable(f)) for f in families)
     count = len(cliques) * len(independents) - sum(
         k * in_independents[v] for v, k in in_cliques.items()
     )
-    if count > pair_limit:
-        raise ResourceLimitError("pair_limit", pair_limit, count)
+    if count > PAIR_LIMIT:
+        raise ResourceLimitError("pair_limit", PAIR_LIMIT, count)
     pairs = _disjoint(cliques, independents)
     cl = [mask_of(c) for c, _ in pairs]
     ind = [mask_of(s) for _, s in pairs]

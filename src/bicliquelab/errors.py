@@ -8,10 +8,11 @@ from __future__ import annotations
 
 
 class ResourceLimitError(RuntimeError):
-    """An operation refused to run because a configured guard was exceeded.
+    """An operation refused to run because a guard was exceeded.
 
-    Carries the name of the limit and the offending size so callers can
-    report exactly which knob to raise.
+    Carries the name of the limit that refused, its value and the offending
+    size.  Only ``vertex_limit`` is set by a user (``--vertex-limit``); the
+    other limits are module constants, or a caller's ``node_budget``.
     """
 
     def __init__(self, limit_name: str, limit: int, requested: int):

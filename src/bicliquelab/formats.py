@@ -23,7 +23,9 @@ from array import array
 import numpy as np
 
 from .errors import FormatError, PartError
-from .graphs import DEFAULT_VERTEX_LIMIT, BicliqueSystem, Certificate, Graph, check_vertex_limit
+from .graphs import (
+    DEFAULT_VERTEX_LIMIT, MAX_ORDER, BicliqueSystem, Certificate, Graph, check_vertex_limit
+)
 from .packed import rows_from_masks
 
 
@@ -95,8 +97,10 @@ def write_system(system: BicliqueSystem) -> str:
     ordered = system.vertices[order]
     runs = np.flatnonzero(np.diff(ordered, prepend=-1))  # where each distinct vertex begins
     names = np.array([str(v) for v in ordered[runs].tolist()], dtype=object)
+    del ordered  # each incidence-sized array is freed once read
     tokens = np.empty(len(order), dtype=object)
     tokens[order] = names.repeat(np.diff(runs, append=len(order)))
+    del order
     tokens = tokens.tolist()
     bounds = system.bounds.tolist()
     for start, split, end in zip(bounds[:-1:2], bounds[1::2], bounds[2::2]):
@@ -110,7 +114,8 @@ def read_system(text: str) -> BicliqueSystem:
     The first bad line is named: a part line that does not parse or is not
     a biclique.  Then a part count other than the header's is named at the
     line past the end, and a bad host order, bound or out-of-range vertex at
-    line 1.  Vertices beyond the int64 range are refused at their line.
+    line 1.  Vertices beyond the int64 range are refused at their line.  A
+    host order past the int32 range is refused before any part line is read.
     """
     lines = text.splitlines()
     if not lines:
@@ -122,6 +127,7 @@ def read_system(text: str) -> BicliqueSystem:
         order, nparts, bound = int(head[1]), int(head[2]), int(head[3])
     except ValueError:
         raise FormatError(f"non-integer header fields in {lines[0]!r}", 1)
+    check_vertex_limit(order, MAX_ORDER)
     vertices = array("q")  # int64, grown in place
     bounds = [0]  # where each side ends: split, end, split, end, ...
     part_lines: list[int] = []

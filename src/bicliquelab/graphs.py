@@ -300,8 +300,7 @@ class BicliqueSystem:
             raise ValueError(f"negative host order {host_order}")
         if bound < 1:
             raise ValueError("multiplicity bound must be >= 1")
-        if host_order > MAX_ORDER:
-            raise ValueError(f"host order {host_order} exceeds the int32 vertex range")
+        check_vertex_limit(host_order, MAX_ORDER)
         if (vertices >= host_order).any():
             # each side's last vertex is its largest
             tops = vertices[bounds[1:] - 1].reshape(-1, 2).max(axis=1)

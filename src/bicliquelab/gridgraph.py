@@ -43,8 +43,8 @@ from .packed import pack_rows
 
 GridPoint = tuple[int, ...]
 
-# The OR-power route needs n^(7t) vertices; the default admits n=2, t=2.
-DEFAULT_POWER_VERTEX_LIMIT = 16_384
+# The OR-power route needs n^(7t) vertices; this admits n=2, t=2, and no flag raises it.
+POWER_VERTEX_LIMIT = 16_384
 # rows per band of the disagreement key in GridGraphSpec.realize
 _KEY_BAND = 256
 
@@ -262,9 +262,7 @@ def _lift(
     return bounds * (outer * inner), lifted
 
 
-def power_graph_cover(
-    n: int, t: int, *, vertex_limit: int = DEFAULT_POWER_VERTEX_LIMIT
-) -> tuple[Graph, BicliqueSystem]:
+def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     """The t-th OR power of the grid graph together with an explicit t-cover.
 
     Every biclique of the base partition is lifted through each of the t
@@ -272,16 +270,17 @@ def power_graph_cover(
     per coordinate where its endpoints are adjacent, hence between 1 and t
     times.  Cover size is at most t times the base partition size.
 
-    n^(7t) >= 2^(7t(b - 1)) for n of b bits; past the limit by that bound
-    alone, the power is not formed, and the error names ``vertex_limit + 1``.
+    n^(7t) >= 2^(7t(b - 1)) for n of b bits; past ``POWER_VERTEX_LIMIT`` by
+    that bound alone, the power is not formed; the error names the limit + 1.
     """
     if n < 1 or t < 1:
         raise ValueError("n and t must be >= 1")
-    if 7 * t * (n.bit_length() - 1) > vertex_limit.bit_length():
-        raise ResourceLimitError("vertex_limit", vertex_limit, vertex_limit + 1)
-    check_vertex_limit(n ** (7 * t), vertex_limit)
-    base_graph = grid_graph(n, vertex_limit=vertex_limit)
-    base_parts = grid_graph_partition(n, vertex_limit=vertex_limit)
+    if 7 * t * (n.bit_length() - 1) > POWER_VERTEX_LIMIT.bit_length():
+        raise ResourceLimitError("power_vertex_limit", POWER_VERTEX_LIMIT, POWER_VERTEX_LIMIT + 1)
+    if n ** (7 * t) > POWER_VERTEX_LIMIT:
+        raise ResourceLimitError("power_vertex_limit", POWER_VERTEX_LIMIT, n ** (7 * t))
+    base_graph = grid_graph(n, vertex_limit=POWER_VERTEX_LIMIT)
+    base_parts = grid_graph_partition(n, vertex_limit=POWER_VERTEX_LIMIT)
     if not len(base_parts):  # n = 1: the power is one vertex, and no part lifts
         return base_graph, BicliqueSystem(1, (), t)
     power = base_graph

@@ -20,10 +20,10 @@ from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Graph
 from .packed import iter_bits, mask_of
 
-DEFAULT_ALPHA_ORDER_LIMIT = 2500
-DEFAULT_CHI_ORDER_LIMIT = 64
+ALPHA_ORDER_LIMIT = 2500
+CHI_ORDER_LIMIT = 64
 BP_ORDER_LIMIT = 8
-DEFAULT_RECT_ENTRY_LIMIT = 64
+RECT_ENTRY_LIMIT = 64
 RECT_BUDGET = 1 << 20
 
 
@@ -116,20 +116,17 @@ def _max_clique(masks: list[int], node_budget: int | None) -> tuple[int, tuple[i
 
 
 def independence_number(
-    graph: Graph,
-    *,
-    order_limit: int = DEFAULT_ALPHA_ORDER_LIMIT,
-    node_budget: int | None = None,
+    graph: Graph, *, node_budget: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with one maximum independent set as witness.
 
-    Runs maximum clique on the complement.  The default limit admits the
+    Runs maximum clique on the complement.  ``ALPHA_ORDER_LIMIT`` admits the
     2,187-vertex grid graph at n=3, the largest the demo builds under its
-    default vertex limit; raise ``order_limit`` explicitly for larger graphs.
+    default vertex limit; larger graphs are refused.
     """
     n = graph.order
-    if n > order_limit:
-        raise ResourceLimitError("alpha_order_limit", order_limit, n)
+    if n > ALPHA_ORDER_LIMIT:
+        raise ResourceLimitError("alpha_order_limit", ALPHA_ORDER_LIMIT, n)
     return _max_clique(graph.complement().neighbor_masks(), node_budget)
 
 
@@ -148,17 +145,15 @@ def independence_at_most(
     return False, tuple(sorted(found[: bound + 1]))
 
 
-def chromatic_number(
-    graph: Graph, *, order_limit: int = DEFAULT_CHI_ORDER_LIMIT
-) -> tuple[int, list[int]]:
+def chromatic_number(graph: Graph) -> tuple[int, list[int]]:
     """Exact chromatic number with a proper coloring achieving it.
 
     Max-clique lower bound, DSATUR greedy upper bound, then k-colorability
     backtracking on the gap.  Colors are 0-based.
     """
     n = graph.order
-    if n > order_limit:
-        raise ResourceLimitError("chi_order_limit", order_limit, n)
+    if n > CHI_ORDER_LIMIT:
+        raise ResourceLimitError("chi_order_limit", CHI_ORDER_LIMIT, n)
     masks = graph.neighbor_masks()
     lb = _max_clique(masks, None)[0]
     greedy = _dsatur(masks, n)
@@ -324,7 +319,7 @@ def _maximal_rectangles(entries: np.ndarray, value: int) -> list[Rectangle]:
     mat = entries.T if transposed else entries
     r, c = mat.shape
     if 1 << r > RECT_BUDGET:
-        raise ResourceLimitError("rectangle_budget", RECT_BUDGET, 1 << r)
+        raise ResourceLimitError("rect_budget", RECT_BUDGET, 1 << r)
     row_cols = [mask_of(np.flatnonzero(row == value).tolist()) for row in mat]
     fullcols = (1 << c) - 1
     seen: set[tuple[int, int]] = set()
@@ -344,9 +339,7 @@ def _maximal_rectangles(entries: np.ndarray, value: int) -> list[Rectangle]:
     return rects
 
 
-def min_rectangle_cover(
-    matrix: BoolMatrix, value: int, *, entry_limit: int = DEFAULT_RECT_ENTRY_LIMIT
-) -> tuple[int, list[Rectangle]]:
+def min_rectangle_cover(matrix: BoolMatrix, value: int) -> tuple[int, list[Rectangle]]:
     """Exact minimum number of constant-``value`` rectangles covering all
     ``value`` entries (overlaps allowed), with a witness list of rectangles.
 
@@ -355,11 +348,13 @@ def min_rectangle_cover(
     """
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
-    cells = [(int(i), int(j)) for i, j in np.argwhere(matrix.entries == value)]
-    if not cells:
+    hits = matrix.entries == value
+    count = int(np.count_nonzero(hits))  # refused before any Python cell is made
+    if not count:
         return 0, []
-    if len(cells) > entry_limit:
-        raise ResourceLimitError("rectangle_entry_limit", entry_limit, len(cells))
+    if count > RECT_ENTRY_LIMIT:
+        raise ResourceLimitError("rect_entry_limit", RECT_ENTRY_LIMIT, count)
+    cells = [(int(i), int(j)) for i, j in np.argwhere(hits)]
     rects = _maximal_rectangles(matrix.entries, value)
     # Branch on the cell with the fewest owning rectangles, ties to the lowest:
     # owner counts never change, so with cells labelled in that order it is

@@ -150,12 +150,17 @@ def _count_chunk(
     # side 2i is part i's left, 2i+1 its right; a side's vertices are
     # distinct, so adding bits ORs them; int32 indexes the table (see above)
     masks = np.zeros((len(sizes), words), dtype=WORD)
-    np.add.at(masks.reshape(-1), side_of * np.int32(words) + (verts >> 6), BITS[verts & 63])
+    side_of *= np.int32(words)  # the table index, made in place and undone below
+    side_of += verts >> 6
+    np.add.at(masks.reshape(-1), side_of, BITS[verts & 63])
+    side_of //= np.int32(words)
     # every vertex receives the mask of the opposite side of each of its parts
     order = verts.argsort(kind="stable")
-    verts, opposite = verts[order], side_of[order]
+    opposite = side_of[order]
+    del side_of  # freed before verts is gathered, where verify's peak would be set
+    verts = verts[order]
     opposite ^= 1  # in place: one more incidence-sized array here would set verify's peak
-    del order, side_of  # freed before the bands' scratch buffers and mask columns are made
+    del order  # freed before the bands' scratch buffers and mask columns are made
     bounds = np.searchsorted(verts, np.arange(0, n + band, band))
     for i in range(len(bounds) - 1):
         if i not in counters:  # the first chunk makes band i's counter

@@ -88,7 +88,7 @@ def test_04_independence_structure():
     with criterion(4, "independence-structure", 120.0):
         for n, cap in ((2, 6), (3, 9)):
             g = gridgraph.grid_graph(n)
-            alpha, witness = oracles.independence_number(g, order_limit=2500)
+            alpha, witness = oracles.independence_number(g)
             assert alpha <= cap, f"alpha(G({n})) = {alpha} > {cap}"
             assert len(witness) == alpha
             adj = g.adjacency

@@ -10,10 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicliquelab import clis
+from bicliquelab import gridgraph
 from bicliquelab.cli import RunConfig, cmd_demo, cmd_suite, main
-from bicliquelab.corpus import graphs_up_to
-from bicliquelab.errors import ResourceLimitError
 from bicliquelab.graphs import Graph
 
 
@@ -47,6 +45,27 @@ class TestDemo:
         a, _ = cmd_demo(2, RunConfig())
         b, _ = cmd_demo(2, RunConfig())
         assert a == b
+
+    def test_piece_that_swaps_an_edge_for_a_non_edge_fails(self, monkeypatch):
+        # the edge sum and the disjointness hold; only the union shows the swap
+        graph, build = gridgraph.grid_graph(2), gridgraph.grid_graph_piece
+        x, y = next((0, v) for v in range(1, graph.order) if not graph.has_edge(0, v))
+        calls = []
+
+        def swapped(n, part, **kwargs):
+            piece = build(n, part, **kwargs)
+            calls.append(part)
+            if len(calls) > 1:
+                return piece
+            edges = list(piece.edges())
+            return Graph.from_edges(piece.order, edges[1:] + [(x, y)])
+
+        monkeypatch.setattr(gridgraph, "grid_graph_piece", swapped)
+        text, ok = cmd_demo(2, RunConfig())
+        assert not ok
+        assert "piece-edge-sum 7680" in text
+        assert "check piece-edges-match FAIL" in text
+        assert "check piece-edges-disjoint pass" in text
 
 
 class TestSuites:
@@ -104,26 +123,15 @@ class TestExitCodes:
         assert err.startswith("resource limit:")
         assert "Traceback" not in err
 
-    def test_pair_limit_flag(self):
+    def test_pair_limit_flag_is_usage_error(self):
+        # the pair limit is a library constant that no flag changes
         code, out, err = run_cli("--pair-limit", "10", "suite", "clis")
-        assert code == 3
-        assert "pair_limit exceeded" in err
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: bicliquelab") and "bicliquelab: error:" in err
         assert "Traceback" not in err
 
-    def test_pair_limit_shared_by_cli_and_library(self, capsys):
-        # one default, and at any limit the CLI refuses the first graph the library refuses
-        assert RunConfig().pair_limit == clis.PAIR_LIMIT
-        with pytest.raises(ResourceLimitError) as default:
-            clis.build_pair_graph(Graph.empty(13))  # 2**13 independent sets
-        assert default.value.limit == clis.PAIR_LIMIT
-        counts = [clis.build_pair_graph(g)[0].order for g in graphs_up_to(4)]
-        limit = max(counts) - 1
-        first = graphs_up_to(4)[next(i for i, count in enumerate(counts) if count > limit)]
-        with pytest.raises(ResourceLimitError) as library:
-            clis.build_pair_graph(first, pair_limit=limit)
-        assert main(["--pair-limit", str(limit), "suite", "clis"]) == 3
-        assert capsys.readouterr().err == f"resource limit: {library.value}\n"
-        assert main(["--pair-limit", str(limit + 1), "suite", "clis"]) == 0
+    def test_run_config_holds_only_user_settings(self):
+        assert list(vars(RunConfig())) == ["vertex_limit", "ambiguous_edge"]
 
     def test_vertex_limit_flag(self):
         code, _, _ = run_cli("--vertex-limit", "10", "demo", "--n", "2")
@@ -149,7 +157,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [("--vertex-limit", "0", "demo", "--n", "1"), ("--pair-limit", "-5", "suite", "cube")],
+        [("--vertex-limit", "0", "demo", "--n", "1"), ("--vertex-limit", "-5", "suite", "cube")],
     )
     def test_non_positive_limit_usage_error(self, argv):
         code, out, err = run_cli(*argv)
@@ -183,7 +191,9 @@ class TestOversizedSizes:
         assert time.perf_counter() - start < 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("resource limit: vertex_limit exceeded: requested ")
+        # --vertex-limit does not reach the power cover, so it names its own limit
+        name = "power_vertex_limit" if "cover" in argv else "vertex_limit"
+        assert err.startswith(f"resource limit: {name} exceeded: requested ")
 
     def test_vertex_limit_past_int32_refused_fast(self, capsys):
         # a limit above the int32 vertex range admits no more than that range,
@@ -200,6 +210,17 @@ class TestOversizedSizes:
         huge.write_text("p edge 3000000000 0\n", encoding="ascii")
         argv = ["--vertex-limit", "1" + "0" * 60, "oracle", "--graph", str(huge), "--what", "alpha"]
         assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: vertex_limit exceeded: requested 3000000000, limit 2147483647\n"
+        )
+
+    def test_system_header_past_int32_refused_before_its_parts(self, tmp_path, capsys):
+        # the same refusal as a graph header's, before the bad part line is read
+        graph = tmp_path / "edge.dimacs"
+        graph.write_text("p edge 2 1\ne 1 2\n", encoding="ascii")
+        huge = tmp_path / "huge.system"
+        huge.write_text("bicliquesystem 3000000000 1 1\npart x : y\n", encoding="ascii")
+        assert main(["verify", "--graph", str(graph), "--partition", str(huge)]) == 3
         assert capsys.readouterr().err == (
             "resource limit: vertex_limit exceeded: requested 3000000000, limit 2147483647\n"
         )
@@ -309,7 +330,6 @@ def _argv(*parts):
 
 _GLOBAL = _argv(
     _flag("--vertex-limit", ("-5", "100", "10000"), optional=True),
-    _flag("--pair-limit", ("0", "10", _BIG), optional=True),
     _flag("--ambiguous-edge", ("edge", "nonedge", "bogus"), optional=True),
     _flag("--out", ("report.txt", "missing/report.txt"), optional=True),
 )

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bicliquelab import clis, oracles
 from bicliquelab.clis import (
     ClisInstance,
     Transcript,
@@ -352,37 +353,47 @@ class TestPairGraph:
             chi, _ = chromatic_number(pair_graph)
             assert c0 <= chi
 
-    def test_pentagon_zero_cover_at_most_chromatic(self):
+    def test_pentagon_zero_cover_at_most_chromatic(self, monkeypatch):
         gamma = cycle(5)
         pair_graph, system = build_pair_graph(gamma)
         assert verify_biclique_system(pair_graph, system).verdict
         inst = full_instance(gamma)
         # every disjoint pair is a 0-entry, so the count is |V(pair graph)|
-        c0, _ = min_rectangle_cover(inst.matrix, 0, entry_limit=256)
-        chi, _ = chromatic_number(pair_graph, order_limit=256)
+        monkeypatch.setattr(oracles, "RECT_ENTRY_LIMIT", 256)
+        monkeypatch.setattr(oracles, "CHI_ORDER_LIMIT", 256)
+        c0, _ = min_rectangle_cover(inst.matrix, 0)
+        chi, _ = chromatic_number(pair_graph)
         assert c0 <= chi
 
-    def test_pair_limit(self):
+    def test_pair_limit(self, monkeypatch):
+        monkeypatch.setattr(clis, "PAIR_LIMIT", 10)
         with pytest.raises(ResourceLimitError):
-            build_pair_graph(Graph.empty(4), pair_limit=10)
+            build_pair_graph(Graph.empty(4))
 
-    def test_pair_limit_refuses_before_enumerating(self):
+    def test_pair_limit_refuses_before_enumerating(self, monkeypatch):
         # 2**18 independent sets and 2,621,440 pairs: the refusal comes once
         # the independent sets pass the limit, not after forming the pairs
+        monkeypatch.setattr(clis, "PAIR_LIMIT", 10)
         with pytest.raises(ResourceLimitError) as exc:
-            build_pair_graph(Graph.empty(18), pair_limit=10)
+            build_pair_graph(Graph.empty(18))
         assert exc.value.limit_name == "pair_limit"
         assert exc.value.requested == 11
 
-    def test_pair_count_is_exact(self):
+    def test_pair_count_is_exact(self, monkeypatch):
         # when both families fit, the refusal names the exact pair count,
         # and a limit equal to that count is admitted
         for gamma in graphs_up_to(4):
             count = len(disjoint_pairs(gamma))
-            pair_graph, _ = build_pair_graph(gamma, pair_limit=count)
+            monkeypatch.setattr(clis, "PAIR_LIMIT", count)
+            pair_graph, _ = build_pair_graph(gamma)
             assert pair_graph.order == count
             families = len(all_cliques(gamma)), len(all_independent_sets(gamma))
             if max(families) < count:
+                monkeypatch.setattr(clis, "PAIR_LIMIT", count - 1)
                 with pytest.raises(ResourceLimitError) as exc:
-                    build_pair_graph(gamma, pair_limit=count - 1)
+                    build_pair_graph(gamma)
                 assert exc.value.requested == count
+
+    def test_suite_inputs_fit_the_pair_limit(self):
+        # no flag raises PAIR_LIMIT: the clis suite's largest pair graph is far below it
+        assert max(len(disjoint_pairs(g)) for g in graphs_up_to(4)) == 48 < clis.PAIR_LIMIT

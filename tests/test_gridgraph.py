@@ -326,15 +326,17 @@ class TestPowerCover:
         base = grid_graph(2)
         assert g == or_product(base, base)
 
-    def test_power_independence_exact(self, power2):
+    def test_power_independence_exact(self, power2, monkeypatch):
         # the product bound is tight here: alpha(square) = alpha(base)^2;
         # the complement of the square is sparse (degree 63), so exact
         # search is cheap even at 16384 vertices
+        from bicliquelab import oracles
         from bicliquelab.oracles import independence_number
 
         g, _ = power2
         base_alpha = independence_number(grid_graph(2))[0]
-        alpha, witness = independence_number(g, order_limit=20000)
+        monkeypatch.setattr(oracles, "ALPHA_ORDER_LIMIT", 20000)
+        alpha, witness = independence_number(g)
         assert alpha == base_alpha ** 2 == 16
         adj = g.adjacency
         assert all(
@@ -351,7 +353,7 @@ class TestPowerCover:
         # bit lengths and names a lower bound past the limit
         with pytest.raises(ResourceLimitError) as exc:
             power_graph_cover(n, t)
-        assert exc.value.limit_name == "vertex_limit"
+        assert exc.value.limit_name == "power_vertex_limit"
         assert exc.value.requested > exc.value.limit
 
     @pytest.mark.parametrize("n, t", [(0, 1), (-1, 3), (-(10**700), 2), (2, 0)])

@@ -281,6 +281,15 @@ class TestMinRectangleCover:
         with pytest.raises(ResourceLimitError):
             min_rectangle_cover(m, 0)
 
+    def test_entry_limit_refuses_before_listing_cells(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cells listed before the entry limit was checked")
+
+        monkeypatch.setattr(np, "argwhere", refuse)
+        with pytest.raises(ResourceLimitError) as exc:
+            min_rectangle_cover(BoolMatrix(np.zeros((9, 9), dtype=np.uint8)), 0)
+        assert (exc.value.limit_name, exc.value.requested) == ("rect_entry_limit", 81)
+
     @staticmethod
     def _check_witness(matrix: BoolMatrix, value: int, witness) -> None:
         covered = set()

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicliquelab import clis, corpus, graphs, oracles
-from bicliquelab.errors import FormatError, PartError
+from bicliquelab.errors import FormatError, PartError, ResourceLimitError
 from bicliquelab.formats import read_system, write_system
-from bicliquelab.graphs import Biclique, BicliqueSystem, star_partition
+from bicliquelab.graphs import MAX_ORDER, Biclique, BicliqueSystem, star_partition
 from bicliquelab.gridgraph import grid_graph_partition, power_graph_cover
 
 
@@ -301,11 +301,14 @@ class TestFromArrays:
         assert str(err.value) == "biclique sides must not repeat vertices"
 
     def test_host_order_past_int32_rejected(self):
-        with pytest.raises(ValueError, match="int32"):
+        # one guard, graphs.check_vertex_limit, refuses in both places; the
+        # reader refuses at the header, before the bad part line after it
+        with pytest.raises(ResourceLimitError) as err:
             BicliqueSystem(2**31, [], 1)
-        with pytest.raises(FormatError) as err:
-            read_system("bicliquesystem 3000000000 0 1\n")
-        assert err.value.line == 1
+        assert (err.value.limit_name, err.value.limit) == ("vertex_limit", MAX_ORDER)
+        with pytest.raises(ResourceLimitError) as err:
+            read_system("bicliquesystem 3000000000 1 1\npart x : y\n")
+        assert err.value.requested == 3_000_000_000
 
     def test_vertex_past_int64_named_at_its_line(self):
         with pytest.raises(FormatError) as err:
