@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -28,11 +30,29 @@ from .graphs import (
 )
 from .packed import rows_from_masks
 
+_BLOCK = 1 << 12  # per block: edge lines or part-line incidences written, characters read
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text.splitlines()``, split a block of about ``_BLOCK`` characters at a time.
+
+    A block ends just after a ``\\n``, which ends a line break (alone or
+    after ``\\r``), so no line break is cut and every line keeps its number.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
 
 def write_graph(graph: Graph) -> str:
-    lines = [f"p edge {graph.order} {graph.edge_count()}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+    """The graph as text, its edge lines made and joined ``_BLOCK`` at a time."""
+    edges = graph.edges()
+    chunks = [f"p edge {graph.order} {graph.edge_count()}\n"]
+    while chunk := "".join(f"e {u + 1} {v + 1}\n" for u, v in islice(edges, _BLOCK)):
+        chunks.append(chunk)
+    return "".join(chunks)
 
 
 def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
@@ -43,7 +63,7 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
     masks: list[int] = []  # per vertex, the neighbours read so far as a bitmask
     count = 0
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -89,23 +109,34 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
 
 
 def write_system(system: BicliqueSystem) -> str:
+    """The system as text, its part lines made a block of about ``_BLOCK`` incidences at a time.
+
+    Each distinct vertex is named once, never each host vertex (the host
+    order may be 2**31 - 1), and a block looks its names up by binary search
+    on the sorted distinct vertices, so the scratch is one int32 copy of the
+    vertices while they are sorted and a block's names after that.
+    """
     lines = [f"bicliquesystem {system.host_order} {len(system)} {system.multiplicity_bound}"]
-    # one string per distinct vertex, never one per host vertex (the host
-    # order may be 2**31 - 1); the stable sort is the verifier's, so a small
-    # run pages in no second sort's code, as np.unique would
-    order = system.vertices.argsort(kind="stable")
-    ordered = system.vertices[order]
-    runs = np.flatnonzero(np.diff(ordered, prepend=-1))  # where each distinct vertex begins
-    names = np.array([str(v) for v in ordered[runs].tolist()], dtype=object)
-    del ordered  # each incidence-sized array is freed once read
-    tokens = np.empty(len(order), dtype=object)
-    tokens[order] = names.repeat(np.diff(runs, append=len(order)))
-    del order
-    tokens = tokens.tolist()
-    bounds = system.bounds.tolist()
-    for start, split, end in zip(bounds[:-1:2], bounds[1::2], bounds[2::2]):
-        lines.append(f"part {' '.join(tokens[start:split])} : {' '.join(tokens[split:end])}")
-    return "\n".join(lines) + "\n"
+    distinct = np.sort(system.vertices)
+    keep = np.empty(len(distinct), dtype=bool)
+    keep[:1] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+    distinct = distinct[keep]
+    del keep
+    names = np.array([str(v) for v in distinct.tolist()], dtype=object)
+    starts = system.bounds[::2]  # where each part begins, then where the last ends
+    first = 0
+    while first < len(system):
+        # whole parts up to a block of incidences, and at least one part
+        last = max(first + 1, int(np.searchsorted(starts, starts[first] + _BLOCK, "right")) - 1)
+        lo, hi = starts[first], starts[last]
+        tokens = names[np.searchsorted(distinct, system.vertices[lo:hi])].tolist()
+        bounds = (system.bounds[2 * first : 2 * last + 1] - lo).tolist()
+        for start, split, end in zip(bounds[:-1:2], bounds[1::2], bounds[2::2]):
+            lines.append(f"part {' '.join(tokens[start:split])} : {' '.join(tokens[split:end])}")
+        first = last
+    lines.append("")  # the trailing newline, with no second copy of the text
+    return "\n".join(lines)
 
 
 def read_system(text: str) -> BicliqueSystem:
@@ -116,23 +147,30 @@ def read_system(text: str) -> BicliqueSystem:
     line past the end, and a bad host order, bound or out-of-range vertex at
     line 1.  Vertices beyond the int64 range are refused at their line.  A
     host order past the int32 range is refused before any part line is read.
+
+    The text is split a block at a time (see :func:`_lines`), and vertices
+    are gathered as int32, widened to int64 only when a vertex leaves the
+    int32 range, so the system takes the array over with no copy.
     """
-    lines = text.splitlines()
-    if not lines:
+    lines = _lines(text)
+    header = next(lines, None)
+    if header is None:
         raise FormatError("empty input", 1)
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 4 or head[0] != "bicliquesystem":
-        raise FormatError(f"bad header {lines[0]!r}", 1)
+        raise FormatError(f"bad header {header!r}", 1)
     try:
         order, nparts, bound = int(head[1]), int(head[2]), int(head[3])
     except ValueError:
-        raise FormatError(f"non-integer header fields in {lines[0]!r}", 1)
+        raise FormatError(f"non-integer header fields in {header!r}", 1)
     check_vertex_limit(order, MAX_ORDER)
-    vertices = array("q")  # int64, grown in place
+    # grown in place as int32, and as int64 from the first vertex past int32
+    dtype, vertices = np.int32, array("i")
     bounds = [0]  # where each side ends: split, end, split, end, ...
     part_lines: list[int] = []
     error = None
-    for lineno, raw in enumerate(lines[1:], start=2):
+    lineno = 1
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
             continue
@@ -142,23 +180,28 @@ def read_system(text: str) -> BicliqueSystem:
             break
         sep = fields.index(":")
         try:
-            # each token is read as by int(), into int64
-            left = np.array(fields[1:sep], dtype=np.int64)
-            right = np.array(fields[sep + 1 :], dtype=np.int64)
+            # each token is read as by int(), into int64 at most
+            try:
+                sides = [np.array(f, dtype=dtype) for f in (fields[1:sep], fields[sep + 1 :])]
+            except OverflowError:
+                if dtype == np.int64:
+                    raise
+                sides = [np.array(f, dtype=np.int64) for f in (fields[1:sep], fields[sep + 1 :])]
+                dtype, vertices = np.int64, array("q", vertices)
         except ValueError:
             error = FormatError(f"non-integer vertex in {line!r}", lineno)
             break
         except OverflowError:
             error = FormatError(f"vertex out of int64 range in {line!r}", lineno)
             break
-        for side in (left, right):
+        for side in sides:
             vertices.frombytes(side.tobytes())
             bounds.append(len(vertices))
         part_lines.append(lineno)
     system = held = None
     try:
         system = BicliqueSystem.from_arrays(
-            order, bounds, np.frombuffer(vertices, dtype=np.int64), bound
+            order, bounds, np.frombuffer(vertices, dtype=dtype), bound
         )
     except PartError as exc:
         raise FormatError(str(exc), part_lines[exc.part])
@@ -168,7 +211,7 @@ def read_system(text: str) -> BicliqueSystem:
         raise error
     if len(part_lines) != nparts:
         raise FormatError(
-            f"header promised {nparts} parts, found {len(part_lines)}", len(lines) + 1
+            f"header promised {nparts} parts, found {len(part_lines)}", lineno + 1
         )
     if held is not None:
         raise held

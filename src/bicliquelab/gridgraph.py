@@ -47,6 +47,8 @@ GridPoint = tuple[int, ...]
 POWER_VERTEX_LIMIT = 16_384
 # rows per band of the disagreement key in GridGraphSpec.realize
 _KEY_BAND = 256
+# lifted vertices per block of power_graph_cover's scratch
+_LIFT_BLOCK = 1 << 15
 
 
 def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
@@ -241,25 +243,36 @@ def grid_graph_partition(
 
 
 def _lift(
-    bounds: np.ndarray, vertices: np.ndarray, coord: int, t: int, base: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lift every part through coordinate ``coord`` (0-based) of the t-th OR power.
+    bounds: np.ndarray, vertices: np.ndarray, coord: int, t: int, base: int, out: np.ndarray
+) -> np.ndarray:
+    """Lift every part through coordinate ``coord`` (0-based) of the t-th OR
+    power into ``out``, and return the lifted side bounds.
 
     A side's vertex v becomes every power vertex whose coordinate ``coord``
     is v, the other coordinates free: index p * base^(t-coord) +
     v * base^(t-coord-1) + s.  Listed with p outermost and s innermost, a
     sorted side lifts to a sorted side, and every side grows by the same
-    factor, so the side bounds scale by it.
+    factor, so the side bounds scale by it.  Whole sides are lifted in int32,
+    about ``_LIFT_BLOCK`` lifted vertices at a time, straight into ``out``.
     """
     outer, inner = base ** coord, base ** (t - coord - 1)
-    sizes = np.diff(bounds)
-    # one entry per (side, p, v): its side's start and length, and its place w in the side's run
-    start = np.repeat(bounds[:-1], sizes * outer)
-    length = np.repeat(sizes, sizes * outer)
-    w = np.arange(len(vertices) * outer) - start * outer
-    middle = w // length * (base * inner) + vertices[start + w % length].astype(np.int64) * inner
-    lifted = (middle[:, None] + np.arange(inner)).ravel().astype(np.int32)
-    return bounds * (outer * inner), lifted
+    grow = outer * inner
+    ends = bounds[1:]
+    first = 0
+    while first < len(ends):
+        last = np.searchsorted(ends, bounds[first] + _LIFT_BLOCK // grow, "right")
+        last = max(first + 1, int(last))  # whole sides, at least one
+        lo, hi = bounds[first], bounds[last]
+        sizes = np.diff(bounds[first : last + 1]).astype(np.int32)
+        # one entry per (side, p, v): its side's start and length, and v's place w in the side
+        start = np.repeat((bounds[first:last] - lo).astype(np.int32), sizes * outer)
+        length = sizes.repeat(sizes * outer)
+        p, w = np.divmod(np.arange((hi - lo) * outer, dtype=np.int32) - start * outer, length)
+        middle = p * (base * inner) + vertices[lo:hi][start + w] * inner
+        rows = out[lo * grow : hi * grow].reshape(-1, inner)
+        np.add(middle[:, None], np.arange(inner, dtype=np.int32), out=rows)
+        first = last
+    return bounds * grow
 
 
 def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
@@ -268,7 +281,9 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     Every biclique of the base partition is lifted through each of the t
     coordinates (all other coordinates free); a power edge is covered once
     per coordinate where its endpoints are adjacent, hence between 1 and t
-    times.  Cover size is at most t times the base partition size.
+    times.  Cover size is at most t times the base partition size.  Each
+    coordinate's lift is written into its slice of the cover's one int32
+    vertex array, which the system then takes over without a copy.
 
     n^(7t) >= 2^(7t(b - 1)) for n of b bits; past ``POWER_VERTEX_LIMIT`` by
     that bound alone, the power is not formed; the error names the limit + 1.
@@ -286,14 +301,14 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     power = base_graph
     for _ in range(t - 1):
         power = or_product(power, base_graph)
-    lifted = [
-        _lift(base_parts.bounds, base_parts.vertices, coord, t, base_graph.order)
-        for coord in range(t)
-    ]
-    starts = np.cumsum([0] + [len(vertices) for _, vertices in lifted])
-    bounds = np.concatenate([[0], *(b[1:] + lo for (b, _), lo in zip(lifted, starts))])
-    vertices = np.concatenate([vertices for _, vertices in lifted])
-    return power, BicliqueSystem.from_arrays(power.order, bounds, vertices, t)
+    size = len(base_parts.vertices) * base_graph.order ** (t - 1)  # one coordinate's lift
+    vertices = np.empty(t * size, dtype=np.int32)
+    bounds = [np.zeros(1, dtype=np.int64)]
+    for coord in range(t):
+        out = vertices[coord * size : (coord + 1) * size]
+        lifted = _lift(base_parts.bounds, base_parts.vertices, coord, t, base_graph.order, out)
+        bounds.append(lifted[1:] + coord * size)
+    return power, BicliqueSystem.from_arrays(power.order, np.concatenate(bounds), vertices, t)
 
 
 def projection_dichotomy(points: Iterable[GridPoint]) -> bool:

@@ -20,7 +20,9 @@ import numpy as np
 
 WORD = np.dtype("<u8")
 BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=WORD), dtype=WORD)  # word with bit i set
+_BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
 _CALL_BYTES = 1 << 10  # a small numpy call costs about as much as summing this many unpacked bytes
+_BLOCK = 1 << 16  # incidences per block of the verifier's per-incidence scratch
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
@@ -100,9 +102,12 @@ def count_pairs(
     counters take one band, about (planes + 1) * ``band_bytes``, when the parts
     fit one chunk, and all bands, (planes + 1) * n*n/16 bytes, when they span
     several.  The rest is the chunk's mask table (about ``mask_bytes``), which
-    drops each band's leading columns in place; a band copy of the counter and
-    the two round buffers and tail step chunks (about ``band_bytes`` each, per
-    plane for the copy); and index arrays linear in the vertex-part incidences.
+    drops each band's leading columns in place; one int16 side id per
+    incidence of the chunk (int32 past 2**15 sides), grouped by vertex, and
+    an int64 offset per vertex; blocks of ``_BLOCK`` incidences that fill
+    the table and group the ids; and per band, a copy of the counter, the
+    two round buffers and tail step chunks (about ``band_bytes`` each, per
+    plane for the copy) and the band's incidences ordered by round.
     """
     words = (n + 63) // 64
     parts = len(bounds) // 2
@@ -139,39 +144,62 @@ def _count_chunk(
 
     Counter i holds rows ``i * band`` on, from column word ``i * band // 64``
     on, and starts as the planes' ``fill``.  The caller bounds the chunk, so
-    that its mask table (one row per side) holds fewer than 2**31 words.
+    that its mask table (one row per side) holds fewer than 2**31 bytes.
     ``scratch`` is the byte size of the blocks that move the table's columns
     and that the tail step sums.
+
+    Incidences are read in blocks of ``_BLOCK``, twice: once to count each
+    vertex's incidences, and once to set each side's bits in the table, a
+    byte per incidence, and to place the opposite side's id at its vertex's
+    next slot.  So every vertex receives the mask of the opposite side of
+    each of its parts, in part order, and no sort spans more than a block.
     """
     words = (n + 63) // 64
     verts = vertices[bounds[0] : bounds[-1]]
-    sizes = np.diff(bounds)
-    side_of = np.arange(len(sizes), dtype=np.int32).repeat(sizes)
-    # side 2i is part i's left, 2i+1 its right; a side's vertices are
-    # distinct, so adding bits ORs them; int32 indexes the table (see above)
-    masks = np.zeros((len(sizes), words), dtype=WORD)
-    side_of *= np.int32(words)  # the table index, made in place and undone below
-    side_of += verts >> 6
-    np.add.at(masks.reshape(-1), side_of, BITS[verts & 63])
-    side_of //= np.int32(words)
-    # every vertex receives the mask of the opposite side of each of its parts
-    order = verts.argsort(kind="stable")
-    opposite = side_of[order]
-    del side_of  # freed before verts is gathered, where verify's peak would be set
-    verts = verts[order]
-    opposite ^= 1  # in place: one more incidence-sized array here would set verify's peak
-    del order  # freed before the bands' scratch buffers and mask columns are made
-    bounds = np.searchsorted(verts, np.arange(0, n + band, band))
-    for i in range(len(bounds) - 1):
+    ends = bounds[1:] - bounds[0]  # where each side ends in verts
+    # side 2i is part i's left, 2i+1 its right; its id indexes the table
+    side_id = np.int16 if len(ends) < 1 << 15 else np.int32
+    masks = np.zeros((len(ends), words), dtype=WORD)
+    table = masks.reshape(-1).view(np.uint8)  # WORD is little-endian: bit v is in byte v // 8
+    starts = np.zeros(n + 1, dtype=np.int64)  # where each vertex's incidences begin
+    for lo in range(0, len(verts), _BLOCK):
+        starts[1:] += np.bincount(verts[lo : lo + _BLOCK], minlength=n)
+    starts = starts.cumsum()
+    slot = starts[:-1].copy()  # where each vertex's next incidence goes
+    opposite = np.empty(len(verts), dtype=side_id)
+    for lo in range(0, len(verts), _BLOCK):
+        v = verts[lo : lo + _BLOCK]
+        # the sides this block meets: from the one holding lo to the one holding its last entry
+        first, last = np.searchsorted(ends, (lo, lo + len(v) - 1), "right")
+        sizes = np.diff(ends[first:last], prepend=lo, append=lo + len(v))
+        side = np.arange(first, last + 1, dtype=side_id).repeat(sizes)
+        # a side's vertices are distinct, so adding bits ORs them; the
+        # table's bytes number under 2**31 (see above)
+        np.add.at(table, side * np.int32(8 * words) + (v >> 3), _BYTE_BITS[v & 7])
+        # stable placement: the block's incidences of a vertex keep their order
+        order = v.argsort(kind="stable")
+        v = v[order]
+        head = np.empty(len(v), dtype=bool)
+        head[0] = True
+        np.not_equal(v[1:], v[:-1], out=head[1:])
+        head = np.flatnonzero(head)  # where each vertex's run begins
+        size = np.diff(head, append=len(v))
+        v = v[head]  # each run's vertex
+        place = (slot[v] - head).repeat(size)  # the vertex's next slot, less the run's start
+        place += np.arange(len(place))
+        opposite[place] = side[order] ^ 1
+        slot[v] += size
+    del slot  # freed before the bands' counters and scratch are made
+    for i in range(-(-n // band)):
         if i not in counters:  # the first chunk makes band i's counter
             shape = (len(fill), min(band, n - i * band), words - i * band // 64)
             counters[i] = np.broadcast_to(fill, shape).copy()
         # np.take gathers without copying its whole source only from a
         # C-contiguous one, so the table sheds the columns left of each band
         masks = _drop_columns(masks, masks.shape[1] - counters[i].shape[2], scratch)
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo < hi:
-            _count_band(counters[i], verts[lo:hi] - i * band, opposite[lo:hi], masks, scratch)
+        rows = starts[i * band : (i + 1) * band + 1]
+        if rows[0] < rows[-1]:
+            _count_band(counters[i], np.diff(rows), opposite[rows[0] : rows[-1]], masks, scratch)
         yield i
 
 
@@ -192,28 +220,29 @@ def _drop_columns(table: np.ndarray, d: int, scratch: int) -> np.ndarray:
 
 
 def _count_band(
-    counter: np.ndarray, verts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray, scratch: int
+    counter: np.ndarray, counts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray, scratch: int
 ) -> None:
-    """Add ``masks[mask_ids[i]]`` into row ``verts[i]`` of ``counter``, for all i.
+    """Add to row r of ``counter`` the masks of its ``counts[r]`` incidences.
 
-    ``verts`` is sorted; ``masks`` holds the band's columns only, and is
-    C-contiguous.  Rows are ordered by decreasing incidence count, so round
-    j adds the j-th mask of each of the first ``active[j]`` rows, a
-    contiguous prefix.  Each round gathers one mask per row into a scratch
-    buffer and adds it with one ripple of half adders up the planes, in
-    place between two buffers made once per call, so a round allocates
-    nothing; the carry out of the top plane goes to the sticky overflow
-    plane.  From the round :func:`_tail_round` picks on, :func:`_add_tail`
-    adds each remaining row's masks at once.
+    ``mask_ids`` lists the incidences' mask ids row by row; ``masks`` holds
+    the band's columns only, and is C-contiguous.  Rows are ordered by
+    decreasing incidence count, so round j adds the j-th mask of each of
+    the first ``active[j]`` rows, a contiguous prefix.  Each round gathers
+    one mask per row into a scratch buffer and adds it with one ripple of
+    half adders up the planes, in place between two buffers made once per
+    call, so a round allocates nothing; the carry out of the top plane goes
+    to the sticky overflow plane.  From the round :func:`_tail_round` picks
+    on, :func:`_add_tail` adds each remaining row's masks at once.
     """
-    counts = np.bincount(verts)
-    index = np.int32 if len(verts) < 1 << 31 else np.int64  # ranks and degrees are below it
-    degree = counts[counts.nonzero()[0]].astype(index)
-    rank = np.arange(len(verts), dtype=index) - (degree.cumsum(dtype=index) - degree).repeat(degree)
-    # by round, then by decreasing degree; the sort is stable, so ties keep row order
+    index = np.int32 if len(mask_ids) < 1 << 31 else np.int64  # ranks and degrees are below it
+    rows = counts.nonzero()[0]
+    degree = counts[rows].astype(index)
+    rank = np.arange(len(mask_ids), dtype=index)
+    rank -= (degree.cumsum(dtype=index) - degree).repeat(degree)
+    # by round, then by decreasing degree; the sorts are stable, so ties keep row order
     order = np.lexsort((-degree.repeat(degree), rank))
     mask_ids = mask_ids[order]
-    rows = verts[order[: len(degree)]]
+    rows = rows[np.argsort(-degree, kind="stable")]
     del rank, order  # freed before the counter copy and the round buffers are made
     active = len(degree) - np.bincount(degree).cumsum()[:-1]
     starts = np.concatenate(([0], active.cumsum()))  # where each round's masks begin

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicliquelab import formats
 from bicliquelab.corpus import random_graph
 from bicliquelab.errors import FormatError, ResourceLimitError
 from bicliquelab.formats import (
@@ -169,6 +170,70 @@ class TestSystemFormat:
         with pytest.raises(FormatError) as err:
             read_system("bicliquesystem -3 0 1\n")
         assert err.value.line == 1
+
+
+# every character at which str.splitlines breaks a line
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestLineBlocks:
+    """``formats._lines`` splits a text a block of ``_BLOCK`` characters at a
+    time, into exactly the lines of ``str.splitlines``, so the readers name
+    the same line wherever the block edges fall."""
+
+    @_PROPERTY
+    @given(
+        st.lists(st.sampled_from(["a", "bc", " ", "\r\n", *LINE_BREAKS]), max_size=30).map(
+            "".join
+        ),
+        st.integers(1, 3),
+    )
+    def test_blocks_split_as_splitlines(self, text, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_BLOCK", block)
+            assert list(formats._lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_crlf_at_every_block_edge(self, block, monkeypatch):
+        monkeypatch.setattr(formats, "_BLOCK", block)
+        for k in range(7):
+            text = "x" * k + "\r\n" + "y" * (k % 3) + "\r\n\r\nz\r"
+            assert list(formats._lines(text)) == text.splitlines()
+
+    # a block ends with the line that holds its _BLOCK-th character; over
+    # these sizes and places the bad line is the last line of a block, the
+    # line before it, or the first line of the next block (part lines are
+    # 11 characters with their newline, edge lines 6)
+    @pytest.mark.parametrize("block", [1, 11, 16, 22, 27, 33])
+    @pytest.mark.parametrize("bad", range(2, 9))
+    def test_system_error_lines_at_block_edges(self, block, bad, monkeypatch):
+        monkeypatch.setattr(formats, "_BLOCK", block)
+        for wrong, message in (("part 0 : x", "non-integer vertex"), ("part 1 : 1", "overlap")):
+            lines = ["bicliquesystem 9 8 1"] + [f"part 0 : {v}" for v in range(1, 9)]
+            lines[bad - 1] = wrong
+            with pytest.raises(FormatError, match=message) as err:
+                read_system("\n".join(lines) + "\n")
+            assert err.value.line == bad
+
+    @pytest.mark.parametrize("block", [1, 6, 9, 12, 15])
+    @pytest.mark.parametrize("bad", range(2, 10))
+    def test_graph_error_lines_at_block_edges(self, block, bad, monkeypatch):
+        monkeypatch.setattr(formats, "_BLOCK", block)
+        lines = ["p edge 9 8"] + [f"e 1 {v}" for v in range(2, 10)]
+        lines[bad - 1] = "e 1 1"
+        with pytest.raises(FormatError, match="out of range") as err:
+            read_graph("\n".join(lines) + "\n")
+        assert err.value.line == bad
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 50])
+    def test_blocks_write_and_read_the_same(self, block, monkeypatch):
+        system, graph = grid_graph_partition(2), grid_graph(2)
+        text, graph_text = write_system(system), write_graph(graph)
+        monkeypatch.setattr(formats, "_BLOCK", block)
+        assert write_system(system) == text
+        assert read_system(text) == system
+        assert write_graph(graph) == graph_text
+        assert read_graph(graph_text) == graph
 
 
 class TestCertificateFormat:

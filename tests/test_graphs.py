@@ -163,6 +163,12 @@ class TestVerifyBicliqueSystem:
             adj[u, v] = adj[v, u] = False
             assert not verify_biclique_system(Graph(adj), base).verdict
 
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_catches_random_mutations_in_tiny_blocks(self, block, monkeypatch):
+        # the same corruptions, with the verifier reading its incidences a few at a time
+        monkeypatch.setattr(packed, "_BLOCK", block)
+        self.test_catches_random_mutations()
+
     def test_multiplicity_past_int16(self):
         # 65,537 copies of one edge: a 16-bit counter would wrap to 1
         parts = (Biclique((0,), (1,)),) * 65537
@@ -546,16 +552,19 @@ class TestVerifyDifferential:
     """``verify_biclique_system`` agrees with ``naive_verify``, witness included.
 
     Each test also runs with tiny row bands and part chunks, so that small
-    graphs take the many-band and many-chunk paths of the packed kernel.
+    graphs take the many-band and many-chunk paths of the packed kernel, and
+    with tiny incidence blocks, so that sides straddle blocks.
     """
 
     SIZES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
 
-    @pytest.fixture(autouse=True, params=["default", "tiny-bands"])
+    @pytest.fixture(autouse=True, params=["default", "tiny-bands", "tiny-blocks"])
     def _kernel_sizes(self, request, monkeypatch):
         if request.param == "tiny-bands":
             monkeypatch.setattr(graphs, "_BAND_BYTES", 256)
             monkeypatch.setattr(graphs, "_MASK_BYTES", 1024)
+        if request.param == "tiny-blocks":
+            monkeypatch.setattr(packed, "_BLOCK", 13)
 
     def _check(self, graph, system):
         assert verify_biclique_system(graph, system) == naive_verify(graph, system)
@@ -616,6 +625,31 @@ class TestVerifyDifferential:
             for t in (1, 2, 3):
                 s = BicliqueSystem(n, system.parts, t)
                 self._check_with_mutants(graph, s, rng)
+
+
+def test_int32_side_ids_past_2_15_sides(monkeypatch):
+    # 16,800 parts make 33,600 sides in one chunk, so side ids take int32,
+    # not int16; blocks of 1,000 incidences cut through sides
+    dtypes = set()
+    count_band = packed._count_band
+
+    def spy(counter, counts, mask_ids, masks, scratch):
+        dtypes.add(mask_ids.dtype)
+        count_band(counter, counts, mask_ids, masks, scratch)
+
+    monkeypatch.setattr(packed, "_count_band", spy)
+    monkeypatch.setattr(packed, "_BLOCK", 1000)
+    rng = random.Random(3215)
+    graph = random_graph(9, 0.6, rng)
+    parts = [b for b in _one_part_per_edge(graph, 1, rng).parts for _ in range(2)]
+    parts = (parts * (16_800 // len(parts) + 1))[:16_800]
+    rng.shuffle(parts)
+    for t in (rng.randrange(500, 800), 16_800):
+        system = BicliqueSystem(9, parts, t)
+        assert verify_biclique_system(graph, system) == naive_verify(graph, system)
+        for g, s in _mutants(graph, system, rng):
+            assert verify_biclique_system(g, s) == naive_verify(g, s)
+    assert dtypes == {np.dtype(np.int32)}
 
 
 class TestStreamedCounter:

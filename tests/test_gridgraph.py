@@ -1,10 +1,12 @@
 """The grid-graph family: construction, pieces, reductions, partition, powers."""
 
+import functools
 from itertools import product
 
 import numpy as np
 import pytest
 
+from bicliquelab import gridgraph
 from bicliquelab.algebra import split_intersection
 from bicliquelab.cube import Subcube, admissible_set, decompose_admissible_set
 from bicliquelab.errors import ResourceLimitError
@@ -301,6 +303,25 @@ class TestPartition:
         assert len(grid_graph_partition(1).parts) == 0
 
 
+@functools.cache
+def _lifted(n, t):
+    """The t-cover's bounds and vertices, lifted whole by the formula: a side's
+    vertex v becomes p * base^(t-c) + v * base^(t-c-1) + s for every p
+    (outermost) and s (innermost), coordinate c by coordinate."""
+    base, size = grid_graph_partition(n), n**7
+    bounds, vertices = [0], []
+    for coord in range(t):
+        outer, inner = size**coord, size ** (t - coord - 1)
+        for lo, hi in zip(base.bounds[:-1].tolist(), base.bounds[1:].tolist()):
+            side = base.vertices[lo:hi].tolist()
+            vertices += [
+                p * size * inner + v * inner + s
+                for p in range(outer) for v in side for s in range(inner)
+            ]
+            bounds.append(len(vertices))
+    return bounds, np.array(vertices)
+
+
 @pytest.fixture(scope="module")
 def power2():
     return power_graph_cover(2, 2)
@@ -342,6 +363,18 @@ class TestPowerCover:
         assert all(
             not adj[u, v] for i, u in enumerate(witness) for v in witness[i + 1 :]
         )
+
+    @pytest.mark.parametrize("lift_block", ["default", 1, 100])
+    @pytest.mark.parametrize("n, t", [(2, 1), (2, 2), (3, 1)])
+    def test_lift_matches_the_formula(self, n, t, lift_block, monkeypatch):
+        # the small blocks lift whole sides a few at a time, or one side past a block
+        if lift_block != "default":
+            monkeypatch.setattr(gridgraph, "_LIFT_BLOCK", lift_block)
+        _, cover = power_graph_cover(n, t)
+        bounds, vertices = _lifted(n, t)
+        assert cover.bounds.tolist() == bounds
+        assert cover.vertices.dtype == np.int32
+        assert np.array_equal(cover.vertices, vertices)
 
     def test_limit(self):
         with pytest.raises(ResourceLimitError):
