@@ -16,8 +16,10 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
-from math import ceil, gcd
+from math import gcd
 from pathlib import Path
+
+import numpy as np
 
 from . import algebra, clis, corpus, formats, graphs, gridgraph, oracles
 from .cube import (
@@ -86,18 +88,14 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
     rep.line(f"vertex-count {total}")
     rep.line(f"edge-count {graph.edge_count()}")
 
-    pieces = decompose_admissible_set()
     edge_sum = 0
-    disjoint = True
-    seen = None
-    for piece in pieces:
+    seen = np.zeros_like(graph.rows)  # the pieces' union
+    for piece in decompose_admissible_set():
         pg = gridgraph.grid_graph_piece(n, piece, vertex_limit=config.vertex_limit)
         edge_sum += pg.edge_count()
-        if seen is None:
-            seen = pg.rows.copy()
-        else:
-            disjoint &= not (seen & pg.rows).any()
-            seen |= pg.rows
+        seen |= pg.rows
+    # the union has as many edges as the pieces sum to exactly when no two share one
+    disjoint = int(np.bitwise_count(seen).sum()) == 2 * edge_sum
     seen ^= graph.rows  # in place: all zero exactly when the pieces' union is the graph
     union_ok = not seen.any()
     del seen, pg  # n^14/8 bytes each, and no later stage reads them
@@ -114,7 +112,7 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
     )
     rep.check("independence-at-most-3n", alpha <= 3 * n)
     rep.check("projection-dichotomy", gridgraph.projection_dichotomy(points))
-    chi_lb = ceil(total / alpha) if alpha else 0
+    chi_lb = -(-total // alpha) if alpha else 0
     rep.line(f"chromatic-lower-bound {chi_lb}")
 
     partition = gridgraph.grid_graph_partition(n, vertex_limit=config.vertex_limit)

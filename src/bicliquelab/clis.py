@@ -19,7 +19,6 @@ a fixed-width vertex name of ceil(log2 m) bits.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -256,7 +255,7 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     clique, indep = mask_of(clique_order), mask_of(indep_order)
     m = inst.graph.order
     masks = inst.neighbor_masks
-    width = math.ceil(math.log2(m)) if m > 1 else 0
+    width = max(m - 1, 0).bit_length()  # ceil(log2 m) bits name any of m vertices
     live = (1 << m) - 1  # bitmask of the live vertices
     rounds: list[tuple[str, str]] = []
     # per speaker: the names allowed, the set where a name answers 1, the sign

@@ -183,9 +183,7 @@ def read_system(text: str) -> BicliqueSystem:
             # each token is read as by int(), into int64 at most
             try:
                 sides = [np.array(f, dtype=dtype) for f in (fields[1:sep], fields[sep + 1 :])]
-            except OverflowError:
-                if dtype == np.int64:
-                    raise
+            except OverflowError:  # widen to int64; a token past int64 raises again
                 sides = [np.array(f, dtype=np.int64) for f in (fields[1:sep], fields[sep + 1 :])]
                 dtype, vertices = np.int64, array("q", vertices)
         except ValueError:

@@ -119,8 +119,7 @@ class Graph:
         band = max(1, _BAND_BYTES // max(n, 1))
         for lo in range(0, n, band):
             block = unpack_rows(self._rows[lo : lo + band], n)
-            for r in range(len(block)):
-                block[r, : lo + r + 1] = False  # keep the columns above the diagonal
+            block &= np.arange(n) > np.arange(lo, lo + len(block))[:, None]  # above the diagonal
             u, v = np.divmod(np.flatnonzero(block), n)
             yield u + lo, v
 
@@ -129,11 +128,8 @@ class Graph:
         rows = ~self._rows
         if n % 64:
             rows[:, -1] &= BITS[n % 64] - np.uint64(1)
-        # the diagonal bits of rows 64k..64k+63 sit in word k, one row apart
-        flat, words = rows.reshape(-1), rows.shape[1]
-        for k in range(words):
-            diagonal = flat[k * (64 * words + 1) :: words][: min(64, n - 64 * k)]
-            diagonal &= ~BITS[: len(diagonal)]
+        v = np.arange(n)
+        rows[v, v >> 6] &= ~BITS[v & 63]  # clear the diagonal
         return Graph._trusted(rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":

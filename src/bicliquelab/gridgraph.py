@@ -120,14 +120,8 @@ class GridGraphSpec:
 def _coordinates(n: int, arity: int) -> np.ndarray:
     """Coordinate columns of [n]^arity: entry (i, x) is the 0-based coordinate
     i + 1 of the point with index x, in the narrowest unsigned dtype."""
-    weights = n ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-    columns = np.arange(n ** arity, dtype=np.int64) // weights[:, None] % n
-    return columns.astype(np.min_scalar_type(n - 1))
-
-
-def _mixed_radix(columns: np.ndarray, n: int) -> np.ndarray:
-    """The index of each point formed by the given coordinate columns, most significant first."""
-    return n ** np.arange(len(columns) - 1, -1, -1, dtype=np.int64) @ columns
+    coordinates = np.unravel_index(np.arange(n ** arity), (n,) * arity)
+    return np.array(coordinates, dtype=np.min_scalar_type(n - 1))
 
 
 def _subcube_rows(n: int, arity: int, fixed: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -150,7 +144,7 @@ def _subcube_rows(n: int, arity: int, fixed: Sequence[tuple[int, int]]) -> np.nd
         if bit:
             np.invert(same, out=same)
         distinct &= same
-    return distinct[_mixed_radix(pinned, n)]
+    return distinct[np.ravel_multi_index(pinned, (n,) * len(fixed))]
 
 
 def grid_graph(n: int, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
@@ -204,10 +198,9 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
     reduced_rule = [(i + 1, b) for i, (_, b) in enumerate(part.fixed)]
     graph = Graph._trusted(_subcube_rows(n, 5, reduced_rule))
 
-    columns = _coordinates(n, 7)
-    reduced = _mixed_radix(columns[[p - 1 for p, _ in part.fixed]], n)
-    copy = _mixed_radix(columns[[p - 1 for p in part.free_positions]], n)
-    return ReducedPiece(graph, reduced * (n * n) + copy)
+    # reduced vertex r's copy c is r * n^2 + c: the fixed coordinates, then the free ones
+    digits = [p - 1 for p, _ in part.fixed] + [p - 1 for p in part.free_positions]
+    return ReducedPiece(graph, np.ravel_multi_index(_coordinates(n, 7)[digits], (n,) * 7))
 
 
 def grid_graph_partition(

@@ -97,17 +97,19 @@ def count_pairs(
     row's masks at once with exact integer arithmetic and the same sticky
     overflow, so a pair in 65,537 parts costs no 65,537 ripples.
 
-    Masks are built for a bounded chunk of parts at a time.  The first chunk
-    makes each band's counter and the last reads it out and drops it, so the
-    counters take one band, about (planes + 1) * ``band_bytes``, when the parts
-    fit one chunk, and all bands, (planes + 1) * n*n/16 bytes, when they span
-    several.  The rest is the chunk's mask table (about ``mask_bytes``), which
-    drops each band's leading columns in place; one int16 side id per
-    incidence of the chunk (int32 past 2**15 sides), grouped by vertex, and
-    an int64 offset per vertex; blocks of ``_BLOCK`` incidences that fill
-    the table and group the ids; and per band, a copy of the counter, the
-    two round buffers and tail step chunks (about ``band_bytes`` each, per
-    plane for the copy) and the band's incidences ordered by round.
+    Masks are built for a bounded chunk of parts at a time, and one loop
+    makes, fills and reads out the counters: the first chunk makes each
+    band's counter and the last reads it out and drops it.  So the counters
+    take one band, about (planes + 1) * ``band_bytes``, when the parts fit one
+    chunk, and all bands, (planes + 1) * n*n/16 bytes, when they span several.
+    The rest is the chunk's layout: its mask table (about ``mask_bytes``),
+    which drops each band's leading columns in place, an int16 side id per
+    incidence (int32 past 2**15 sides) and an int64 offset per vertex.  The
+    layout's block scratch dies before any counter is made, and each chunk's
+    layout is freed before the next one is built.  Per band there is also a
+    copy of the counter, the two round buffers and tail step chunks (about
+    ``band_bytes`` each, per plane for the copy) and the band's incidences
+    ordered by round.
     """
     words = (n + 63) // 64
     parts = len(bounds) // 2
@@ -126,38 +128,47 @@ def count_pairs(
     chunk = max(1, mask_bytes // (16 * max(words, 1)))
     for first in range(0, max(parts, 1), chunk):
         sides = bounds[2 * first : 2 * (first + chunk) + 1]
-        for i in _count_chunk(counters, fill, n, sides, vertices, band, band_bytes):
+        masks, starts, opposite = _chunk_layout(n, sides, vertices)
+        for i in range(-(-n // band)):
+            if not first:  # band i holds rows i * band on, from column word i * band // 64 on
+                shape = (len(fill), min(band, n - i * band), words - i * band // 64)
+                counters[i] = np.broadcast_to(fill, shape).copy()
+            # np.take gathers without copying its whole source only from a
+            # C-contiguous one, so the table sheds the columns left of each band
+            masks = _drop_columns(masks, masks.shape[1] - counters[i].shape[2], band_bytes)
+            lo, hi = starts[i * band], starts[min(n, (i + 1) * band)]
+            if lo < hi:
+                rows = np.diff(starts[i * band : (i + 1) * band + 1])
+                _count_band(counters[i], rows, opposite[lo:hi], masks, band_bytes)
             if first + chunk >= parts:  # no later chunk adds to band i: read it out, drop it
                 *planes, over = counters.pop(i)
                 covered = over.copy()  # count > 0: planes no longer hold the bias
                 for k, plane in enumerate(planes):
                     covered |= ~plane if bias >> k & 1 else plane
                 yield i * band, covered, over, _plane_max(planes) - bias
+        # freed here, or the next chunk's layout is built while this one's is held
+        del masks, starts, opposite
 
 
-def _count_chunk(
-    counters: dict[int, np.ndarray], fill: np.ndarray, n: int, bounds: np.ndarray,
-    vertices: np.ndarray, band: int, scratch: int
-) -> Iterator[int]:
-    """Add the pair incidences of the parts with side ``bounds`` into the band
-    ``counters`` of ``n`` vertices, yielding each band's index once it is in.
+def _chunk_layout(
+    n: int, bounds: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask table, per-vertex offsets and opposite side ids of the parts
+    with side ``bounds``, over ``n`` vertices.
 
-    Counter i holds rows ``i * band`` on, from column word ``i * band // 64``
-    on, and starts as the planes' ``fill``.  The caller bounds the chunk, so
-    that its mask table (one row per side) holds fewer than 2**31 bytes.
-    ``scratch`` is the byte size of the blocks that move the table's columns
-    and that the tail step sums.
+    Row s of the table is side s's mask; side 2i is part i's left, 2i+1 its
+    right.  Slots ``offsets[v]`` to ``offsets[v + 1]`` hold the ids of the
+    sides opposite vertex v's, in part order.  The caller bounds the chunk,
+    so that the table holds fewer than 2**31 bytes.
 
     Incidences are read in blocks of ``_BLOCK``, twice: once to count each
     vertex's incidences, and once to set each side's bits in the table, a
     byte per incidence, and to place the opposite side's id at its vertex's
-    next slot.  So every vertex receives the mask of the opposite side of
-    each of its parts, in part order, and no sort spans more than a block.
+    next slot, so no sort spans more than a block.
     """
     words = (n + 63) // 64
     verts = vertices[bounds[0] : bounds[-1]]
     ends = bounds[1:] - bounds[0]  # where each side ends in verts
-    # side 2i is part i's left, 2i+1 its right; its id indexes the table
     side_id = np.int16 if len(ends) < 1 << 15 else np.int32
     masks = np.zeros((len(ends), words), dtype=WORD)
     table = masks.reshape(-1).view(np.uint8)  # WORD is little-endian: bit v is in byte v // 8
@@ -189,18 +200,7 @@ def _count_chunk(
         place += np.arange(len(place))
         opposite[place] = side[order] ^ 1
         slot[v] += size
-    del slot  # freed before the bands' counters and scratch are made
-    for i in range(-(-n // band)):
-        if i not in counters:  # the first chunk makes band i's counter
-            shape = (len(fill), min(band, n - i * band), words - i * band // 64)
-            counters[i] = np.broadcast_to(fill, shape).copy()
-        # np.take gathers without copying its whole source only from a
-        # C-contiguous one, so the table sheds the columns left of each band
-        masks = _drop_columns(masks, masks.shape[1] - counters[i].shape[2], scratch)
-        rows = starts[i * band : (i + 1) * band + 1]
-        if rows[0] < rows[-1]:
-            _count_band(counters[i], np.diff(rows), opposite[rows[0] : rows[-1]], masks, scratch)
-        yield i
+    return masks, starts, opposite
 
 
 def _drop_columns(table: np.ndarray, d: int, scratch: int) -> np.ndarray:

@@ -67,6 +67,25 @@ class TestDemo:
         assert "check piece-edges-match FAIL" in text
         assert "check piece-edges-disjoint pass" in text
 
+    def test_piece_that_takes_another_pieces_edge_fails_both_checks(self, monkeypatch):
+        # the second piece trades its first edge for the first piece's: the
+        # edge sum holds, two pieces share an edge and the union misses one
+        build, pieces = gridgraph.grid_graph_piece, []
+
+        def shared(n, part, **kwargs):
+            pieces.append(build(n, part, **kwargs))
+            if len(pieces) != 2:
+                return pieces[-1]
+            edges = list(pieces[-1].edges())
+            return Graph.from_edges(pieces[-1].order, edges[1:] + [next(pieces[0].edges())])
+
+        monkeypatch.setattr(gridgraph, "grid_graph_piece", shared)
+        text, ok = cmd_demo(2, RunConfig())
+        assert not ok
+        assert "piece-edge-sum 7680" in text
+        assert "check piece-edges-match FAIL" in text
+        assert "check piece-edges-disjoint FAIL" in text
+
 
 class TestSuites:
     @pytest.mark.parametrize("name", ["cube", "partition", "peck"])

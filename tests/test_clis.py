@@ -214,6 +214,13 @@ class TestChiLowerBound:
         with pytest.raises(ResourceLimitError):
             chi_lower_bound_check(g, BicliqueSystem(9, (), 1))
 
+    def test_empty_system_of_a_triangle_fails(self):
+        # with no parts the intersection matrix is all zero: one rectangle
+        # covers it, and its diagonal {0, 1, 2} is not independent
+        cert = chi_lower_bound_check(Graph.complete(3), BicliqueSystem(3, (), 1))
+        assert not cert.verdict
+        assert cert.witness == {"kind": "rectangle-set-not-independent", "vertices": [0, 1, 2]}
+
 
 class TestFamilies:
     def test_cliques_of_triangle(self):
@@ -284,6 +291,19 @@ class TestProtocol:
         assert tr.answer == 1
         assert all(speaker in ("A", "B") for speaker, _ in tr.rounds)
         assert all(set(bits) <= {"0", "1"} for _, bits in tr.rounds)
+
+    @pytest.mark.parametrize("m, width", [(4, 2), (5, 3), (8, 3), (9, 4)])
+    def test_send_names_take_ceil_log2_m_bits(self, m, width):
+        # a send is a 1 flag and the vertex name; a pass is the 0 flag alone
+        inst = full_instance(random_graph(m, 0.5, random.Random(m)))
+        sends = [
+            bits
+            for ci in range(len(inst.cliques))
+            for ii in range(len(inst.independents))
+            for _, bits in yannakakis_protocol(inst, ci, ii).rounds
+            if bits != "0"
+        ]
+        assert sends and {len(bits) for bits in sends} == {1 + width}
 
     def test_invalid_index(self):
         inst = full_instance(Graph.empty(1))

@@ -50,6 +50,14 @@ class TestGraphFormat:
             read_graph("p edge 2 1\ne 1 5\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("e 1", "bad edge line 'e 1'"), ("e 1 x", "non-integer endpoints in 'e 1 x'"),
+    ])
+    def test_malformed_edge_line_named(self, line, message):
+        with pytest.raises(FormatError) as err:
+            read_graph(f"p edge 3 1\n{line}\n")
+        assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
+
     def test_missing_header(self):
         with pytest.raises(FormatError):
             read_graph("e 1 2\n")

@@ -49,6 +49,13 @@ class TestGraph:
     def test_neighbor_masks(self):
         assert P3.neighbor_masks() == [0b010, 0b101, 0b010]
 
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 3), r"edge \(0,3\) out of range for order 3"), ((1, 1), "loop at vertex 1"),
+    ])
+    def test_from_edges_refuses_bad_edges(self, edge, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, [edge])
+
     def test_has_edge_checks_both_ends(self):
         for u, v in ((-1, 1), (3, 1), (1, -1), (1, 3)):
             with pytest.raises(IndexError):
@@ -698,3 +705,29 @@ class TestStreamedCounter:
         finally:
             tracemalloc.stop()
         assert peak < 40 << 20
+
+    def test_verify_frees_each_chunk_before_the_next(self, monkeypatch):
+        # the n = 3 partition's 4,860 parts in chunks of 1,872: three mask
+        # tables of 1 MiB each (35 words per side), beside 0.6 MiB of
+        # counters for every band; small bands and blocks keep the rest
+        # small, so holding two tables at once takes the peak past 3 MiB
+        graph, partition = gridgraph.grid_graph(3), gridgraph.grid_graph_partition(3)
+        monkeypatch.setattr(graphs, "_MASK_BYTES", 1 << 20)
+        monkeypatch.setattr(graphs, "_BAND_BYTES", 1 << 14)
+        monkeypatch.setattr(packed, "_BLOCK", 1 << 12)
+        chunks = []
+        chunk_layout = packed._chunk_layout
+
+        def spy(n, bounds, vertices):
+            chunks.append(len(bounds) // 2)  # the chunk's part count; the layout is not kept
+            return chunk_layout(n, bounds, vertices)
+
+        monkeypatch.setattr(packed, "_chunk_layout", spy)
+        tracemalloc.start()
+        try:
+            assert verify_biclique_system(graph, partition).verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == [1872, 1872, 1116]
+        assert peak < 2.5 * 2**20

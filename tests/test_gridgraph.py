@@ -389,6 +389,13 @@ class TestPowerCover:
         assert exc.value.limit_name == "power_vertex_limit"
         assert exc.value.requested > exc.value.limit
 
+    @pytest.mark.parametrize("n, t, size", [(3, 2, 4_782_969), (5, 1, 78_125)])
+    def test_refused_by_the_exact_size(self, n, t, size):
+        # within the bit-length bound, so the exact size n^(7t) refuses
+        with pytest.raises(ResourceLimitError) as exc:
+            power_graph_cover(n, t)
+        assert (exc.value.limit_name, exc.value.requested) == ("power_vertex_limit", size)
+
     @pytest.mark.parametrize("n, t", [(0, 1), (-1, 3), (-(10**700), 2), (2, 0)])
     def test_nonpositive_refused(self, n, t):
         with pytest.raises(ValueError, match="must be >= 1"):

@@ -205,6 +205,10 @@ class TestMinBicliquePartition:
         with pytest.raises(ResourceLimitError):
             min_biclique_partition(Graph.complete(9))
 
+    def test_bound_below_1_refused(self):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            min_biclique_partition(Graph.complete(3), 0)
+
 
 def brute_rectangle_cover(matrix: BoolMatrix, value: int, rects) -> int:
     """Smallest sub-multiset of ``rects`` covering all value-cells, by direct
@@ -289,6 +293,25 @@ class TestMinRectangleCover:
         with pytest.raises(ResourceLimitError) as exc:
             min_rectangle_cover(BoolMatrix(np.zeros((9, 9), dtype=np.uint8)), 0)
         assert (exc.value.limit_name, exc.value.requested) == ("rect_entry_limit", 81)
+
+    def test_value_must_be_0_or_1(self):
+        with pytest.raises(ValueError, match="value must be 0 or 1"):
+            min_rectangle_cover(BoolMatrix(np.eye(3, dtype=np.uint8)), 2)
+
+    def test_rectangle_budget(self):
+        # 21 rows (21 one-cells, within the entry limit of 64) make 2**21 row
+        # subsets to close into rectangles, past the budget of 2**20
+        with pytest.raises(ResourceLimitError) as exc:
+            min_rectangle_cover(BoolMatrix(np.eye(21, dtype=np.uint8)), 1)
+        assert (exc.value.limit_name, exc.value.requested) == ("rect_budget", 2_097_152)
+
+    @pytest.mark.parametrize("entries, message", [
+        (np.zeros(3, dtype=np.uint8), r"matrix must be 2-dimensional, got shape \(3,\)"),
+        (np.array([[0, 2]]), "matrix entries must be 0 or 1"),
+    ])
+    def test_bool_matrix_refuses(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            BoolMatrix(entries)
 
     @staticmethod
     def _check_witness(matrix: BoolMatrix, value: int, witness) -> None:
