@@ -18,6 +18,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from collections.abc import Iterator
 from itertools import islice
@@ -31,19 +32,29 @@ from .graphs import (
 from .packed import rows_from_masks
 
 _BLOCK = 1 << 12  # per block: edge lines or part-line incidences written, characters read
+_TEXT_BLOCK = 1 << 16  # characters per block of write_system's own part lines, read as arrays
+# write_system's part lines: vertices with no sign and no leading zero, of at
+# most 9 digits, so each is below 2**31; a side is never empty
+_PART_LINES = re.compile(r"(?:part(?: [1-9][0-9]{0,8}| 0)+ :(?: [1-9][0-9]{0,8}| 0)+\n)*")
+
+
+def _blocks(text: str, start: int, size: int) -> Iterator[tuple[int, int]]:
+    """Spans of ``text`` from ``start`` on, each of about ``size`` characters.
+
+    A span ends just after a ``\\n``, which ends a line break (alone or
+    after ``\\r``), or at the end of the text, so no line break is cut.
+    """
+    while start < len(text):
+        end = text.find("\n", start + size - 1) + 1 or len(text)
+        yield start, end
+        start = end
 
 
 def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text.splitlines()``, split a block of about ``_BLOCK`` characters at a time.
-
-    A block ends just after a ``\\n``, which ends a line break (alone or
-    after ``\\r``), so no line break is cut and every line keeps its number.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+    """The lines of ``text.splitlines()``, split a block of about ``_BLOCK``
+    characters at a time, so every line keeps its number."""
+    for start, end in _blocks(text, 0, _BLOCK):
         yield from text[start:end].splitlines()
-        start = end
 
 
 def write_graph(graph: Graph) -> str:
@@ -142,15 +153,20 @@ def write_system(system: BicliqueSystem) -> str:
 def read_system(text: str) -> BicliqueSystem:
     """Parse a biclique system; sides may be listed in any order.
 
-    The first bad line is named: a part line that does not parse or is not
-    a biclique.  Then a part count other than the header's is named at the
-    line past the end, and a bad host order, bound or out-of-range vertex at
-    line 1.  Vertices beyond the int64 range are refused at their line.  A
-    host order past the int32 range is refused before any part line is read.
+    Text exactly as :func:`write_system` writes it is read as arrays (see
+    :func:`_read_own_text`).  Any other text, and such text that is not a
+    valid system of the header's part count, is parsed a line at a time
+    (see :func:`_lines`), and only that parser names errors, so both routes
+    give one result.  The first bad line is named: a part line that does
+    not parse or is not a biclique.  Then a part count other than the
+    header's is named at the line past the end, and a bad host order, bound
+    or out-of-range vertex at line 1.  Vertices beyond the int64 range are
+    refused at their line.  A host order past the int32 range is refused
+    before any part line is read.
 
-    The text is split a block at a time (see :func:`_lines`), and vertices
-    are gathered as int32, widened to int64 only when a vertex leaves the
-    int32 range, so the system takes the array over with no copy.
+    The line parser gathers vertices as int32, widened to int64 only when a
+    vertex leaves the int32 range, so the system takes the array over with
+    no copy.
     """
     lines = _lines(text)
     header = next(lines, None)
@@ -164,6 +180,11 @@ def read_system(text: str) -> BicliqueSystem:
     except ValueError:
         raise FormatError(f"non-integer header fields in {header!r}", 1)
     check_vertex_limit(order, MAX_ORDER)
+    own = f"bicliquesystem {order} {nparts} {bound}\n"
+    if text.startswith(own):
+        system = _read_own_text(text, len(own), order, nparts, bound)
+        if system is not None:
+            return system
     # grown in place as int32, and as int64 from the first vertex past int32
     dtype, vertices = np.int32, array("i")
     bounds = [0]  # where each side ends: split, end, split, end, ...
@@ -214,6 +235,47 @@ def read_system(text: str) -> BicliqueSystem:
     if held is not None:
         raise held
     return system
+
+
+def _read_own_text(
+    text: str, start: int, order: int, nparts: int, bound: int
+) -> BicliqueSystem | None:
+    """The system whose part lines are ``text[start:]``, or None unless each
+    block of ``_TEXT_BLOCK`` characters matches ``_PART_LINES`` and they
+    make a valid system of ``nparts`` parts.  It names no error.
+
+    Pass 1 checks each block and counts its sides: a space comes before
+    each vertex and each ``:``, so the spaces up to each ``:`` and ``\\n``
+    give the side lengths.  Pass 2 fills one int32 vertex array of exactly
+    that length, a block at a time: a block less ``part`` and ``:`` is a
+    list of numbers.  No copy of the whole text is made.
+    """
+    blocks = list(_blocks(text, start, _TEXT_BLOCK))
+    sizes = [np.zeros(1, dtype=np.int64)]  # bounds[0], then each side's length
+    for lo, hi in blocks:
+        if _PART_LINES.fullmatch(text, lo, hi) is None:
+            return None
+        chars = np.frombuffer(text[lo:hi].encode("ascii"), dtype=np.uint8)
+        marks = np.flatnonzero((chars == ord(":")) | (chars == ord("\n")))
+        side = np.diff(np.flatnonzero(chars == ord(" ")).searchsorted(marks), prepend=0)
+        side[::2] -= 1  # the space before ":"
+        sizes.append(side)
+    if sum(map(len, sizes)) != 2 * nparts + 1:
+        return None
+    bounds = np.concatenate(sizes).cumsum()
+    del sizes
+    vertices = np.empty(int(bounds[-1]), dtype=np.int32)
+    end = 0
+    for lo, hi in blocks:
+        values = np.fromstring(
+            text[lo:hi].replace("part", "").replace(":", ""), dtype=np.int32, sep=" "
+        )
+        vertices[end : end + len(values)] = values
+        end += len(values)
+    try:
+        return BicliqueSystem.from_arrays(order, bounds, vertices, bound)
+    except ValueError:  # a PartError too: the per-line parser names the fault
+        return None
 
 
 def write_certificate(cert: Certificate) -> str:

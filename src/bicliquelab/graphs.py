@@ -469,6 +469,7 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
             v = int(np.flatnonzero(unpack_rows(bad[r], 64 * bad.shape[1]))[0])
             first_bad = (lo + r, lo // 64 * 64 + v)
         max_mult = max(max_mult, high)
+        del covered, over, row, bad  # so the band's read-out dies before the next is counted
 
     if first_bad is not None:
         u, v = first_bad
@@ -561,14 +562,15 @@ def blowup(graph: Graph, m: int) -> Graph:
 def or_product(g: Graph, h: Graph) -> Graph:
     """OR product: (a,b) ~ (a',b') iff a ~ a' in g or b ~ b' in h.
 
-    Vertex (a, b) gets index a*|h| + b.  The rows of the vertices (a, *)
-    form one band, built from row a of g and all of h and packed at once,
-    so no n×n bool array is ever held.
+    Vertex (a, b) gets index a*|h| + b, and its row is row a of g, each
+    bit repeated |h| times, ORed with row b of h tiled |g| times: one
+    broadcast OR per band of about ``_BAND_BYTES`` of g's rows unpacked.
     """
     size = g.order * h.order
-    rows = np.empty((size, (size + 63) // 64), dtype=WORD)
-    hadj = h.adjacency
-    for a in range(g.order):
-        band = unpack_rows(g.rows[a], g.order)[None, :, None] | hadj[:, None, :]
-        rows[a * h.order : (a + 1) * h.order] = pack_rows(band.reshape(h.order, size))
-    return Graph._trusted(rows)
+    rows = np.empty((g.order, h.order, (size + 63) // 64), dtype=WORD)
+    tiled = pack_rows(np.tile(h.adjacency, g.order))
+    band = max(1, _BAND_BYTES // max(size, 1))
+    for lo in range(0, g.order, band):
+        wide = pack_rows(np.repeat(unpack_rows(g.rows[lo : lo + band], g.order), h.order, axis=1))
+        np.bitwise_or(wide[:, None], tiled[None], out=rows[lo : lo + band])
+    return Graph._trusted(rows.reshape(size, rows.shape[2]))

@@ -106,10 +106,11 @@ def count_pairs(
     which drops each band's leading columns in place, an int16 side id per
     incidence (int32 past 2**15 sides) and an int64 offset per vertex.  The
     layout's block scratch dies before any counter is made, and each chunk's
-    layout is freed before the next one is built.  Per band there is also a
-    copy of the counter, the two round buffers and tail step chunks (about
-    ``band_bytes`` each, per plane for the copy) and the band's incidences
-    ordered by round.
+    layout is freed before the next one is built.  Per band there are also
+    the two round buffers and tail step chunks (about ``band_bytes`` each),
+    a few integers per row, and a copy of the counter unless its rows are
+    already in order (see :func:`_count_band`); no incidence is sorted or
+    copied, and each band's read-out is freed before the next is counted.
     """
     words = (n + 63) // 64
     parts = len(bounds) // 2
@@ -146,6 +147,7 @@ def count_pairs(
                 for k, plane in enumerate(planes):
                     covered |= ~plane if bias >> k & 1 else plane
                 yield i * band, covered, over, _plane_max(planes) - bias
+                del planes, over, covered  # the band's counter dies before the next is counted
         # freed here, or the next chunk's layout is built while this one's is held
         del masks, starts, opposite
 
@@ -225,46 +227,42 @@ def _count_band(
     """Add to row r of ``counter`` the masks of its ``counts[r]`` incidences.
 
     ``mask_ids`` lists the incidences' mask ids row by row; ``masks`` holds
-    the band's columns only, and is C-contiguous.  Rows are ordered by
+    the band's columns only, and is C-contiguous.  Rows are taken by
     decreasing incidence count, so round j adds the j-th mask of each of
-    the first ``active[j]`` rows, a contiguous prefix.  Each round gathers
-    one mask per row into a scratch buffer and adds it with one ripple of
-    half adders up the planes, in place between two buffers made once per
-    call, so a round allocates nothing; the carry out of the top plane goes
-    to the sticky overflow plane.  From the round :func:`_tail_round` picks
-    on, :func:`_add_tail` adds each remaining row's masks at once.
+    the first ``active[j]`` rows, a contiguous prefix, read where each
+    row's incidences begin.  Each round gathers one mask per row into a
+    scratch buffer and adds it with one ripple of half adders up the planes,
+    in place between two buffers made once per call; the carry out of the
+    top plane goes to the sticky overflow plane.  From the round
+    :func:`_tail_round` picks on, :func:`_add_tail` adds each remaining
+    row's masks at once.  Rows already in that order, none empty, are
+    counted in ``counter`` itself; others in a copy, written back.
     """
-    index = np.int32 if len(mask_ids) < 1 << 31 else np.int64  # ranks and degrees are below it
-    rows = counts.nonzero()[0]
-    degree = counts[rows].astype(index)
-    rank = np.arange(len(mask_ids), dtype=index)
-    rank -= (degree.cumsum(dtype=index) - degree).repeat(degree)
-    # by round, then by decreasing degree; the sorts are stable, so ties keep row order
-    order = np.lexsort((-degree.repeat(degree), rank))
-    mask_ids = mask_ids[order]
-    rows = rows[np.argsort(-degree, kind="stable")]
-    del rank, order  # freed before the counter copy and the round buffers are made
+    rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    degree = counts[rows]
+    first = (counts.cumsum() - counts)[rows]  # where each row's incidences begin
     active = len(degree) - np.bincount(degree).cumsum()[:-1]
-    starts = np.concatenate(([0], active.cumsum()))  # where each round's masks begin
+    starts = np.concatenate(([0], active.cumsum()))  # incidences added before each round
     width = counter.shape[2]
     tail = _tail_round(active, starts, width, len(counter), scratch)
 
+    in_place = len(rows) == len(counts) and bool((np.diff(rows) > 0).all())
     # take keeps each plane C-contiguous; counter[:, rows] would interleave them
-    local = counter.take(rows, axis=1)
+    local = counter if in_place else counter.take(rows, axis=1)
     gathered = np.empty((len(rows), width), dtype=WORD)
     spare = np.empty_like(gathered)
-    for lo, c in zip(starts.tolist(), active[:tail].tolist()):
+    for j, c in enumerate(active[:tail].tolist()):
         carry, both = gathered[:c], spare[:c]
-        masks.take(mask_ids[lo : lo + c], axis=0, out=carry, mode="clip")
+        masks.take(mask_ids[first[:c] + j], axis=0, out=carry, mode="clip")
         for plane in local[:-1, :c]:
             np.bitwise_and(plane, carry, out=both)
             plane ^= carry
             carry, both = both, carry
         local[-1, :c] |= carry
-    # row i is in rounds 0 .. counts[rows[i]] - 1, and its mask of round k sits at starts[k] + i
     for i in range(int(active[tail]) if tail < len(active) else 0):
-        _add_tail(local[:, i], mask_ids[starts[tail : counts[rows[i]]] + i], masks, scratch)
-    counter[:, rows] = local
+        _add_tail(local[:, i], mask_ids[first[i] + tail : first[i] + degree[i]], masks, scratch)
+    if not in_place:
+        counter[:, rows] = local
 
 
 def _tail_round(

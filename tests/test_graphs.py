@@ -273,6 +273,32 @@ class TestOrProduct:
                             assert prod.has_edge(a * 2 + b, a2 * 2 + b2) == expected
 
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 70), st.integers(0, 70), st.integers(0, 2**32))
+    def test_matches_the_definition(self, a, b, seed):
+        # orders that are and are not multiples of 8 and 64, on either side
+        rng = random.Random(seed)
+        g, h = random_graph(a, rng.random(), rng), random_graph(b, rng.random(), rng)
+        prod = or_product(g, h)
+        ga, ha = g.adjacency, h.adjacency
+        # (x, y) ~ (x', y') iff x ~ x' in g or y ~ y' in h, at index x * b + y
+        expected = (ga[:, None, :, None] | ha[None, :, None, :]).reshape(a * b, a * b)
+        assert np.array_equal(prod.adjacency, expected)
+        assert_zero_padding(prod)
+
+    def test_many_bands(self, monkeypatch):
+        # 9 * 5 = 45 unpacked bytes per row of g: bands of 2, 2, 2, 2 and 1 rows
+        rng = random.Random(3003)
+        g, h = random_graph(9, 0.5, rng), random_graph(5, 0.5, rng)
+        whole = or_product(g, h)
+        monkeypatch.setattr(graphs, "_BAND_BYTES", 100)
+        assert or_product(g, h) == whole
+        ga, ha = g.adjacency, h.adjacency
+        assert np.array_equal(
+            whole.adjacency, (ga[:, None, :, None] | ha[None, :, None, :]).reshape(45, 45)
+        )
+
+
 def _dense_adjacency(n, p, rng):
     """A random symmetric, irreflexive bool matrix: the test-side reference."""
     coins = np.array([[rng.random() < p for _ in range(n)] for _ in range(n)], dtype=bool)
@@ -705,6 +731,19 @@ class TestStreamedCounter:
         finally:
             tracemalloc.stop()
         assert peak < 40 << 20
+
+    def test_verify_frees_each_band_before_the_next(self):
+        # the n = 3 partition fits one chunk of masks, so each band's counter
+        # dies at its read-out; holding a read-out while the next band is
+        # counted, or the band's incidences sorted by round, reads 7.44 MiB
+        graph, partition = gridgraph.grid_graph(3), gridgraph.grid_graph_partition(3)
+        tracemalloc.start()
+        try:
+            assert verify_biclique_system(graph, partition).verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
     def test_verify_frees_each_chunk_before_the_next(self, monkeypatch):
         # the n = 3 partition's 4,860 parts in chunks of 1,872: three mask

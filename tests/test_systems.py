@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicliquelab import clis, corpus, graphs, oracles
+from bicliquelab import clis, corpus, formats, graphs, oracles
 from bicliquelab.errors import FormatError, PartError, ResourceLimitError
 from bicliquelab.formats import read_system, write_system
 from bicliquelab.graphs import MAX_ORDER, Biclique, BicliqueSystem, star_partition
@@ -269,10 +269,11 @@ class TestCoverT2Memory:
     array; the cover has 983,040 incidences, 3.75 MiB as int32.  The bounds
     are in MiB above the stage's start, and build's includes the 32 MiB
     graph and the cover it returns.  Before the blocks the stages read
-    54.6, 26.3, 17.6 and 18.8 MiB.
+    54.6, 26.3, 17.6 and 18.8 MiB; verify read 12.2 MiB while each band's
+    read-out outlived it and the band kernel sorted its incidences by round.
     """
 
-    BOUNDS = {"build": 41, "write": 12.5, "read": 9, "verify": 13}
+    BOUNDS = {"build": 41, "write": 12.5, "read": 9, "verify": 11}
 
     def test_stage_peaks(self):
         peaks = {}
@@ -463,3 +464,126 @@ class TestSystemProperties:
         except FormatError:
             return
         assert read_system(write_system(system)) == system
+
+
+def _array_route(patch):
+    """Record what the array route returns on each read: the per-line parser
+    runs after it returns None, or when the header is not write_system's."""
+    results = []
+    read_own_text = formats._read_own_text
+
+    def spy(*args):
+        results.append(read_own_text(*args))
+        return results[-1]
+
+    patch.setattr(formats, "_read_own_text", spy)
+    return results
+
+
+@st.composite
+def _own_texts(draw):
+    """System text in write_system's grammar over host orders up to 70,000, with
+    each side in drawn order (so often unsorted), and a block size for the reader."""
+    n = draw(st.integers(2, 70_000))
+    vertex = st.integers(0, n - 1)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        vs = draw(st.lists(vertex, min_size=2, max_size=12, unique=True))
+        cut = draw(st.integers(1, len(vs) - 1))
+        lines.append(f"part {' '.join(map(str, vs[:cut]))} : {' '.join(map(str, vs[cut:]))}\n")
+    head = f"bicliquesystem {n} {len(lines)} {draw(st.integers(1, 3))}\n"
+    return head + "".join(lines), draw(st.sampled_from([1, 9, 40, formats._TEXT_BLOCK]))
+
+
+# near write_system's own text: each takes the per-line route, with the
+# outcome the per-line parser alone gave (recorded before the array route)
+_BASE = "bicliquesystem 12 2 1\npart 3 1 : 2\npart 0 : 11 4\n"
+_BASE_SHA = "8955f16e54675e8bdd81fb4565c277efa48e7428e4971bafd16dfa31b695797f"
+NEAR_OWN_TEXT = {
+    "crlf": (_BASE.replace("\n", "\r\n"), ("system", _BASE_SHA)),
+    "tab": (_BASE.replace("3 1", "3\t1"), ("system", _BASE_SHA)),
+    "double-space": (_BASE.replace("3 1", "3  1"), ("system", _BASE_SHA)),
+    "plus-sign": (
+        _BASE.replace("part 0", "part +5"),
+        ("system", "ff4b51265efc99779ee2928e3c0bcfec8340cf1ca89b45455418066ca2acc71e"),
+    ),
+    "leading-zero": (_BASE.replace(": 2", ": 02"), ("system", _BASE_SHA)),
+    "ten-digits": (
+        "bicliquesystem 2147483647 2 1\npart 3 1 : 2\npart 0 : 1000000000 4\n",
+        ("system", "4752e0576f06c01a88e6904533cfb12a5832c9dd289cae9a576bddb525888b41"),
+    ),
+    "non-ascii-digit": (_BASE.replace(": 2", ": \u0662"), ("system", _BASE_SHA)),
+    "blank-line": (_BASE.replace("\npart 0", "\n\npart 0"), ("system", _BASE_SHA)),
+    "no-final-newline": (_BASE[:-1], ("system", _BASE_SHA)),
+    "empty-side": (
+        _BASE.replace("3 1 : 2", "3 1 :"),
+        ("FormatError", 2, "line 2: biclique sides must be nonempty"),
+    ),
+    "repeated-vertex": (
+        _BASE.replace("3 1", "3 1 3"),
+        ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
+    ),
+    "vertex-on-both-sides": (
+        _BASE.replace(": 2", ": 1"), ("FormatError", 2, "line 2: biclique sides overlap: {1}")
+    ),
+    "vertex-at-host-order": (
+        _BASE.replace("11 4", "12 4"),
+        ("FormatError", 1, "line 1: part 2 uses vertex 12 outside host order 12"),
+    ),
+    "vertex-past-host-order": (
+        _BASE.replace("11 4", "13 4"),
+        ("FormatError", 1, "line 1: part 2 uses vertex 13 outside host order 12"),
+    ),
+    "one-part-more": (
+        _BASE.replace(" 2 1\n", " 3 1\n", 1),
+        ("FormatError", 4, "line 4: header promised 3 parts, found 2"),
+    ),
+    "one-part-fewer": (
+        _BASE.replace(" 2 1\n", " 1 1\n", 1),
+        ("FormatError", 4, "line 4: header promised 1 parts, found 2"),
+    ),
+}
+
+
+class TestOwnTextRoute:
+    """``read_system`` reads write_system's own text as arrays, and hands any
+    other text to the per-line parser; both routes give one result."""
+
+    @_PROPERTY
+    @given(_own_texts())
+    def test_both_routes_read_the_same_system(self, case):
+        text, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_TEXT_BLOCK", block)
+            route = _array_route(patch)
+            system = read_system(text)
+            assert len(route) == 1 and route[0] == system
+            patch.setattr(formats, "_read_own_text", lambda *args: None)
+            assert read_system(text) == system
+
+    def test_the_base_text_takes_the_array_route(self, monkeypatch):
+        route = _array_route(monkeypatch)
+        assert _outcome(_BASE) == ("system", _BASE_SHA)
+        assert len(route) == 1 and route[0] is not None
+
+    @pytest.mark.parametrize("name", sorted(NEAR_OWN_TEXT))
+    def test_near_own_text_takes_the_per_line_route(self, name, monkeypatch):
+        text, outcome = NEAR_OWN_TEXT[name]
+        route = _array_route(monkeypatch)
+        assert _outcome(text) == outcome
+        assert route in ([], [None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_partitions_never_reach_the_per_line_parser(self, n, monkeypatch):
+        system = grid_graph_partition(n)
+        text = write_system(system)
+        route = _array_route(monkeypatch)
+        assert read_system(text) == system
+        assert route == [system]
+
+    def test_the_t2_cover_never_reaches_the_per_line_parser(self, monkeypatch):
+        _, cover = power_graph_cover(2, 2)
+        text = write_system(cover)
+        route = _array_route(monkeypatch)
+        assert read_system(text) == cover
+        assert route == [cover]
