@@ -5,6 +5,13 @@ Graphs and biclique systems are read back with ``read(write(x)) == x``;
 certificates are only written.  Parse failures raise :class:`FormatError`
 carrying the offending 1-based line number.
 
+Each reader has two routes.  Text exactly as its writer writes it is read
+as arrays, a block of whole lines at a time: one regular expression checks
+a block and one ``np.fromstring`` reads its numbers.  Any other text, and
+such text that fails a check the writer's output always passes, goes to a
+parser that reads one line at a time, and that parser alone names errors,
+so both routes give one result.
+
 Formats:
 
 * Graph: DIMACS-style.  Header ``p edge N M``, one ``e u v`` line per edge,
@@ -29,13 +36,16 @@ from .errors import FormatError, PartError
 from .graphs import (
     DEFAULT_VERTEX_LIMIT, MAX_ORDER, BicliqueSystem, Certificate, Graph, check_vertex_limit
 )
-from .packed import rows_from_masks
+from .packed import BYTE_BITS, WORD, rows_from_masks
 
 _BLOCK = 1 << 12  # per block: edge lines or part-line incidences written, characters read
-_TEXT_BLOCK = 1 << 16  # characters per block of write_system's own part lines, read as arrays
-# write_system's part lines: vertices with no sign and no leading zero, of at
-# most 9 digits, so each is below 2**31; a side is never empty
+_TEXT_BLOCK = 1 << 16  # characters per block of a writer's own lines, read as arrays
+# the writers' own lines: vertices with no sign and no leading zero, of at
+# most 9 digits, so each is below 2**31; a side is never empty, and graph
+# vertices are 1-based
 _PART_LINES = re.compile(r"(?:part(?: [1-9][0-9]{0,8}| 0)+ :(?: [1-9][0-9]{0,8}| 0)+\n)*")
+_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]{0,8} [1-9][0-9]{0,8}\n)*")
+_NOT_NUMBERS = str.maketrans("", "", "epart:")  # the letters and ":" of those lines
 
 
 def _blocks(text: str, start: int, size: int) -> Iterator[tuple[int, int]]:
@@ -68,7 +78,14 @@ def write_graph(graph: Graph) -> str:
 
 def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
     """Parse a DIMACS graph.  A header order above ``vertex_limit`` or the int32 range
-    raises ``ResourceLimitError`` before any edge is parsed or any array allocated."""
+    raises ``ResourceLimitError`` before any edge is parsed or any array allocated.
+
+    Text that starts with the header as :func:`write_graph` writes it is
+    read as arrays once that header is parsed and guarded (see
+    :func:`_read_own_graph`).  Any other text, and such text that is not
+    ``write_graph``'s own, is parsed a line at a time (see :func:`_lines`),
+    and only that parser names errors, so both routes give one result.
+    """
     order: int | None = None
     expected = 0
     masks: list[int] = []  # per vertex, the neighbours read so far as a bitmask
@@ -91,6 +108,11 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
             if order < 0 or expected < 0:
                 raise FormatError(f"negative header fields in {line!r}", lineno)
             check_vertex_limit(order, vertex_limit)
+            own = f"p edge {order} {expected}\n"
+            if text.startswith(own):
+                rows = _read_own_graph(text, len(own), order, expected)
+                if rows is not None:
+                    return Graph._trusted(rows)
             masks = [0] * order
         elif fields[0] == "e":
             if order is None:
@@ -117,6 +139,39 @@ def read_graph(text: str, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
         raise FormatError(f"header promised {expected} edges, found {count}", lineno + 1)
     # the masks are symmetric, loop-free and in range by the checks above
     return Graph._trusted(rows_from_masks(masks, order))
+
+
+def _read_own_graph(text: str, start: int, order: int, expected: int) -> np.ndarray | None:
+    """The packed rows of the graph whose edge lines are ``text[start:]``,
+    or None unless the lines match ``_EDGE_LINES``, every edge (u, v) has
+    u < v <= order, the edges strictly increase in (u, v) across the text,
+    which is write_graph's row-major order, and ``expected`` of them are
+    read.  It names no error.
+
+    Then no bit is set twice, so adding each edge's two bits to the rows'
+    bytes ORs them in.
+    """
+    blocks = _own_blocks(text, start, _EDGE_LINES)
+    if blocks is None:
+        return None
+    words = (order + 63) // 64
+    rows = np.zeros((order, words), dtype=WORD)
+    table = rows.reshape(-1).view(np.uint8)  # WORD is little-endian: bit v is in byte v // 8
+    row_bytes = np.int64(8 * words)
+    count = least = 0  # edges read, and the least key the next edge may have
+    for lo, hi in blocks:
+        values = _numbers(text, lo, hi) - 1  # 0-based
+        u, v = values[::2], values[1::2]
+        key = u * np.int64(order) + v  # (u, v) in row-major order
+        if (u >= v).any() or int(v.max()) >= order:
+            return None
+        if key[0] < least or (key[1:] <= key[:-1]).any():
+            return None
+        least = int(key[-1]) + 1
+        count += len(u)
+        np.add.at(table, u * row_bytes + (v >> 3), BYTE_BITS[v & 7])
+        np.add.at(table, v * row_bytes + (u >> 3), BYTE_BITS[u & 7])
+    return rows if count == expected else None
 
 
 def write_system(system: BicliqueSystem) -> str:
@@ -240,21 +295,20 @@ def read_system(text: str) -> BicliqueSystem:
 def _read_own_text(
     text: str, start: int, order: int, nparts: int, bound: int
 ) -> BicliqueSystem | None:
-    """The system whose part lines are ``text[start:]``, or None unless each
-    block of ``_TEXT_BLOCK`` characters matches ``_PART_LINES`` and they
-    make a valid system of ``nparts`` parts.  It names no error.
+    """The system whose part lines are ``text[start:]``, or None unless the
+    lines match ``_PART_LINES`` and make a valid system of ``nparts`` parts.
+    It names no error.
 
-    Pass 1 checks each block and counts its sides: a space comes before
-    each vertex and each ``:``, so the spaces up to each ``:`` and ``\\n``
-    give the side lengths.  Pass 2 fills one int32 vertex array of exactly
-    that length, a block at a time: a block less ``part`` and ``:`` is a
-    list of numbers.  No copy of the whole text is made.
+    Pass 1 counts each block's sides: a space comes before each vertex and
+    each ``:``, so the spaces up to each ``:`` and ``\\n`` give the side
+    lengths.  Pass 2 fills one int32 vertex array of exactly that length, a
+    block at a time.  No copy of the whole text is made.
     """
-    blocks = list(_blocks(text, start, _TEXT_BLOCK))
+    blocks = _own_blocks(text, start, _PART_LINES)
+    if blocks is None:
+        return None
     sizes = [np.zeros(1, dtype=np.int64)]  # bounds[0], then each side's length
     for lo, hi in blocks:
-        if _PART_LINES.fullmatch(text, lo, hi) is None:
-            return None
         chars = np.frombuffer(text[lo:hi].encode("ascii"), dtype=np.uint8)
         marks = np.flatnonzero((chars == ord(":")) | (chars == ord("\n")))
         side = np.diff(np.flatnonzero(chars == ord(" ")).searchsorted(marks), prepend=0)
@@ -267,15 +321,30 @@ def _read_own_text(
     vertices = np.empty(int(bounds[-1]), dtype=np.int32)
     end = 0
     for lo, hi in blocks:
-        values = np.fromstring(
-            text[lo:hi].replace("part", "").replace(":", ""), dtype=np.int32, sep=" "
-        )
+        values = _numbers(text, lo, hi)
         vertices[end : end + len(values)] = values
         end += len(values)
     try:
         return BicliqueSystem.from_arrays(order, bounds, vertices, bound)
     except ValueError:  # a PartError too: the per-line parser names the fault
         return None
+
+
+def _own_blocks(text: str, start: int, lines: re.Pattern) -> list[tuple[int, int]] | None:
+    """The spans of ``text`` from ``start`` on, of about ``_TEXT_BLOCK``
+    characters of whole lines each, or None unless the text fullmatches
+    ``lines``.  It is matched ``_BLOCK`` characters of whole lines at a time:
+    the regular expression engine keeps a frame of about 200 bytes for each
+    line it matches in one call, 1.4 MiB for 64 KiB of edge lines."""
+    if all(lines.fullmatch(text, lo, hi) for lo, hi in _blocks(text, start, _BLOCK)):
+        return list(_blocks(text, start, _TEXT_BLOCK))
+    return None
+
+
+def _numbers(text: str, lo: int, hi: int) -> np.ndarray:
+    """The numbers of ``text[lo:hi]``, a block that :func:`_own_blocks`
+    passed, as int32: less its letters and ``:``, it is a list of numbers."""
+    return np.fromstring(text[lo:hi].translate(_NOT_NUMBERS), dtype=np.int32, sep=" ")
 
 
 def write_certificate(cert: Certificate) -> str:

@@ -51,12 +51,22 @@ class BoolMatrix:
 
 
 def _max_clique_masks(
-    masks: list[int], prime: int, node_budget: int | None
+    apart: list[int], prime: int, node_budget: int | None
 ) -> tuple[int, list[int] | None]:
     """Maximum clique via branch and bound with a greedy-coloring upper bound.
 
-    ``prime`` seeds the incumbent size; only strictly larger cliques are
-    reported, so a return of (prime, None) proves no clique exceeds prime.
+    ``apart[v]`` is the mask of the vertices other than v that are not
+    adjacent to v, so a color class grows by one AND and a branch's
+    candidates are ``cand & ~apart[v]`` less v.  ``prime`` seeds the
+    incumbent size; only strictly larger cliques are reported, so a return
+    of (prime, None) proves no clique exceeds prime.
+
+    Each node colors all its candidates, but lists for branching only the
+    vertices of classes that could beat the incumbent: ``size + color >
+    best``.  Branching goes from the last listed vertex back and stops at
+    the first whose class cannot beat ``best``; classes are listed in
+    increasing color and ``best`` only grows, so an unlisted class would
+    only have been reached to stop there, and no branch changes.
     """
     best = prime
     best_set: list[int] | None = None
@@ -75,15 +85,18 @@ def _max_clique_masks(
         while uncolored:
             color += 1
             avail = uncolored
+            listed = size + color > best
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                uncolored &= ~(1 << v)
-                avail &= ~masks[v] & uncolored
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                if listed:
+                    order.append((v, color))
+                uncolored ^= bit
+                avail &= apart[v]
         for v, c in reversed(order):
             if size + c <= best:
                 return
-            rest = cand & masks[v]
+            rest = cand & ~apart[v] ^ 1 << v
             stack.append(v)
             if size + 1 > best and rest == 0:
                 best = size + 1
@@ -91,10 +104,10 @@ def _max_clique_masks(
             if rest:
                 expand(size + 1, stack, rest)
             stack.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v
 
     try:
-        expand(0, [], (1 << len(masks)) - 1)
+        expand(0, [], (1 << len(apart)) - 1)
     finally:
         # expand's closure refers to expand; deleting it breaks that cycle,
         # so the search state is freed now, budget hit or not
@@ -102,16 +115,17 @@ def _max_clique_masks(
     return best, best_set
 
 
-def _max_clique(masks: list[int], node_budget: int | None) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum clique with a sorted witness: a greedy clique by
-    descending degree primes the branch and bound."""
+def _max_clique(apart: list[int], node_budget: int | None) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum clique with a sorted witness, over non-neighbour masks
+    ``apart`` (see :func:`_max_clique_masks`): a greedy clique by descending
+    degree, that is by ascending ``apart`` count, primes the branch and bound."""
     seed: list[int] = []
-    cand = (1 << len(masks)) - 1
-    for v in sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v)):
+    cand = (1 << len(apart)) - 1
+    for v in sorted(range(len(apart)), key=lambda v: (apart[v].bit_count(), v)):
         if cand >> v & 1:
             seed.append(v)
-            cand &= masks[v]
-    best, found = _max_clique_masks(masks, len(seed), node_budget)
+            cand &= ~apart[v] ^ 1 << v
+    best, found = _max_clique_masks(apart, len(seed), node_budget)
     return best, tuple(sorted(found if found is not None else seed))
 
 
@@ -120,14 +134,17 @@ def independence_number(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with one maximum independent set as witness.
 
-    Runs maximum clique on the complement.  ``ALPHA_ORDER_LIMIT`` admits the
-    2,187-vertex grid graph at n=3, the largest the demo builds under its
-    default vertex limit; larger graphs are refused.
+    Runs maximum clique on the complement.  The complement's non-neighbours
+    of v are v's neighbours in ``graph``, so the search reads
+    ``graph.neighbor_masks()`` and no complement is built.
+    ``ALPHA_ORDER_LIMIT`` admits the 2,187-vertex grid graph at n=3, the
+    largest the demo builds under its default vertex limit; larger graphs
+    are refused.
     """
     n = graph.order
     if n > ALPHA_ORDER_LIMIT:
         raise ResourceLimitError("alpha_order_limit", ALPHA_ORDER_LIMIT, n)
-    return _max_clique(graph.complement().neighbor_masks(), node_budget)
+    return _max_clique(graph.neighbor_masks(), node_budget)
 
 
 def independence_at_most(
@@ -139,7 +156,7 @@ def independence_at_most(
     branches that could beat it; no order guard, since the cutoff makes
     large structured instances tractable.
     """
-    _, found = _max_clique_masks(graph.complement().neighbor_masks(), bound, node_budget)
+    _, found = _max_clique_masks(graph.neighbor_masks(), bound, node_budget)
     if found is None:
         return True, None
     return False, tuple(sorted(found[: bound + 1]))
@@ -154,8 +171,8 @@ def chromatic_number(graph: Graph) -> tuple[int, list[int]]:
     n = graph.order
     if n > CHI_ORDER_LIMIT:
         raise ResourceLimitError("chi_order_limit", CHI_ORDER_LIMIT, n)
+    lb = _max_clique(graph.complement().neighbor_masks(), None)[0]
     masks = graph.neighbor_masks()
-    lb = _max_clique(masks, None)[0]
     greedy = _dsatur(masks, n)
     ub = max(greedy, default=-1) + 1
     for k in range(lb, ub):

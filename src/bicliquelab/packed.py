@@ -20,7 +20,7 @@ import numpy as np
 
 WORD = np.dtype("<u8")
 BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=WORD), dtype=WORD)  # word with bit i set
-_BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
+BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
 _CALL_BYTES = 1 << 10  # a small numpy call costs about as much as summing this many unpacked bytes
 _BLOCK = 1 << 16  # incidences per block of the verifier's per-incidence scratch
 
@@ -188,7 +188,7 @@ def _chunk_layout(
         side = np.arange(first, last + 1, dtype=side_id).repeat(sizes)
         # a side's vertices are distinct, so adding bits ORs them; the
         # table's bytes number under 2**31 (see above)
-        np.add.at(table, side * np.int32(8 * words) + (v >> 3), _BYTE_BITS[v & 7])
+        np.add.at(table, side * np.int32(8 * words) + (v >> 3), BYTE_BITS[v & 7])
         # stable placement: the block's incidences of a vertex keep their order
         order = v.argsort(kind="stable")
         v = v[order]

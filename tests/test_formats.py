@@ -1,5 +1,6 @@
 """Round-trips and parse errors for every text format."""
 
+import hashlib
 import json
 import random
 
@@ -150,6 +151,149 @@ class TestGraphFormatProperties:
             return
         assert isinstance(graph, Graph)
         assert read_graph(write_graph(graph)) == graph
+
+
+def _graph_route(patch):
+    """Record what the graph array route returns on each read: the per-line
+    parser goes on after it returns None, or when the header is not write_graph's."""
+    results = []
+    read_own_graph = formats._read_own_graph
+
+    def spy(*args):
+        results.append(read_own_graph(*args))
+        return results[-1]
+
+    patch.setattr(formats, "_read_own_graph", spy)
+    return results
+
+
+def _graph_outcome(text):
+    try:
+        graph = read_graph(text)
+    except FormatError as exc:
+        return ("FormatError", exc.line, str(exc))
+    return ("graph", hashlib.sha256(write_graph(graph).encode("ascii")).hexdigest())
+
+
+@st.composite
+def _own_graphs(draw):
+    """A graph of order 0 to 300, edgeless, complete or random, and the block
+    size, in characters, for the reader's grammar check and its arrays."""
+    n = draw(st.integers(0, 300) | st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 129, 300]))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if kind == "edgeless":
+        graph = Graph.empty(n)
+    elif kind == "complete":
+        graph = Graph.complete(n)
+    else:
+        graph = random_graph(n, draw(st.floats(0, 1)), random.Random(draw(st.integers(0, 99))))
+    return graph, draw(st.sampled_from([1, 9, 40, None]))
+
+
+# near write_graph's own text: each takes the per-line route, with the outcome
+# the per-line parser alone gave (recorded before the array route)
+_GRAPH_BASE = "p edge 12 3\ne 1 3\ne 2 11\ne 4 12\n"
+_GRAPH_SHA = "56b036bcc8a8b7fe05e663bc61518b3143bb2e53fcc614cd6442ecfb72686e70"
+NEAR_OWN_GRAPH_TEXT = {
+    "crlf": (_GRAPH_BASE.replace("\n", "\r\n"), ("graph", _GRAPH_SHA)),
+    "comment-line": (_GRAPH_BASE.replace("\ne 2", "\nc note\ne 2"), ("graph", _GRAPH_SHA)),
+    "blank-line": (_GRAPH_BASE.replace("\ne 2", "\n\ne 2"), ("graph", _GRAPH_SHA)),
+    "tab": (_GRAPH_BASE.replace("e 2 11", "e 2\t11"), ("graph", _GRAPH_SHA)),
+    "double-space": (_GRAPH_BASE.replace("e 2 11", "e 2  11"), ("graph", _GRAPH_SHA)),
+    "leading-zero": (_GRAPH_BASE.replace("e 2 11", "e 02 11"), ("graph", _GRAPH_SHA)),
+    "plus-sign": (_GRAPH_BASE.replace("e 2 11", "e +2 11"), ("graph", _GRAPH_SHA)),
+    "ten-digits": (
+        _GRAPH_BASE.replace("e 2 11", "e 2 1000000011"),
+        ("FormatError", 3, "line 3: endpoints out of range in 'e 2 1000000011'"),
+    ),
+    "unsorted": (
+        _GRAPH_BASE.replace("e 1 3\ne 2 11\n", "e 2 11\ne 1 3\n"), ("graph", _GRAPH_SHA)
+    ),
+    "reversed-edge": (_GRAPH_BASE.replace("e 2 11", "e 11 2"), ("graph", _GRAPH_SHA)),
+    "duplicate": (
+        _GRAPH_BASE.replace(" 3\n", " 4\n", 1).replace("e 2 11\n", "e 2 11\ne 2 11\n"),
+        ("FormatError", 4, "line 4: duplicate edge in 'e 2 11'"),
+    ),
+    "loop": (
+        _GRAPH_BASE.replace("e 2 11", "e 2 2"),
+        ("FormatError", 3, "line 3: endpoints out of range in 'e 2 2'"),
+    ),
+    "vertex-0": (
+        _GRAPH_BASE.replace("e 2 11", "e 0 11"),
+        ("FormatError", 3, "line 3: endpoints out of range in 'e 0 11'"),
+    ),
+    "vertex-past-order": (
+        _GRAPH_BASE.replace("e 2 11", "e 2 13"),
+        ("FormatError", 3, "line 3: endpoints out of range in 'e 2 13'"),
+    ),
+    "one-edge-more": (
+        _GRAPH_BASE.replace(" 3\n", " 4\n", 1),
+        ("FormatError", 5, "line 5: header promised 4 edges, found 3"),
+    ),
+    "one-edge-fewer": (
+        _GRAPH_BASE.replace(" 3\n", " 2\n", 1),
+        ("FormatError", 5, "line 5: header promised 2 edges, found 3"),
+    ),
+    "no-final-newline": (_GRAPH_BASE[:-1], ("graph", _GRAPH_SHA)),
+}
+
+
+class TestOwnGraphTextRoute:
+    """``read_graph`` reads write_graph's own text as arrays, and hands any
+    other text to the per-line parser; both routes give one result."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_own_graphs())
+    def test_both_routes_read_the_same_graph(self, case):
+        graph, block = case
+        text = write_graph(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(formats, "_BLOCK", block)
+                patch.setattr(formats, "_TEXT_BLOCK", block)
+            route = _graph_route(patch)
+            assert read_graph(text) == graph
+            assert len(route) == 1 and route[0] is not None
+            patch.setattr(formats, "_read_own_graph", lambda *args: None)
+            assert read_graph(text) == graph
+
+    def test_the_base_text_takes_the_array_route(self, monkeypatch):
+        route = _graph_route(monkeypatch)
+        assert _graph_outcome(_GRAPH_BASE) == ("graph", _GRAPH_SHA)
+        assert len(route) == 1 and route[0] is not None
+
+    @pytest.mark.parametrize("block", [1, None])
+    @pytest.mark.parametrize("name", sorted(NEAR_OWN_GRAPH_TEXT))
+    def test_near_own_text_takes_the_per_line_route(self, name, block, monkeypatch):
+        text, outcome = NEAR_OWN_GRAPH_TEXT[name]
+        if block is not None:  # each line a block: order and duplicates across blocks
+            monkeypatch.setattr(formats, "_BLOCK", block)
+            monkeypatch.setattr(formats, "_TEXT_BLOCK", block)
+        route = _graph_route(monkeypatch)
+        assert _graph_outcome(text) == outcome
+        assert route in ([], [None])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_graphs_never_reach_the_per_line_parser(self, n, monkeypatch):
+        graph = grid_graph(n)
+        text = write_graph(graph)
+        route = _graph_route(monkeypatch)
+        assert read_graph(text) == graph
+        assert len(route) == 1 and route[0] is not None
+
+    def test_canonical_header_past_the_limit_allocates_nothing(self, monkeypatch):
+        text = write_graph(Graph.complete(11))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the vertex limit was checked")
+
+        for name in ("zeros", "empty", "fromstring", "frombuffer"):
+            monkeypatch.setattr(np, name, refuse)
+        route = _graph_route(monkeypatch)
+        with pytest.raises(ResourceLimitError) as err:
+            read_graph(text, vertex_limit=10)
+        assert (err.value.limit, err.value.requested) == (10, 11)
+        assert route == []
 
 
 class TestSystemFormat:

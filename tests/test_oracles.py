@@ -22,6 +22,8 @@ from bicliquelab.oracles import (
     BoolMatrix,
     _all_bicliques,
     _dsatur,
+    _max_clique,
+    _max_clique_masks,
     _min_cover,
     chromatic_number,
     independence_at_most,
@@ -428,8 +430,62 @@ class TestSearchStateFreed:
 
 
 # Reference copies of the searches as they were before they kept their state
-# incrementally: each node rescans what its parent knew.  The searches must
-# return exactly what these return, refutations and search order included.
+# incrementally: each node rescans what its parent knew, and the clique
+# search colors from neighbour masks.  The searches must return exactly what
+# these return, refutations, search order and node counts included.
+
+
+def reference_max_clique(
+    masks: list[int], prime: int | None = None
+) -> tuple[int, tuple[int, ...] | list[int] | None, int]:
+    """The clique search as it was when it read neighbour masks and listed
+    every color class: (value, witness, nodes).  With ``prime`` None it is
+    ``_max_clique`` (a greedy clique primes it; the witness is sorted), else
+    ``_max_clique_masks`` (the witness in branching order, or None)."""
+    seeded = prime is None
+    seed: list[int] = []
+    if seeded:
+        cand = (1 << len(masks)) - 1
+        for v in sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v)):
+            if cand >> v & 1:
+                seed.append(v)
+                cand &= masks[v]
+        prime = len(seed)
+    best = prime
+    best_set: list[int] | None = None
+    nodes = 0
+
+    def expand(size: int, stack: list[int], cand: int) -> None:
+        nonlocal best, best_set, nodes
+        nodes += 1
+        order: list[tuple[int, int]] = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                uncolored &= ~(1 << v)
+                avail &= ~masks[v] & uncolored
+        for v, c in reversed(order):
+            if size + c <= best:
+                return
+            rest = cand & masks[v]
+            stack.append(v)
+            if size + 1 > best and rest == 0:
+                best = size + 1
+                best_set = list(stack)
+            if rest:
+                expand(size + 1, stack, rest)
+            stack.pop()
+            cand &= ~(1 << v)
+
+    expand(0, [], (1 << len(masks)) - 1)
+    if seeded:
+        return best, tuple(sorted(best_set if best_set is not None else seed)), nodes
+    return best, best_set, nodes
 
 
 def reference_dsatur(masks: list[int], k: int) -> list[int] | None:
@@ -593,3 +649,60 @@ class TestIndependenceAtMost:
             if not ok:
                 assert len(set(witness)) == bound + 1
                 assert not any(g.has_edge(u, v) for u, v in combinations(witness, 2))
+
+
+@st.composite
+def random_graphs(draw, max_order: int = 70):
+    n = draw(st.integers(1, max_order))
+    return random_graph(n, draw(st.floats(0.05, 0.95)), random.Random(draw(st.integers(0, 999))))
+
+
+class TestCliqueSearchMatchesReference:
+    """The clique search over non-neighbour masks returns the reference's
+    value and witness, and explores exactly its nodes: a budget of that
+    many passes and one fewer raises."""
+
+    @staticmethod
+    def _check(g: Graph) -> None:
+        masks, apart = g.neighbor_masks(), g.complement().neighbor_masks()
+        for prime in (None, 0, 1, 2, 3, 4, 5):
+            value, witness, nodes = reference_max_clique(masks, prime)
+            if prime is None:
+                search = lambda budget: _max_clique(apart, budget)  # noqa: E731
+            else:
+                search = lambda budget: _max_clique_masks(apart, prime, budget)  # noqa: E731
+            assert search(None) == (value, witness)
+            assert search(nodes) == (value, witness)
+            with pytest.raises(ResourceLimitError):
+                search(nodes - 1)
+
+    def test_every_small_graph(self):
+        for g in graphs_up_to(5):
+            self._check(g)
+
+    @_PROPERTY
+    @given(small_graphs(min_order=1))
+    def test_small_graphs(self, g):
+        self._check(g)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        self._check(g)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(random_graphs(max_order=40))
+    def test_independence_at_most_at_every_bound(self, g):
+        masks = g.complement().neighbor_masks()
+        for bound in range(g.order + 1):
+            _, found, _ = reference_max_clique(masks, bound)
+            expected = (True, None) if found is None else (False, tuple(sorted(found[: bound + 1])))
+            assert independence_at_most(g, bound) == expected
+
+    # recorded with the search that read the complement's neighbour masks
+    @pytest.mark.parametrize("seed, nodes", [(0, 7036), (1, 7568)])
+    def test_pinned_node_counts(self, seed, nodes):
+        g = random_graph(256, 0.6, random.Random(seed))
+        assert independence_number(g, node_budget=nodes) == independence_number(g)
+        with pytest.raises(ResourceLimitError):
+            independence_number(g, node_budget=nodes - 1)
