@@ -667,10 +667,12 @@ class TestCliqueSearchMatchesReference:
         masks, apart = g.neighbor_masks(), g.complement().neighbor_masks()
         for prime in (None, 0, 1, 2, 3, 4, 5):
             value, witness, nodes = reference_max_clique(masks, prime)
-            if prime is None:
-                search = lambda budget: _max_clique(apart, budget)  # noqa: E731
-            else:
-                search = lambda budget: _max_clique_masks(apart, prime, budget)  # noqa: E731
+
+            def search(budget):
+                if prime is None:
+                    return _max_clique(apart, budget)
+                return _max_clique_masks(apart, prime, budget)
+
             assert search(None) == (value, witness)
             assert search(nodes) == (value, witness)
             with pytest.raises(ResourceLimitError):
