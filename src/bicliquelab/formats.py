@@ -343,9 +343,8 @@ def _own_blocks(text: str, start: int, lines: re.Pattern) -> list[tuple[int, int
 def _numbers(text: str, lo: int, hi: int) -> np.ndarray:
     """The numbers of ``text[lo:hi]``, a block that :func:`_own_blocks`
     passed, as int32: less ``part``, ``:`` and ``e``, it is a list of
-    numbers.  A word the block lacks is no copy, as ``replace`` returns the
-    string itself; ``translate`` would always copy, and on ``cover_t2``'s
-    text it left 0.2 MiB more resident after the read."""
+    numbers.  ``replace`` returns the block itself for a word it lacks, so
+    only the words it holds cost a copy."""
     block = text[lo:hi].replace("part", "").replace(":", "").replace("e", "")
     return np.fromstring(block, dtype=np.int32, sep=" ")
 
