@@ -86,6 +86,8 @@ class ClisInstance:
     independents: tuple[tuple[int, ...], ...]
     matrix: BoolMatrix = field(init=False)
     neighbor_masks: list[int] = field(init=False, repr=False, compare=False)
+    clique_masks: list[int] = field(init=False, repr=False, compare=False)
+    independent_masks: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         masks = self.graph.neighbor_masks()
@@ -104,6 +106,8 @@ class ClisInstance:
         entries = np.array([(r & c).bit_count() for r in rows for c in cols], dtype=np.uint8)
         object.__setattr__(self, "matrix", BoolMatrix(entries.reshape(len(rows), len(cols))))
         object.__setattr__(self, "neighbor_masks", masks)
+        object.__setattr__(self, "clique_masks", rows)
+        object.__setattr__(self, "independent_masks", cols)
 
 
 def _members(vertices: tuple[int, ...], n: int) -> int | None:
@@ -248,11 +252,10 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     are at most floor(log2 m) + 1 rounds.
     """
     try:
-        clique_order = sorted(inst.cliques[clique_index])
-        indep_order = sorted(inst.independents[independent_index])
+        clique = inst.clique_masks[clique_index]
+        indep = inst.independent_masks[independent_index]
     except IndexError as exc:
         raise ValueError(f"invalid family index: {exc}") from exc
-    clique, indep = mask_of(clique_order), mask_of(indep_order)
     m = inst.graph.order
     masks = inst.neighbor_masks
     width = max(m - 1, 0).bit_length()  # ceil(log2 m) bits name any of m vertices
@@ -261,7 +264,7 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     # per speaker: the names allowed, the set where a name answers 1, the sign
     # s with s * (2 * live degree - live order) <= 0, and the mask XORed onto
     # the neighbours to give the half kept (Bob's keeps the named vertex)
-    speakers = (("A", clique_order, indep, 1, 0), ("B", indep_order, clique, -1, -1))
+    speakers = (("A", clique, indep, 1, 0), ("B", indep, clique, -1, -1))
     answer, alice_passed = 0, False
     for speaker, names, hits, sign, keep in cycle(speakers):
         if not live:
@@ -270,8 +273,8 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
         pick = next(
             (
                 v
-                for v in names
-                if live >> v & 1 and sign * (2 * (masks[v] & live).bit_count() - h) <= 0
+                for v in iter_bits(names & live)
+                if sign * (2 * (masks[v] & live).bit_count() - h) <= 0
             ),
             None,
         )
@@ -288,15 +291,6 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
         live &= masks[pick] ^ keep
         alice_passed = False
     return Transcript(tuple(rounds), answer, sum(len(bits) for _, bits in rounds))
-
-
-def _disjoint(
-    cliques: list[tuple[int, ...]], independents: list[tuple[int, ...]]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (clique, independent set) pairs with empty intersection, sorted."""
-    cm = [(c, mask_of(c)) for c in cliques]
-    im = [(s, mask_of(s)) for s in independents]
-    return sorted((c, s) for c, m in cm for s, sm in im if not m & sm)
 
 
 def build_pair_graph(graph: Graph) -> tuple[Graph, BicliqueSystem]:
@@ -333,9 +327,10 @@ def build_pair_graph(graph: Graph) -> tuple[Graph, BicliqueSystem]:
     )
     if count > PAIR_LIMIT:
         raise ResourceLimitError("pair_limit", PAIR_LIMIT, count)
-    pairs = _disjoint(cliques, independents)
-    cl = [mask_of(c) for c, _ in pairs]
-    ind = [mask_of(s) for _, s in pairs]
+    # the disjoint pairs, sorted, each with its clique's and its independent set's mask
+    cm, im = ([(f, mask_of(f)) for f in family] for family in families)
+    pairs = sorted((c, s, m, sm) for c, m in cm for s, sm in im if not m & sm)
+    _, _, cl, ind = zip(*pairs)  # never empty: the empty clique and set are disjoint
     edges = [(a, b) for a, b in combinations(range(count), 2) if cl[a] & ind[b] or cl[b] & ind[a]]
     pair_graph = Graph.from_edges(count, edges)
 

@@ -35,12 +35,14 @@ class Subcube:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        items = tuple(sorted((index(p), index(b)) for p, b in dict(self.fixed).items()))
-        for pos, bit in items:
+        items = tuple(sorted((index(p), index(b)) for p, b in self.fixed))
+        for i, (pos, bit) in enumerate(items):
             if not 1 <= pos <= self.dim:
                 raise ValueError(f"fixed position {pos} outside [1, {self.dim}]")
             if bit not in (0, 1):
                 raise ValueError(f"fixed value at position {pos} must be 0 or 1")
+            if i and items[i - 1][0] == pos:
+                raise ValueError(f"fixed position {pos} given more than once")
         object.__setattr__(self, "fixed", items)
 
     @classmethod

@@ -182,6 +182,7 @@ def write_system(system: BicliqueSystem) -> str:
     vertices while they are sorted and a block's names after that.
     """
     lines = [f"bicliquesystem {system.host_order} {len(system)} {system.multiplicity_bound}"]
+    # not np.unique: numpy 2.4's takes a hash path, about 4x slower on cover_t2's 983,040 vertices
     distinct = np.sort(system.vertices)
     keep = np.empty(len(distinct), dtype=bool)
     keep[:1] = True

@@ -47,8 +47,6 @@ GridPoint = tuple[int, ...]
 POWER_VERTEX_LIMIT = 16_384
 # rows per band of the disagreement key in GridGraphSpec.realize
 _KEY_BAND = 256
-# lifted vertices per block of power_graph_cover's scratch
-_LIFT_BLOCK = 1 << 15
 
 
 def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
@@ -62,6 +60,10 @@ def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
 
 
 def index_point(idx: int, n: int, arity: int) -> GridPoint:
+    """The point of [n]^arity with mixed-radix index ``idx``."""
+    idx = operator.index(idx)
+    if not 0 <= idx < n**arity:
+        raise ValueError(f"index {idx} outside [0, {n**arity})")
     out = []
     for _ in range(arity):
         idx, r = divmod(idx, n)
@@ -188,6 +190,8 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
 
     Reduced points are adjacent iff they differ at exactly the fixed
     positions carrying 1 and agree at the fixed positions carrying 0.
+    ``to_blowup`` reads the grid of [n]^7 indices out with its axes permuted
+    by the inverse of the blowup's digit order (fixed, then free positions).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -200,7 +204,8 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
 
     # reduced vertex r's copy c is r * n^2 + c: the fixed coordinates, then the free ones
     digits = [p - 1 for p, _ in part.fixed] + [p - 1 for p in part.free_positions]
-    return ReducedPiece(graph, np.ravel_multi_index(_coordinates(n, 7)[digits], (n,) * 7))
+    grid = np.arange(n**7).reshape((n,) * 7)
+    return ReducedPiece(graph, grid.transpose(np.argsort(digits)).ravel())
 
 
 def grid_graph_partition(
@@ -235,48 +240,19 @@ def grid_graph_partition(
     return BicliqueSystem.from_arrays(total, bounds, vertices, 1)
 
 
-def _lift(
-    bounds: np.ndarray, vertices: np.ndarray, coord: int, t: int, base: int, out: np.ndarray
-) -> np.ndarray:
-    """Lift every part through coordinate ``coord`` (0-based) of the t-th OR
-    power into ``out``, and return the lifted side bounds.
-
-    A side's vertex v becomes every power vertex whose coordinate ``coord``
-    is v, the other coordinates free: index p * base^(t-coord) +
-    v * base^(t-coord-1) + s.  Listed with p outermost and s innermost, a
-    sorted side lifts to a sorted side, and every side grows by the same
-    factor, so the side bounds scale by it.  Whole sides are lifted in int32,
-    about ``_LIFT_BLOCK`` lifted vertices at a time, straight into ``out``.
-    """
-    outer, inner = base ** coord, base ** (t - coord - 1)
-    grow = outer * inner
-    ends = bounds[1:]
-    first = 0
-    while first < len(ends):
-        last = np.searchsorted(ends, bounds[first] + _LIFT_BLOCK // grow, "right")
-        last = max(first + 1, int(last))  # whole sides, at least one
-        lo, hi = bounds[first], bounds[last]
-        sizes = np.diff(bounds[first : last + 1]).astype(np.int32)
-        # one entry per (side, p, v): its side's start and length, and v's place w in the side
-        start = np.repeat((bounds[first:last] - lo).astype(np.int32), sizes * outer)
-        length = sizes.repeat(sizes * outer)
-        p, w = np.divmod(np.arange((hi - lo) * outer, dtype=np.int32) - start * outer, length)
-        middle = p * (base * inner) + vertices[lo:hi][start + w] * inner
-        rows = out[lo * grow : hi * grow].reshape(-1, inner)
-        np.add(middle[:, None], np.arange(inner, dtype=np.int32), out=rows)
-        first = last
-    return bounds * grow
-
-
 def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     """The t-th OR power of the grid graph together with an explicit t-cover.
 
     Every biclique of the base partition is lifted through each of the t
     coordinates (all other coordinates free); a power edge is covered once
     per coordinate where its endpoints are adjacent, hence between 1 and t
-    times.  Cover size is at most t times the base partition size.  Each
-    coordinate's lift is written into its slice of the cover's one int32
-    vertex array, which the system then takes over without a copy.
+    times.  Cover size is at most t times the base partition size.
+
+    The power's vertex indices form a grid of shape (|G|,) * t, so a side
+    lifted through coordinate c is that grid taken at the side along axis
+    c: a sorted side lifts to a sorted side, written straight into its
+    slice of the cover's one int32 vertex array, which the system then
+    takes over without a copy.
 
     n^(7t) >= 2^(7t(b - 1)) for n of b bits; past ``POWER_VERTEX_LIMIT`` by
     that bound alone, the power is not formed; the error names the limit + 1.
@@ -288,20 +264,22 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     if n ** (7 * t) > POWER_VERTEX_LIMIT:
         raise ResourceLimitError("power_vertex_limit", POWER_VERTEX_LIMIT, n ** (7 * t))
     base_graph = grid_graph(n, vertex_limit=POWER_VERTEX_LIMIT)
-    base_parts = grid_graph_partition(n, vertex_limit=POWER_VERTEX_LIMIT)
-    if not len(base_parts):  # n = 1: the power is one vertex, and no part lifts
+    parts = grid_graph_partition(n, vertex_limit=POWER_VERTEX_LIMIT)
+    if not len(parts):  # n = 1: the power is one vertex, and no part lifts
         return base_graph, BicliqueSystem(1, (), t)
     power = base_graph
     for _ in range(t - 1):
         power = or_product(power, base_graph)
-    size = len(base_parts.vertices) * base_graph.order ** (t - 1)  # one coordinate's lift
-    vertices = np.empty(t * size, dtype=np.int32)
-    bounds = [np.zeros(1, dtype=np.int64)]
-    for coord in range(t):
-        out = vertices[coord * size : (coord + 1) * size]
-        lifted = _lift(base_parts.bounds, base_parts.vertices, coord, t, base_graph.order, out)
-        bounds.append(lifted[1:] + coord * size)
-    return power, BicliqueSystem.from_arrays(power.order, np.concatenate(bounds), vertices, t)
+    base = base_graph.order
+    grid = np.arange(power.order, dtype=np.int32).reshape((base,) * t)
+    grow, ends = base ** (t - 1), parts.bounds.tolist()  # every side grows alike
+    vertices = np.empty((t, ends[-1] * grow), dtype=np.int32)  # a row per coordinate
+    for c, lift in enumerate(vertices):
+        shape = (base,) * c + (-1,) + (base,) * (t - c - 1)
+        for lo, hi in zip(ends, ends[1:]):
+            grid.take(parts.vertices[lo:hi], axis=c, out=lift[lo * grow : hi * grow].reshape(shape))
+    bounds = [0] + [b * grow + c * vertices.shape[1] for c in range(t) for b in ends[1:]]
+    return power, BicliqueSystem.from_arrays(power.order, bounds, vertices.ravel(), t)
 
 
 def projection_dichotomy(points: Iterable[GridPoint]) -> bool:

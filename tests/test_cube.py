@@ -40,6 +40,15 @@ class TestSubcube:
         with pytest.raises(ValueError):
             Subcube.of(3, {1: 2})
 
+    @pytest.mark.parametrize(
+        "fixed, position",
+        [(((1, 0), (1, 1), (2, 0)), 1), (((2, 0), (1, 1), (2, 0)), 2), (((3, 1), (3, 1)), 3)],
+    )
+    def test_repeated_position(self, fixed, position):
+        # keeping only the last pin would name a different subcube
+        with pytest.raises(ValueError, match=f"position {position} given more than once"):
+            Subcube(7, fixed)
+
 
 class TestAdmissibleSet:
     def test_size_120(self):

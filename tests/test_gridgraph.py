@@ -6,7 +6,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bicliquelab import gridgraph
 from bicliquelab.algebra import split_intersection
 from bicliquelab.cube import Subcube, admissible_set, decompose_admissible_set
 from bicliquelab.errors import ResourceLimitError
@@ -62,6 +61,20 @@ def test_non_integer_index_refused(call):
     # truncating 1.7 to 1 would silently answer for a different index
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("idx", [-1, 8, 10**30])
+def test_index_point_outside_the_grid_refused(idx):
+    # 8 read as 0's point (1, 1, 1) and -1 as (2, 2, 2)
+    with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+        index_point(idx, 2, 3)
+
+
+def test_index_point_ends_and_non_integer():
+    assert index_point(0, 2, 3) == (1, 1, 1) and index_point(7, 2, 3) == (2, 2, 2)
+    assert index_point(np.int64(7), 2, 3) == (2, 2, 2)
+    with pytest.raises(TypeError):
+        index_point(7.0, 2, 3)
 
 
 class TestIndexMaps:
@@ -364,12 +377,8 @@ class TestPowerCover:
             not adj[u, v] for i, u in enumerate(witness) for v in witness[i + 1 :]
         )
 
-    @pytest.mark.parametrize("lift_block", ["default", 1, 100])
     @pytest.mark.parametrize("n, t", [(2, 1), (2, 2), (3, 1)])
-    def test_lift_matches_the_formula(self, n, t, lift_block, monkeypatch):
-        # the small blocks lift whole sides a few at a time, or one side past a block
-        if lift_block != "default":
-            monkeypatch.setattr(gridgraph, "_LIFT_BLOCK", lift_block)
+    def test_lift_matches_the_formula(self, n, t):
         _, cover = power_graph_cover(n, t)
         bounds, vertices = _lifted(n, t)
         assert cover.bounds.tolist() == bounds
