@@ -190,8 +190,8 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
 
     Reduced points are adjacent iff they differ at exactly the fixed
     positions carrying 1 and agree at the fixed positions carrying 0.
-    ``to_blowup`` reads the grid of [n]^7 indices out with its axes permuted
-    by the inverse of the blowup's digit order (fixed, then free positions).
+    ``to_blowup`` reads out the grid of [n]^7 indices with each axis moved to
+    its position's place among the blowup's digits (fixed, then free ones).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -205,7 +205,7 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
     # reduced vertex r's copy c is r * n^2 + c: the fixed coordinates, then the free ones
     digits = [p - 1 for p, _ in part.fixed] + [p - 1 for p in part.free_positions]
     grid = np.arange(n**7).reshape((n,) * 7)
-    return ReducedPiece(graph, grid.transpose(np.argsort(digits)).ravel())
+    return ReducedPiece(graph, np.moveaxis(grid, range(7), digits).ravel())
 
 
 def grid_graph_partition(
