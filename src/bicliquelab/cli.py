@@ -156,8 +156,7 @@ def _suite_partition(rep: _Report, config: RunConfig) -> None:
     for piece in decompose_admissible_set():
         pg = gridgraph.grid_graph_piece(n, piece, vertex_limit=config.vertex_limit)
         reduced = gridgraph.reduced_graph(n, piece)
-        blown = blowup(reduced.graph, n * n)
-        ok &= blown.induced(reduced.to_blowup) == pg
+        ok &= pg.induced(reduced.copies.ravel()) == blowup(reduced.graph, n * n)
     rep.check("n2-pieces-are-blowups", ok)
 
 

@@ -19,6 +19,7 @@ a fixed-width vertex name of ceil(log2 m) bits.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -251,11 +252,11 @@ def yannakakis_protocol(inst: ClisInstance, clique_index: int, independent_index
     are disjoint.  Each restriction at least halves the live set, so there
     are at most floor(log2 m) + 1 rounds.
     """
-    try:
-        clique = inst.clique_masks[clique_index]
-        indep = inst.independent_masks[independent_index]
-    except IndexError as exc:
-        raise ValueError(f"invalid family index: {exc}") from exc
+    cliques, independents = inst.clique_masks, inst.independent_masks
+    i, j = operator.index(clique_index), operator.index(independent_index)
+    if not (0 <= i < len(cliques) and 0 <= j < len(independents)):
+        raise ValueError(f"indices ({i}, {j}) outside [0, {len(cliques)}) x [0, {len(independents)})")
+    clique, indep = cliques[i], independents[j]
     m = inst.graph.order
     masks = inst.neighbor_masks
     width = max(m - 1, 0).bit_length()  # ceil(log2 m) bits name any of m vertices

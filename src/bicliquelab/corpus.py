@@ -1,9 +1,9 @@
 """Small-graph corpus and random generators backing the sweep checks.
 
 ``all_graphs(n)`` enumerates one representative per isomorphism class on
-exactly n vertices (feasible through n = 7; the sweeps use n <= 6).  Both
-sides of every swept inequality are isomorphism-invariant, so class
-representatives carry the full content of an all-graphs sweep.
+exactly n vertices, through n = ``CORPUS_ORDER_LIMIT`` (the sweeps use
+n <= 6).  Both sides of every swept inequality are isomorphism-invariant,
+so class representatives carry the full content of an all-graphs sweep.
 """
 
 from __future__ import annotations
@@ -12,7 +12,10 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Graph, verify_biclique_system
+
+CORPUS_ORDER_LIMIT = 7  # past 7 vertices the orbit walk's seen set would not fit in memory
 
 
 @lru_cache(maxsize=8)
@@ -53,6 +56,8 @@ def all_graphs(n: int) -> list[Graph]:
     """One representative per isomorphism class on exactly n vertices."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > CORPUS_ORDER_LIMIT:
+        raise ResourceLimitError("corpus_order_limit", CORPUS_ORDER_LIMIT, n)
     if n == 0:
         return [Graph.empty(0)]
     return [_mask_to_graph(n, m) for m in _class_masks(n)]
@@ -60,10 +65,9 @@ def all_graphs(n: int) -> list[Graph]:
 
 def graphs_up_to(n: int) -> list[Graph]:
     """Representatives of all isomorphism classes on 1..n vertices."""
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(all_graphs(k))
-    return out
+    if n > CORPUS_ORDER_LIMIT:
+        raise ResourceLimitError("corpus_order_limit", CORPUS_ORDER_LIMIT, n)
+    return [g for k in range(1, n + 1) for g in all_graphs(k)]
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

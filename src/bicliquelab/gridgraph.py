@@ -23,7 +23,9 @@ Canonical index maps (part of the public contract):
   (x_1, ..., x_d) -> sum (x_i - 1) * n^(d-i).  This is exactly the order
   ``itertools.product(range(1, n+1), repeat=d)`` enumerates.
 * A blowup copy (v, c) gets index v*m + c; an OR-product vertex (a, b)
-  gets index a*|H| + b (see :mod:`bicliquelab.graphs`).
+  gets index a*|H| + b (see :mod:`bicliquelab.graphs`).  The partition
+  and the OR-power cover lift sides through copy tables built from these
+  maps: row v of a table lists the vertices that v becomes.
 """
 
 from __future__ import annotations
@@ -175,14 +177,14 @@ def grid_graph_piece(
 class ReducedPiece(NamedTuple):
     """A piece's reduced graph on [n]^5 plus the blowup correspondence.
 
-    ``to_blowup[g]`` maps the [n]^7 vertex index g to its index in
-    ``blowup(graph, n*n)``: the reduced vertex is the restriction of g to
-    the subcube's five fixed positions, and the copy number enumerates the
-    two free positions, both mixed-radix in increasing position order.
+    ``copies[v, c]`` is the [n]^7 vertex index of copy c of reduced vertex v,
+    which is vertex v*n^2 + c of ``blowup(graph, n*n)``: v is the restriction
+    to the subcube's five fixed positions, and c enumerates the two free
+    positions, both mixed-radix in increasing position order.
     """
 
     graph: Graph
-    to_blowup: np.ndarray
+    copies: np.ndarray
 
 
 def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
@@ -190,8 +192,8 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
 
     Reduced points are adjacent iff they differ at exactly the fixed
     positions carrying 1 and agree at the fixed positions carrying 0.
-    ``to_blowup`` reads out the grid of [n]^7 indices with each axis moved to
-    its position's place among the blowup's digits (fixed, then free ones).
+    ``copies`` is the [n]^7 index grid with its axes in the blowup's digit
+    order (fixed positions, then free ones), a row per reduced vertex.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -201,11 +203,28 @@ def reduced_graph(n: int, part: Subcube) -> ReducedPiece:
         raise ValueError("all fixed values are 0; the reduced graph would have loops")
     reduced_rule = [(i + 1, b) for i, (_, b) in enumerate(part.fixed)]
     graph = Graph._trusted(_subcube_rows(n, 5, reduced_rule))
-
-    # reduced vertex r's copy c is r * n^2 + c: the fixed coordinates, then the free ones
     digits = [p - 1 for p, _ in part.fixed] + [p - 1 for p in part.free_positions]
-    grid = np.arange(n**7).reshape((n,) * 7)
-    return ReducedPiece(graph, np.moveaxis(grid, range(7), digits).ravel())
+    grid = np.arange(n**7, dtype=np.int32).reshape((n,) * 7)
+    return ReducedPiece(graph, np.moveaxis(grid, digits, range(7)).reshape(n**5, n * n))
+
+
+def _lift(
+    order: int, lifts: Sequence[tuple[np.ndarray, BicliqueSystem]], t: int
+) -> BicliqueSystem:
+    """Lift (table, system) pairs into one system on ``order`` vertices:
+    vertex v of a system becomes row v of its int32 table.
+
+    One ``take`` per system gathers its vertices into its slice of one int32
+    array, and its bounds grow by the table's width; the new system sorts
+    the sides that come out unsorted.
+    """
+    starts = np.cumsum([0] + [table.shape[1] * len(system.vertices) for table, system in lifts])
+    vertices = np.empty(starts[-1], dtype=np.int32)
+    bounds = [[0]]
+    for (table, system), lo, hi in zip(lifts, starts, starts[1:]):
+        table.take(system.vertices, axis=0, out=vertices[lo:hi].reshape(-1, table.shape[1]))
+        bounds.append(system.bounds[1:] * table.shape[1] + lo)
+    return BicliqueSystem.from_arrays(order, np.concatenate(bounds), vertices, t)
 
 
 def grid_graph_partition(
@@ -214,30 +233,15 @@ def grid_graph_partition(
     """An explicit biclique partition of the grid graph of size at most 30*(n^5 - 1).
 
     Each of the 30 pieces is star-partitioned in its reduced form and every
-    star is blown back up through the piece's copy structure; blowing up a
-    biclique keeps it a biclique, and the pieces are edge-disjoint, so the
-    union is an exact partition.  The blown-up stars of all pieces are
-    gathered into one vertex array, whose sides the system then sorts.
+    star is lifted through the piece's copy table; blowing up a biclique
+    keeps it a biclique, and the pieces are edge-disjoint, so the union is
+    an exact partition.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     check_vertex_limit(n ** 7, vertex_limit)
-    total = n ** 7
-    m = n * n
-    pieces = []
-    for piece in decompose_admissible_set():
-        reduced = reduced_graph(n, piece)
-        # copies[v]: the [n]^7 indices of the n^2 copies of reduced vertex v
-        copies = np.empty(total, dtype=np.int32)
-        copies[reduced.to_blowup] = np.arange(total, dtype=np.int32)
-        pieces.append((copies.reshape(-1, m), star_partition(reduced.graph)))
-    starts = np.cumsum([0] + [m * len(stars.vertices) for _, stars in pieces])
-    vertices = np.empty(starts[-1], dtype=np.int32)
-    for (copies, stars), lo, hi in zip(pieces, starts, starts[1:]):
-        vertices[lo:hi] = copies[stars.vertices].ravel()
-    ends = (stars.bounds[1:] * m + lo for (_, stars), lo in zip(pieces, starts))
-    bounds = np.concatenate([[0], *ends])
-    return BicliqueSystem.from_arrays(total, bounds, vertices, 1)
+    pieces = (reduced_graph(n, piece) for piece in decompose_admissible_set())
+    return _lift(n**7, [(r.copies, star_partition(r.graph)) for r in pieces], 1)
 
 
 def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
@@ -248,11 +252,8 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     per coordinate where its endpoints are adjacent, hence between 1 and t
     times.  Cover size is at most t times the base partition size.
 
-    The power's vertex indices form a grid of shape (|G|,) * t, so a side
-    lifted through coordinate c is that grid taken at the side along axis
-    c: a sorted side lifts to a sorted side, written straight into its
-    slice of the cover's one int32 vertex array, which the system then
-    takes over without a copy.
+    Coordinate c's copy table is the power's (|G|,) * t index grid with
+    axis c moved first: row v holds the vertices whose coordinate c is v.
 
     n^(7t) >= 2^(7t(b - 1)) for n of b bits; past ``POWER_VERTEX_LIMIT`` by
     that bound alone, the power is not formed; the error names the limit + 1.
@@ -272,14 +273,8 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
         power = or_product(power, base_graph)
     base = base_graph.order
     grid = np.arange(power.order, dtype=np.int32).reshape((base,) * t)
-    grow, ends = base ** (t - 1), parts.bounds.tolist()  # every side grows alike
-    vertices = np.empty((t, ends[-1] * grow), dtype=np.int32)  # a row per coordinate
-    for c, lift in enumerate(vertices):
-        shape = (base,) * c + (-1,) + (base,) * (t - c - 1)
-        for lo, hi in zip(ends, ends[1:]):
-            grid.take(parts.vertices[lo:hi], axis=c, out=lift[lo * grow : hi * grow].reshape(shape))
-    bounds = [0] + [b * grow + c * vertices.shape[1] for c in range(t) for b in ends[1:]]
-    return power, BicliqueSystem.from_arrays(power.order, bounds, vertices.ravel(), t)
+    lifts = [(np.moveaxis(grid, c, 0).reshape(base, -1), parts) for c in range(t)]
+    return power, _lift(power.order, lifts, t)
 
 
 def projection_dichotomy(points: Iterable[GridPoint]) -> bool:

@@ -78,10 +78,9 @@ def test_03_explicit_partition():
             assert verify_biclique_system(g, system).verdict
         for piece in decompose_admissible_set():
             reduced = gridgraph.reduced_graph(2, piece)
-            blown = blowup(reduced.graph, 4)
-            perm = reduced.to_blowup
+            c = reduced.copies.ravel()
             pg = gridgraph.grid_graph_piece(2, piece)
-            assert np.array_equal(blown.adjacency[np.ix_(perm, perm)], pg.adjacency)
+            assert np.array_equal(pg.adjacency[np.ix_(c, c)], blowup(reduced.graph, 4).adjacency)
 
 
 def test_04_independence_structure():

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bicliquelab import clis, oracles
@@ -309,6 +310,21 @@ class TestProtocol:
         inst = full_instance(Graph.empty(1))
         with pytest.raises(ValueError):
             yannakakis_protocol(inst, 99, 0)
+
+    def test_index_past_either_end_refused(self):
+        # -1 once played the last clique or independent set instead of being refused
+        inst = full_instance(random_graph(6, 0.5, random.Random(1)))
+        cliques, independents = len(inst.cliques), len(inst.independents)
+        assert cliques == 20
+        ranges = rf"outside \[0, {cliques}\) x \[0, {independents}\)"
+        for i, j in ((-1, 0), (cliques, 0), (0, -1), (0, independents), (-1, -1)):
+            with pytest.raises(ValueError, match=rf"\({i}, {j}\) {ranges}"):
+                yannakakis_protocol(inst, i, j)
+        for indices in ((1.0, 0), (0, 1.0)):
+            with pytest.raises(TypeError):
+                yannakakis_protocol(inst, *indices)
+        last = (cliques - 1, independents - 1)
+        assert yannakakis_protocol(inst, *map(np.int64, last)) == yannakakis_protocol(inst, *last)
 
     def test_transcripts_match_reference(self):
         # every family pair of 40 seeded random graphs on 1-8 vertices and of

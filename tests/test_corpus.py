@@ -5,7 +5,9 @@ from itertools import combinations, permutations
 
 import pytest
 
+from bicliquelab import corpus
 from bicliquelab.corpus import all_graphs, graphs_up_to, random_graph, random_t_cover
+from bicliquelab.errors import ResourceLimitError
 from bicliquelab.graphs import Graph, verify_biclique_system
 
 # classic counts of isomorphism classes on n labeled vertices
@@ -25,6 +27,20 @@ class TestAllGraphs:
 
     def test_up_to(self):
         assert len(graphs_up_to(4)) == 1 + 2 + 4 + 11
+
+    @pytest.mark.parametrize("enumerate_graphs", [all_graphs, graphs_up_to])
+    def test_past_the_order_limit_refused_before_enumerating(self, enumerate_graphs, monkeypatch):
+        # the orbit walk at 8 vertices would not fit in memory, and graphs_up_to
+        # would first walk sizes 1 to 7; neither may start
+        def walk(n):
+            raise AssertionError(f"enumerated {n} vertices")
+
+        monkeypatch.setattr(corpus, "_class_masks", walk)
+        with pytest.raises(ResourceLimitError) as exc:
+            enumerate_graphs(corpus.CORPUS_ORDER_LIMIT + 1)
+        assert (exc.value.limit_name, exc.value.limit, exc.value.requested) == (
+            "corpus_order_limit", 7, 8
+        )
 
 
 def _isomorphic(a: Graph, b: Graph) -> bool:

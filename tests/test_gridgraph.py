@@ -202,22 +202,18 @@ class TestReducedGraph:
     def test_blowup_identity_n2(self):
         for piece in decompose_admissible_set():
             red = reduced_graph(2, piece)
-            blown = blowup(red.graph, 4)
-            perm = red.to_blowup
+            c = red.copies.ravel()
             pg = grid_graph_piece(2, piece)
-            assert np.array_equal(
-                blown.adjacency[np.ix_(perm, perm)], pg.adjacency
-            )
+            assert np.array_equal(pg.adjacency[np.ix_(c, c)], blowup(red.graph, 4).adjacency)
 
     def test_blowup_identity_n3_spot_checks(self):
         # full sweep at n=2 above; three pieces (one from each block) at n=3
         pieces = decompose_admissible_set()
         for piece in (pieces[0], pieces[13], pieces[29]):
             red = reduced_graph(3, piece)
-            blown = blowup(red.graph, 9)
-            perm = red.to_blowup
+            c = red.copies.ravel()
             pg = grid_graph_piece(3, piece)
-            assert np.array_equal(blown.adjacency[np.ix_(perm, perm)], pg.adjacency)
+            assert np.array_equal(pg.adjacency[np.ix_(c, c)], blowup(red.graph, 9).adjacency)
 
     def test_n1_single_vertex(self):
         red = reduced_graph(1, decompose_admissible_set()[0])
@@ -274,16 +270,17 @@ class TestPieceDifferential:
             expected = _subcube_rule(points, reduced_fixed)
             assert np.array_equal(reduced_graph(n, piece).graph.adjacency, expected), piece
 
-    def test_to_blowup_matches_per_point_formula(self, n):
+    def test_copies_match_per_point_formula(self, n):
+        # point g of [n]^7 is copy (free index) of reduced vertex (fixed index)
         points = list(product(range(1, n + 1), repeat=7))
         for piece in decompose_admissible_set():
             fixed_pos = [p for p, _ in piece.fixed]
-            expected = [
-                _mixed_radix(x, fixed_pos, n) * n * n
-                + _mixed_radix(x, piece.free_positions, n)
-                for x in points
-            ]
-            assert reduced_graph(n, piece).to_blowup.tolist() == expected, piece
+            copies = reduced_graph(n, piece).copies
+            assert copies.shape == (n**5, n * n) and copies.dtype == np.int32, piece
+            table = copies.ravel().tolist()
+            for g, x in enumerate(points):
+                v, c = _mixed_radix(x, fixed_pos, n), _mixed_radix(x, piece.free_positions, n)
+                assert table[v * n * n + c] == g, (piece, x)
 
     def test_piece_matches_spec_route(self, n):
         from bicliquelab.cube import CubeSet
@@ -341,10 +338,12 @@ def power2():
 
 
 class TestPowerCover:
-    def test_t1_matches_base(self):
-        g, cover = power_graph_cover(2, 1)
-        assert g == grid_graph(2)
-        assert cover.parts == grid_graph_partition(2).parts
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_t1_matches_base(self, n):
+        # at t = 1 the one-column copy table is the identity; n = 1 returns before any lift
+        g, cover = power_graph_cover(n, 1)
+        assert g == grid_graph(n)
+        assert cover.parts == grid_graph_partition(n).parts
         assert cover.multiplicity_bound == 1
 
     def test_t2_verifies_with_max_multiplicity_2(self, power2):
