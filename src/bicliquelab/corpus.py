@@ -58,8 +58,6 @@ def all_graphs(n: int) -> list[Graph]:
         raise ValueError("n must be >= 0")
     if n > CORPUS_ORDER_LIMIT:
         raise ResourceLimitError("corpus_order_limit", CORPUS_ORDER_LIMIT, n)
-    if n == 0:
-        return [Graph.empty(0)]
     return [_mask_to_graph(n, m) for m in _class_masks(n)]
 
 

@@ -215,14 +215,16 @@ def _lift(
     vertex v of a system becomes row v of its int32 table.
 
     One ``take`` per system gathers its vertices into its slice of one int32
-    array, and its bounds grow by the table's width; the new system sorts
-    the sides that come out unsorted.
+    array.  Mode "clip" never clips, as a table has a row per host vertex,
+    and writes ``out`` unbuffered, unlike the default.  The bounds grow by
+    the table's width; the new system sorts the sides that come out unsorted.
     """
     starts = np.cumsum([0] + [table.shape[1] * len(system.vertices) for table, system in lifts])
     vertices = np.empty(starts[-1], dtype=np.int32)
     bounds = [[0]]
     for (table, system), lo, hi in zip(lifts, starts, starts[1:]):
-        table.take(system.vertices, axis=0, out=vertices[lo:hi].reshape(-1, table.shape[1]))
+        out = vertices[lo:hi].reshape(-1, table.shape[1])
+        table.take(system.vertices, axis=0, out=out, mode="clip")
         bounds.append(system.bounds[1:] * table.shape[1] + lo)
     return BicliqueSystem.from_arrays(order, np.concatenate(bounds), vertices, t)
 
