@@ -67,10 +67,15 @@ def _max_clique_masks(
     the first whose class cannot beat ``best``; classes are listed in
     increasing color and ``best`` only grows, so an unlisted class would
     only have been reached to stop there, and no branch changes.
+
+    ``expand`` recurses once per clique vertex, so a search that must go
+    deeper than Python's recursion limit raises :class:`ResourceLimitError`
+    ``clique_search_depth``, naming the depth it was refused at.
     """
     best = prime
     best_set: list[int] | None = None
     nodes = 0
+    stack: list[int] = []  # the clique being extended; its length is the depth
 
     def expand(size: int, stack: list[int], cand: int) -> None:
         nonlocal best, best_set, nodes
@@ -107,7 +112,10 @@ def _max_clique_masks(
             cand ^= 1 << v
 
     try:
-        expand(0, [], (1 << len(apart)) - 1)
+        expand(0, stack, (1 << len(apart)) - 1)
+    except RecursionError:
+        # frames unwind without popping, so the stack holds the refused node's clique
+        raise ResourceLimitError("clique_search_depth", len(stack) - 1, len(stack)) from None
     finally:
         # expand's closure refers to expand; deleting it breaks that cycle,
         # so the search state is freed now, budget hit or not

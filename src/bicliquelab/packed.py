@@ -21,7 +21,6 @@ import numpy as np
 WORD = np.dtype("<u8")
 BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=WORD), dtype=WORD)  # word with bit i set
 BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
-_CALL_BYTES = 1 << 10  # a small numpy call costs about as much as summing this many unpacked bytes
 _BLOCK = 1 << 16  # incidences per block of the verifier's per-incidence scratch
 
 
@@ -92,10 +91,7 @@ def count_pairs(
     A band adds its incidences in rounds: round j adds to each row with
     more than j incidences its j-th mask, by one ripple of half adders
     between two scratch buffers that are made once per band and belong to
-    the call, so concurrent calls share no state.  Once only a few narrow
-    rows are left with many rounds to go, a tail step sums each remaining
-    row's masks at once with exact integer arithmetic and the same sticky
-    overflow, so a pair in 65,537 parts costs no 65,537 ripples.
+    the call, so concurrent calls share no state.
 
     Masks are built for a bounded chunk of parts at a time, and one loop
     makes, fills and reads out the counters: the first chunk makes each
@@ -107,10 +103,10 @@ def count_pairs(
     incidence (int32 past 2**15 sides) and an int64 offset per vertex.  The
     layout's block scratch dies before any counter is made, and each chunk's
     layout is freed before the next one is built.  Per band there are also
-    the two round buffers and tail step chunks (about ``band_bytes`` each),
-    a few integers per row, and a copy of the counter unless its rows are
-    already in order (see :func:`_count_band`); no incidence is sorted or
-    copied, and each band's read-out is freed before the next is counted.
+    the two round buffers (about ``band_bytes`` each), a few integers per
+    row, and a copy of the counter unless its rows are already in order
+    (see :func:`_count_band`); no incidence is sorted or copied, and each
+    band's read-out is freed before the next is counted.
     """
     words = (n + 63) // 64
     parts = len(bounds) // 2
@@ -140,7 +136,7 @@ def count_pairs(
             lo, hi = starts[i * band], starts[min(n, (i + 1) * band)]
             if lo < hi:
                 rows = np.diff(starts[i * band : (i + 1) * band + 1])
-                _count_band(counters[i], rows, opposite[lo:hi], masks, band_bytes)
+                _count_band(counters[i], rows, opposite[lo:hi], masks)
             if first + chunk >= parts:  # no later chunk adds to band i: read it out, drop it
                 *planes, over = counters.pop(i)
                 covered = over.copy()  # count > 0: planes no longer hold the bias
@@ -222,7 +218,7 @@ def _drop_columns(table: np.ndarray, d: int, scratch: int) -> np.ndarray:
 
 
 def _count_band(
-    counter: np.ndarray, counts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray, scratch: int
+    counter: np.ndarray, counts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray
 ) -> None:
     """Add to row r of ``counter`` the masks of its ``counts[r]`` incidences.
 
@@ -233,25 +229,19 @@ def _count_band(
     row's incidences begin.  Each round gathers one mask per row into a
     scratch buffer and adds it with one ripple of half adders up the planes,
     in place between two buffers made once per call; the carry out of the
-    top plane goes to the sticky overflow plane.  From the round
-    :func:`_tail_round` picks on, :func:`_add_tail` adds each remaining
-    row's masks at once.  Rows already in that order, none empty, are
-    counted in ``counter`` itself; others in a copy, written back.
+    top plane goes to the sticky overflow plane.  Rows already in that
+    order, none empty, are counted in ``counter`` itself; others in a copy,
+    written back.
     """
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
-    degree = counts[rows]
     first = (counts.cumsum() - counts)[rows]  # where each row's incidences begin
-    active = len(degree) - np.bincount(degree).cumsum()[:-1]
-    starts = np.concatenate(([0], active.cumsum()))  # incidences added before each round
-    width = counter.shape[2]
-    tail = _tail_round(active, starts, width, len(counter), scratch)
-
+    active = len(rows) - np.bincount(counts[rows]).cumsum()[:-1]
     in_place = len(rows) == len(counts) and bool((np.diff(rows) > 0).all())
     # take keeps each plane C-contiguous; counter[:, rows] would interleave them
     local = counter if in_place else counter.take(rows, axis=1)
-    gathered = np.empty((len(rows), width), dtype=WORD)
+    gathered = np.empty((len(rows), counter.shape[2]), dtype=WORD)
     spare = np.empty_like(gathered)
-    for j, c in enumerate(active[:tail].tolist()):
+    for j, c in enumerate(active.tolist()):
         carry, both = gathered[:c], spare[:c]
         masks.take(mask_ids[first[:c] + j], axis=0, out=carry, mode="clip")
         for plane in local[:-1, :c]:
@@ -259,62 +249,8 @@ def _count_band(
             plane ^= carry
             carry, both = both, carry
         local[-1, :c] |= carry
-    for i in range(int(active[tail]) if tail < len(active) else 0):
-        _add_tail(local[:, i], mask_ids[first[i] + tail : first[i] + degree[i]], masks, scratch)
     if not in_place:
         counter[:, rows] = local
-
-
-def _tail_round(
-    active: np.ndarray, starts: np.ndarray, width: int, planes: int, scratch: int
-) -> int:
-    """The first round from which :func:`_add_tail` finishes the band's rows.
-
-    Costs are counted in numpy calls, whose fixed overhead dominates small
-    rounds.  A round makes about two calls per plane, whatever its size.
-    The tail step makes about 16 calls per row left and 4 per chunk of
-    ``scratch`` bytes, and it reads each mask word as 64 unpacked bytes,
-    which cost one call per ``_CALL_BYTES``.  The tail starts at the first
-    round from which it is cheaper than the rounds left: once few narrow
-    rows are left with many rounds to go.  Wide bands never take it, since
-    a word costs the tail step far more than a round.  The tail step makes
-    at least 20 calls, so a band of few rounds never takes it.
-    """
-    if planes * len(active) <= 10:
-        return len(active)
-    rounds_left = len(active) - np.arange(len(active))
-    bytes_left = (starts[-1] - starts[:-1]) * (64 * width)
-    chunks = bytes_left // scratch + active
-    cheaper = np.flatnonzero(
-        16 * active + 4 * chunks + bytes_left // _CALL_BYTES < 2 * planes * rounds_left
-    )
-    return int(cheaper[0]) if len(cheaper) else len(active)
-
-
-def _add_tail(
-    counter_row: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray, scratch: int
-) -> None:
-    """Add ``masks[mask_ids]`` into one row of a counter, its planes and overflow, at once.
-
-    Exact integer arithmetic, the same as one ripple per mask: the masks are
-    unpacked to bytes and summed per column as int64, in chunks of about
-    ``scratch`` unpacked bytes.  The sum is added to the row's value,
-    which is its planes read as an integer; the planes take the new value
-    modulo ``2**digits``, and the overflow plane is ORed where the value
-    reached ``2**digits``.  Besides the chunks, the scratch is the row's
-    planes as int64, which :func:`_tail_round` admits only for rows under
-    32 words per plane.
-    """
-    digits = len(counter_row) - 1
-    bits = 64 * counter_row.shape[1]
-    shifts = np.arange(digits)[:, None]
-    value = (unpack_rows(counter_row[:-1], bits) << shifts).sum(axis=0)
-    per = max(1, scratch // bits)
-    for lo in range(0, len(mask_ids), per):
-        chunk = masks[mask_ids[lo : lo + per]].view(np.uint8)
-        value += np.unpackbits(chunk, axis=1, bitorder="little").sum(axis=0, dtype=np.int64)
-    counter_row[-1] |= pack_rows(value[None] >> digits != 0)[0]
-    counter_row[:-1] = pack_rows((value >> shifts & 1) != 0)
 
 
 def _plane_max(planes: np.ndarray) -> int:

@@ -306,6 +306,18 @@ class TestFileWorkflows:
         assert (code, out) == (3, "")
         assert err == "resource limit: alpha_order_limit exceeded: requested 2501, limit 2500\n"
 
+    def test_oracle_alpha_past_search_depth_exit_3(self, tmp_path, capsys):
+        # 500 disjoint 5-cycles pass the order guard; the search for alpha =
+        # 1,000 is refused where it passes Python's recursion limit
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(500) for i in range(5)]
+        gpath = tmp_path / "cycles.dimacs"
+        lines = ["p edge 2500 2500\n"] + [f"e {u + 1} {v + 1}\n" for u, v in edges]
+        gpath.write_text("".join(lines), encoding="ascii")
+        assert main(["oracle", "--graph", str(gpath), "--what", "alpha"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("resource limit: clique_search_depth exceeded: requested ")
+
     def test_oracle_bp(self, tmp_path):
         gpath = tmp_path / "g.dimacs"
         gpath.write_text(

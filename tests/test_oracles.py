@@ -106,6 +106,18 @@ class TestIndependence:
         with pytest.raises(ResourceLimitError):
             independence_number(Graph.empty(2501))
 
+    def test_search_past_recursion_limit_refused(self):
+        # 500 disjoint 5-cycles: alpha = 1,000 needs a search as deep as
+        # that, past Python's recursion limit; 2,500 vertices pass the order guard
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(500) for i in range(5)]
+        g = Graph.from_edges(2500, edges)
+        searches = (lambda: independence_number(g), lambda: independence_at_most(g, 999))
+        for search in searches:
+            with pytest.raises(ResourceLimitError) as exc:
+                search()
+            assert exc.value.limit_name == "clique_search_depth"
+            assert exc.value.requested == exc.value.limit + 1
+
     def test_at_most(self):
         g = C5
         ok, _ = independence_at_most(g, 2)
