@@ -40,10 +40,9 @@ EXIT_RESOURCE = 3
 
 @dataclass
 class RunConfig:
-    """Settings shared by the commands; ``vertex_limit`` is the one guard a user sets."""
+    """Settings shared by the commands: only ``vertex_limit``, the one guard a user sets."""
 
     vertex_limit: int = graphs.DEFAULT_VERTEX_LIMIT
-    ambiguous_edge: bool = False
 
     def __post_init__(self):
         if self.vertex_limit < 1:
@@ -188,9 +187,7 @@ def _suite_clis(rep: _Report, config: RunConfig) -> None:
     forward_ok = True
     for graph in corpus.graphs_up_to(5):
         partition = star_partition(graph)
-        cert = clis.chi_lower_bound_check(
-            graph, partition, ambiguous_edge=config.ambiguous_edge
-        )
+        cert = clis.chi_lower_bound_check(graph, partition)
         forward_ok &= cert.verdict
     rep.check("forward-reduction-up-to-5", forward_ok)
 
@@ -277,12 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "t-covers, and clique-vs-independent-set reductions.",
     )
     parser.add_argument("--vertex-limit", type=int, default=RunConfig.vertex_limit)
-    parser.add_argument(
-        "--ambiguous-edge",
-        choices=("edge", "nonedge"),
-        default="nonedge",
-        help="how to resolve ambiguous pairs when deriving the biclique graph",
-    )
     parser.add_argument("--out", help="write the report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -311,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(args.vertex_limit, ambiguous_edge=args.ambiguous_edge == "edge")
+        config = RunConfig(args.vertex_limit)
         if args.command == "demo":
             text, ok = cmd_demo(args.n, config)
         elif args.command == "suite":

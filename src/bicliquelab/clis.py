@@ -2,11 +2,11 @@
 
 Forward direction: a biclique partition of a graph G gives each biclique a
 characteristic vector over {0,1,*} (position j holds 0 if vertex j is on the
-left side, 1 if on the right, * otherwise), a conflict structure on the
-bicliques (the graph ``biclique_graph`` builds), and canonical
-clique/independent-set families whose intersection matrix has zero
-diagonal; covering that matrix's 0-entries by monochromatic rectangles is
-at least as hard as properly coloring G.
+left side, 1 if on the right, * otherwise), a conflict graph on the
+bicliques (``biclique_graph``: adjacent when two vectors share a 1, a
+non-edge otherwise), and canonical clique/independent-set families whose
+intersection matrix has zero diagonal; covering that matrix's 0-entries by
+monochromatic rectangles is at least as hard as properly coloring G.
 
 Reverse direction: from any graph, the disjoint (clique, independent-set)
 pairs form a new graph carrying an explicit 2-cover with one biclique per
@@ -44,15 +44,15 @@ def _side_masks(partition: BicliqueSystem) -> tuple[list[int], list[int]]:
     return [mask_of(b.left) for b in parts], [mask_of(b.right) for b in parts]
 
 
-def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -> Graph:
+def biclique_graph(partition: BicliqueSystem) -> Graph:
     """The graph on the partition's bicliques: adjacent when two vectors share
-    a 1-coordinate, non-adjacent when they share a 0-coordinate.
+    a 1-coordinate, non-adjacent otherwise.
 
-    A pair sharing both certifies the input was not a valid partition (the
-    corresponding edge would be covered twice) and raises
-    :class:`WellDefinednessError` with the lowest shared vertex of each
-    kind.  Pairs sharing neither are resolved by ``ambiguous_edge``
-    (default: non-edge).
+    A pair sharing a 1 and a 0 certifies the input was not a valid partition
+    (that edge would be covered twice) and raises :class:`WellDefinednessError`
+    with the lowest shared vertex of each kind.  A pair sharing neither is a
+    non-edge; no certificate depends on that, as members of a canonical clique
+    share a 1 and members of a canonical independent set share a 0.
     """
     lefts, rights = _side_masks(partition)
     m = len(lefts)
@@ -65,7 +65,7 @@ def biclique_graph(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -
                 raise WellDefinednessError(
                     i + 1, j + 1, next(iter_bits(one)), next(iter_bits(zero))
                 )
-            if one or (not zero and ambiguous_edge):
+            if one:
                 edges.append((i, j))
     return Graph.from_edges(m, edges)
 
@@ -148,12 +148,12 @@ def full_instance(graph: Graph) -> ClisInstance:
     return ClisInstance(graph, tuple(all_cliques(graph)), tuple(all_independent_sets(graph)))
 
 
-def canonical_instance(partition: BicliqueSystem, *, ambiguous_edge: bool = False) -> ClisInstance:
+def canonical_instance(partition: BicliqueSystem) -> ClisInstance:
     """The instance induced by a partition: for each host vertex j, the
     bicliques whose vector holds 1 at j form a clique, those holding 0 an
     independent set.  The intersection matrix has zero diagonal.
     """
-    gamma = biclique_graph(partition, ambiguous_edge=ambiguous_edge)
+    gamma = biclique_graph(partition)
     lefts, rights = _side_masks(partition)
     hosts = range(partition.host_order)
     cliques = tuple(tuple(q for q, right in enumerate(rights) if right >> j & 1) for j in hosts)
@@ -164,9 +164,7 @@ def canonical_instance(partition: BicliqueSystem, *, ambiguous_edge: bool = Fals
     return inst
 
 
-def chi_lower_bound_check(
-    graph: Graph, partition: BicliqueSystem, *, ambiguous_edge: bool = False
-) -> Certificate:
+def chi_lower_bound_check(graph: Graph, partition: BicliqueSystem) -> Certificate:
     """Certify that covering the canonical matrix's 0-entries takes at least
     as many rectangles as properly coloring the host graph.
 
@@ -178,7 +176,7 @@ def chi_lower_bound_check(
     n = graph.order
     if n > CHI_CHECK_ORDER_LIMIT:
         raise ResourceLimitError("chi_check_order_limit", CHI_CHECK_ORDER_LIMIT, n)
-    inst = canonical_instance(partition, ambiguous_edge=ambiguous_edge)
+    inst = canonical_instance(partition)
     cover_size, rects = min_rectangle_cover(inst.matrix, 0)
     chi, _ = chromatic_number(graph)
     params = {"order": n, "zero_cover": cover_size, "chromatic": chi}

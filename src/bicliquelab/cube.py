@@ -33,6 +33,7 @@ class Subcube:
     fixed: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", index(self.dim))
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         items = tuple(sorted((index(p), index(b)) for p, b in self.fixed))
@@ -78,6 +79,7 @@ class CubeSet:
     members: frozenset[CubePoint]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", index(self.dim))
         members = frozenset(tuple(p) for p in self.members)
         for p in members:
             if len(p) != self.dim or any(b not in (0, 1) for b in p):

@@ -171,8 +171,8 @@ class Biclique:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(self.left))
-        right = tuple(sorted(self.right))
+        left = tuple(sorted(map(operator.index, self.left)))
+        right = tuple(sorted(map(operator.index, self.right)))
         error = _biclique_error(left, right)
         if error is not None:
             raise ValueError(error)
@@ -553,6 +553,7 @@ def blowup(graph: Graph, m: int) -> Graph:
 
     Copies of u and v are adjacent iff u != v are adjacent in the source.
     """
+    m = operator.index(m)
     if m < 1:
         raise ValueError("blowup factor must be >= 1")
     wide = np.repeat(graph.adjacency, m, axis=1)

@@ -29,17 +29,17 @@ RECT_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class BoolMatrix:
-    """A rectangular 0/1 matrix backed by a read-only uint8 array."""
+    """A rectangular 0/1 matrix: a read-only uint8 copy of a bool or integer array."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.uint8)
+        arr = np.asarray(self.entries)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        if arr.size and int(arr.max()) > 1:
+        if arr.dtype.kind not in "biu" or arr.size and not 0 <= arr.min() <= arr.max() <= 1:
             raise ValueError("matrix entries must be 0 or 1")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

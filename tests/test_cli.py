@@ -88,16 +88,11 @@ class TestDemo:
 
 
 class TestSuites:
-    @pytest.mark.parametrize("name", ["cube", "partition", "peck"])
+    @pytest.mark.parametrize("name", ["cube", "partition", "peck", "clis"])
     def test_suite_passes(self, name):
         text, ok = cmd_suite(name, RunConfig())
         assert ok
         assert text.endswith("status pass\n")
-
-    def test_clis_with_ambiguous_pairs_as_edges(self):
-        code, out, _ = run_cli("--ambiguous-edge", "edge", "suite", "clis")
-        assert code == 0
-        assert out.endswith("status pass\n")
 
     def test_suite_deterministic_across_processes(self):
         _, a, _ = run_cli("suite", "peck")
@@ -149,8 +144,15 @@ class TestExitCodes:
         assert err.startswith("usage: bicliquelab") and "bicliquelab: error:" in err
         assert "Traceback" not in err
 
+    def test_ambiguous_edge_flag_is_usage_error(self):
+        # pairs of bicliques sharing no coordinate are non-edges, with no flag to change it
+        code, out, err = run_cli("--ambiguous-edge", "edge", "suite", "clis")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: bicliquelab") and "bicliquelab: error:" in err
+        assert "Traceback" not in err
+
     def test_run_config_holds_only_user_settings(self):
-        assert list(vars(RunConfig())) == ["vertex_limit", "ambiguous_edge"]
+        assert list(vars(RunConfig())) == ["vertex_limit"]
 
     def test_vertex_limit_flag(self):
         code, _, _ = run_cli("--vertex-limit", "10", "demo", "--n", "2")
@@ -361,7 +363,6 @@ def _argv(*parts):
 
 _GLOBAL = _argv(
     _flag("--vertex-limit", ("-5", "100", "10000"), optional=True),
-    _flag("--ambiguous-edge", ("edge", "nonedge", "bogus"), optional=True),
     _flag("--out", ("report.txt", "missing/report.txt"), optional=True),
 )
 _COMMAND = st.one_of(

@@ -112,7 +112,27 @@ class TestBicliqueGraph:
             4, (Biclique((0,), (1,)), Biclique((2,), (3,))), 1
         )
         assert biclique_graph(two_edges) == Graph.empty(2)
-        assert biclique_graph(two_edges, ambiguous_edge=True) == Graph.complete(2)
+
+    def test_ambiguous_pairs_as_edges_give_the_same_instance(self):
+        # no canonical clique or independent set holds a pair sharing neither
+        # a 1 nor a 0, so adding every such pair as an edge changes no family
+        widened = 0
+        for g in graphs_up_to(5):
+            partition = star_partition(g)
+            inst = canonical_instance(partition)
+            lefts = [set(b.left) for b in partition]
+            rights = [set(b.right) for b in partition]
+            ambiguous = [
+                (i, j)
+                for i in range(len(partition))
+                for j in range(i + 1, len(partition))
+                if not (lefts[i] & lefts[j] or rights[i] & rights[j])
+            ]
+            gamma = Graph.from_edges(len(partition), [*inst.graph.edges(), *ambiguous])
+            wide = ClisInstance(gamma, inst.cliques, inst.independents)
+            assert wide.matrix == inst.matrix
+            widened += gamma != inst.graph
+        assert widened  # some star partition has such a pair
 
     def test_contradiction_raises(self):
         # both parts put 0 at vertex 0 and 1 at vertex 1: edge (0,1) covered twice

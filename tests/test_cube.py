@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from bicliquelab.cube import (
@@ -48,6 +49,12 @@ class TestSubcube:
         # keeping only the last pin would name a different subcube
         with pytest.raises(ValueError, match=f"position {position} given more than once"):
             Subcube(7, fixed)
+
+    def test_non_integer_dim_refused(self):
+        # Subcube(2.0, ...) used to be built, and then points() raised
+        with pytest.raises(TypeError):
+            Subcube(2.0, ((1, 0),))
+        assert type(Subcube(np.int64(2), ((1, 0),)).dim) is int
 
 
 class TestAdmissibleSet:
@@ -130,3 +137,11 @@ class TestVerifySubcubePartition:
         target = CubeSet(2, frozenset({(0, 0)}))
         with pytest.raises(ValueError):
             verify_subcube_partition(target, [Subcube.of(3, {1: 0})])
+
+    def test_non_integer_target_dim_refused(self):
+        # CubeSet(2.0, ...) used to pass and put "dim": 2.0 in the certificate
+        square = frozenset(product((0, 1), repeat=2))
+        with pytest.raises(TypeError):
+            CubeSet(2.0, square)
+        cert = verify_subcube_partition(CubeSet(np.int64(2), square), [Subcube(2, ())])
+        assert type(cert.parameters["dim"]) is int

@@ -90,6 +90,17 @@ class TestBiclique:
     def test_edges(self):
         assert sorted(Biclique((0,), (1, 2)).edges()) == [(0, 1), (0, 2)]
 
+    @pytest.mark.parametrize("left, right", [((0.7,), (1,)), ((0,), (1.9,)), ((0, 2.0), (1,))])
+    def test_non_integer_vertex_refused(self, left, right):
+        # a system built from such a part used to store the vertex truncated
+        with pytest.raises(TypeError):
+            BicliqueSystem(3, (Biclique(left, right),), 1)
+
+    def test_numpy_vertices_become_ints(self):
+        b = Biclique((np.int64(2), np.uint8(0)), (np.int32(1),))
+        assert b == Biclique((0, 2), (1,))
+        assert {type(v) for v in b.left + b.right} == {int}
+
 
 class TestVerifyBicliqueSystem:
     def test_star_partition_of_triangle(self):
@@ -231,6 +242,12 @@ class TestBlowup:
     def test_identity_blowup(self):
         g = C5
         assert blowup(g, 1) == g
+
+    def test_non_integer_factor_refused(self):
+        # 2.5 used to build the 2-fold blowup
+        with pytest.raises(TypeError):
+            blowup(C5, 2.5)
+        assert blowup(C5, np.int64(2)) == blowup(C5, 2)
 
     def test_partition_lifts_through_blowup(self):
         rng = random.Random(13)

@@ -327,6 +327,19 @@ class TestMinRectangleCover:
         with pytest.raises(ValueError, match=message):
             BoolMatrix(entries)
 
+    @pytest.mark.parametrize("entries", [[[257, 0], [0, 256]], [[1.7, 0]], [[0.2, 1]], [[1, -1]]])
+    def test_bool_matrix_checks_entries_before_the_cast(self, entries):
+        # a uint8 cast first used to read 256 as 0, 257 as 1, 1.7 as 1 and 0.2 as 0
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            BoolMatrix(np.array(entries))
+
+    def test_bool_matrix_takes_a_copy_of_bool_or_integer_entries(self):
+        given = np.array([[True, False]])
+        m = BoolMatrix(given)
+        given[0, 1] = True
+        assert m.entries.dtype == np.uint8 and m.entries.tolist() == [[1, 0]]
+        assert BoolMatrix(np.eye(2, dtype=np.int64)) == BoolMatrix(np.eye(2, dtype=np.uint8))
+
     @staticmethod
     def _check_witness(matrix: BoolMatrix, value: int, witness) -> None:
         covered = set()
