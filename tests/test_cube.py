@@ -51,7 +51,7 @@ class TestSubcube:
             Subcube(7, fixed)
 
     def test_non_integer_dim_refused(self):
-        # Subcube(2.0, ...) used to be built, and then points() raised
+        # a float dim would build a subcube whose points() fail
         with pytest.raises(TypeError):
             Subcube(2.0, ((1, 0),))
         assert type(Subcube(np.int64(2), ((1, 0),)).dim) is int
@@ -139,7 +139,7 @@ class TestVerifySubcubePartition:
             verify_subcube_partition(target, [Subcube.of(3, {1: 0})])
 
     def test_non_integer_target_dim_refused(self):
-        # CubeSet(2.0, ...) used to pass and put "dim": 2.0 in the certificate
+        # certificates hold no floats
         square = frozenset(product((0, 1), repeat=2))
         with pytest.raises(TypeError):
             CubeSet(2.0, square)

@@ -92,7 +92,7 @@ class TestBiclique:
 
     @pytest.mark.parametrize("left, right", [((0.7,), (1,)), ((0,), (1.9,)), ((0, 2.0), (1,))])
     def test_non_integer_vertex_refused(self, left, right):
-        # a system built from such a part used to store the vertex truncated
+        # a truncated vertex would name a different biclique
         with pytest.raises(TypeError):
             BicliqueSystem(3, (Biclique(left, right),), 1)
 
@@ -244,7 +244,7 @@ class TestBlowup:
         assert blowup(g, 1) == g
 
     def test_non_integer_factor_refused(self):
-        # 2.5 used to build the 2-fold blowup
+        # a truncated factor would build a smaller blowup
         with pytest.raises(TypeError):
             blowup(C5, 2.5)
         assert blowup(C5, np.int64(2)) == blowup(C5, 2)
