@@ -104,7 +104,7 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
 
     alpha, witness = oracles.independence_number(graph)
     rep.line(f"independence-number {alpha}")
-    points = [gridgraph.index_point(v, n, 7) for v in witness]
+    points = (np.transpose(np.unravel_index(witness, (n,) * 7)) + 1).tolist()
     rep.line(
         "independence-witness "
         + " ".join("(" + ",".join(str(c) for c in p) + ")" for p in points)

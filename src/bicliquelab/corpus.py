@@ -8,6 +8,7 @@ so class representatives carry the full content of an all-graphs sweep.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -95,6 +96,7 @@ def random_t_cover(k: int, t: int, rng: random.Random) -> BicliqueSystem:
     some edge above multiplicity t.  For t = 1 no additions are attempted,
     so the result is a partition.
     """
+    k, t = operator.index(k), operator.index(t)
     if k < 2:
         raise ValueError("need k >= 2 so the cover is nonempty")
     base = random_partition(k, rng)

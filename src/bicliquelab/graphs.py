@@ -69,6 +69,9 @@ class Graph:
         No dense matrix and no per-edge array is built: the extra memory is
         about the packed size, however many edges there are.
         """
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"order {n} is negative")
         masks = [0] * n
         for u, v in edges:
             u, v = operator.index(u), operator.index(v)
@@ -97,13 +100,18 @@ class Graph:
     def edge_count(self) -> int:
         return int(np.bitwise_count(self._rows).sum()) // 2
 
-    def _check_vertices(self, vertices: Sequence[int]) -> None:
-        for x in vertices:
-            if not 0 <= x < self.order:
-                raise IndexError(f"vertex {x} out of range for order {self.order}")
+    def _check_vertices(self, vertices: Sequence[int]) -> np.ndarray:
+        """The vertices as an intp array: one check for all, before any cast."""
+        vs = np.asarray(vertices)
+        if vs.size and vs.dtype.kind not in "iu":  # a float or bool would be cast, not refused
+            raise TypeError(f"vertices must be integers, not {vs.dtype}")
+        outside = vs[(vs < 0) | (vs >= self.order)]
+        if outside.size:
+            raise IndexError(f"vertex {outside[0]} out of range for order {self.order}")
+        return vs.astype(np.intp)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertices((u, v))
+        u, v = self._check_vertices((u, v)).tolist()
         return bool(int(self._rows[u, v >> 6]) >> (v & 63) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -133,8 +141,7 @@ class Graph:
         return Graph._trusted(rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
-        vs = np.array(vertices, dtype=np.int64)
-        self._check_vertices(vs.tolist())
+        vs = self._check_vertices(vertices)
         return Graph._trusted(pack_rows(unpack_rows(self._rows[vs], self.order)[:, vs]))
 
     def neighbor_masks(self) -> list[int]:

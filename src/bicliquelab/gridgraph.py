@@ -26,12 +26,16 @@ Canonical index maps (part of the public contract):
   gets index a*|H| + b (see :mod:`bicliquelab.graphs`).  The partition
   and the OR-power cover lift sides through copy tables built from these
   maps: row v of a table lists the vertices that v becomes.
+* No map does digit arithmetic: coordinate columns are ``np.indices`` of
+  the (n,) * d grid, a pattern indexes a (2,) * d mask, and a piece's
+  rows are broadcast over the grid's free axes.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,34 +47,10 @@ from .graphs import (
 )
 from .packed import pack_rows
 
-GridPoint = tuple[int, ...]
-
 # The OR-power route needs n^(7t) vertices; this admits n=2, t=2, and no flag raises it.
 POWER_VERTEX_LIMIT = 16_384
 # rows per band of the disagreement key in GridGraphSpec.realize
 _KEY_BAND = 256
-
-
-def project(x: GridPoint, positions: Iterable[int]) -> GridPoint:
-    """Restrict a point to the given 1-based coordinate positions, in increasing order."""
-    xs = tuple(x)
-    pos = sorted(set(map(operator.index, positions)))
-    for p in pos:
-        if not 1 <= p <= len(xs):
-            raise ValueError(f"position {p} outside [1, {len(xs)}]")
-    return tuple(xs[p - 1] for p in pos)
-
-
-def index_point(idx: int, n: int, arity: int) -> GridPoint:
-    """The point of [n]^arity with mixed-radix index ``idx``."""
-    idx = operator.index(idx)
-    if not 0 <= idx < n**arity:
-        raise ValueError(f"index {idx} outside [0, {n**arity})")
-    out = []
-    for _ in range(arity):
-        idx, r = divmod(idx, n)
-        out.append(r + 1)
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -88,6 +68,8 @@ class GridGraphSpec:
     admissible: CubeSet
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "arity", operator.index(self.arity))
         if self.n < 1 or self.arity < 1:
             raise ValueError("n and arity must be positive")
         if self.admissible.dim != self.arity:
@@ -102,14 +84,11 @@ class GridGraphSpec:
         band of rows at a time, so only the packed rows and one band's key are held."""
         count = self.n ** self.arity
         check_vertex_limit(count, vertex_limit)
-        mask = np.zeros(1 << self.arity, dtype=bool)
-        for p in self.admissible.members:
-            idx = 0
-            for b in p:
-                idx = idx * 2 + b
-            mask[idx] = True
+        patterns = np.array(list(self.admissible.members), dtype=np.intp).reshape(-1, self.arity)
+        mask = np.zeros((2,) * self.arity, dtype=bool)
+        mask[tuple(patterns.T)] = True  # flat entry k: the pattern whose bits spell k
         columns = _coordinates(self.n, self.arity)
-        key_type = np.min_scalar_type(len(mask) - 1)
+        key_type = np.min_scalar_type(mask.size - 1)
         rows = np.empty((count, (count + 63) // 64), dtype=np.uint64)
         for lo in range(0, count, _KEY_BAND):
             hi = min(lo + _KEY_BAND, count)
@@ -124,8 +103,7 @@ class GridGraphSpec:
 def _coordinates(n: int, arity: int) -> np.ndarray:
     """Coordinate columns of [n]^arity: entry (i, x) is the 0-based coordinate
     i + 1 of the point with index x, in the narrowest unsigned dtype."""
-    coordinates = np.unravel_index(np.arange(n ** arity), (n,) * arity)
-    return np.array(coordinates, dtype=np.min_scalar_type(n - 1))
+    return np.indices((n,) * arity, dtype=np.min_scalar_type(n - 1)).reshape(arity, -1)
 
 
 def _subcube_rows(n: int, arity: int, fixed: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -135,20 +113,18 @@ def _subcube_rows(n: int, arity: int, fixed: Sequence[tuple[int, int]]) -> np.nd
     points are adjacent iff they differ at every position pinned to 1 and
     agree at every position pinned to 0, so row x is the AND over pinned
     positions p of the packed set {y : y_p = x_p}, inverted where the bit is
-    1.  That row depends only on x's pinned coordinates, so it is built once
-    per combination of them and then gathered for every point.
+    1.  Each position's n packed level sets lie along its own axis of the
+    index grid, so the AND spans only the pinned axes and is then broadcast
+    over the free ones.
     """
     columns = _coordinates(n, arity)
-    pinned = columns[[pos - 1 for pos, _ in fixed]]
-    combos = _coordinates(n, len(fixed))
-    distinct = pack_rows(np.ones((1, n ** arity), dtype=bool)).repeat(n ** len(fixed), axis=0)
-    for col, combo, (_, bit) in zip(pinned, combos, fixed):
-        level_sets = pack_rows(np.arange(n)[:, None] == col[None, :])
-        same = level_sets[combo]
+    distinct = pack_rows(np.ones((1, n ** arity), dtype=bool)).reshape((1,) * arity + (-1,))
+    for pos, bit in fixed:
+        same = pack_rows(np.arange(n)[:, None] == columns[pos - 1][None, :])
         if bit:
             np.invert(same, out=same)
-        distinct &= same
-    return distinct[np.ravel_multi_index(pinned, (n,) * len(fixed))]
+        distinct = distinct & same.reshape((1,) * (pos - 1) + (n,) + (1,) * (arity - pos) + (-1,))
+    return np.broadcast_to(distinct, (n,) * arity + distinct.shape[-1:]).reshape(n ** arity, -1)
 
 
 def grid_graph(n: int, *, vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> Graph:
@@ -260,6 +236,7 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     n^(7t) >= 2^(7t(b - 1)) for n of b bits; past ``POWER_VERTEX_LIMIT`` by
     that bound alone, the power is not formed; the error names the limit + 1.
     """
+    n, t = operator.index(n), operator.index(t)
     if n < 1 or t < 1:
         raise ValueError("n and t must be >= 1")
     if 7 * t * (n.bit_length() - 1) > POWER_VERTEX_LIMIT.bit_length():
@@ -279,18 +256,11 @@ def power_graph_cover(n: int, t: int) -> tuple[Graph, BicliqueSystem]:
     return power, _lift(power.order, lifts, t)
 
 
-def projection_dichotomy(points: Iterable[GridPoint]) -> bool:
+def projection_dichotomy(points: Iterable[Sequence[int]]) -> bool:
     """Structural property of independent sets in the grid graph.
 
     Either all points share one restriction to the first four coordinates,
     or any two distinct restrictions disagree in all four of them.
     """
-    heads = {project(p, (1, 2, 3, 4)) for p in points}
-    if len(heads) <= 1:
-        return True
-    hl = sorted(heads)
-    return all(
-        sum(int(a != b) for a, b in zip(h1, h2)) == 4
-        for i, h1 in enumerate(hl)
-        for h2 in hl[i + 1 :]
-    )
+    heads = {tuple(p[:4]) for p in points}
+    return all(sum(map(operator.ne, h1, h2)) == 4 for h1, h2 in combinations(heads, 2))

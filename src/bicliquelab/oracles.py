@@ -11,6 +11,7 @@ search node costs a few integer operations.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -275,6 +276,7 @@ def min_biclique_partition(graph: Graph, t: int = 1) -> tuple[int, BicliqueSyste
     still fit under the per-edge multiplicity bound.  The witness is the
     first optimum in deterministic search order, so reruns are bit-stable.
     """
+    t = operator.index(t)
     if t < 1:
         raise ValueError("t must be >= 1")
     n = graph.order

@@ -92,7 +92,7 @@ def test_04_independence_structure():
             assert len(witness) == alpha
             adj = g.adjacency
             assert all(not adj[u, v] for u, v in combinations(witness, 2))
-            points = [gridgraph.index_point(v, n, 7) for v in witness]
+            points = (np.transpose(np.unravel_index(witness, (n,) * 7)) + 1).tolist()
             assert gridgraph.projection_dichotomy(points)
             # the cutoff route proves the same bound independently of the
             # exact search's incumbent bookkeeping

@@ -56,6 +56,12 @@ class TestGraph:
         with pytest.raises(ValueError, match=message):
             Graph.from_edges(3, [edge])
 
+    def test_from_edges_refuses_negative_order(self):
+        with pytest.raises(ValueError, match="order -1 is negative"):
+            Graph.from_edges(-1, [])
+        with pytest.raises(TypeError):
+            Graph.from_edges(2.0, [])
+
     def test_has_edge_checks_both_ends(self):
         for u, v in ((-1, 1), (3, 1), (1, -1), (1, 3)):
             with pytest.raises(IndexError):
@@ -65,6 +71,16 @@ class TestGraph:
     def test_vertex_queries_check_range(self, v):
         with pytest.raises(IndexError, match=f"vertex {v} out of range for order 3"):
             P3.induced([v, 0])
+
+    @pytest.mark.parametrize("vertices", [[0.9, 1.7], [True, False], np.array([0.0, 1.0])])
+    def test_induced_refuses_non_integer_vertices(self, vertices):
+        # 0.9 and 1.7 truncated would induce the edge (0, 1)
+        with pytest.raises(TypeError, match="vertices must be integers"):
+            Graph.from_edges(3, [(0, 1)]).induced(vertices)
+
+    def test_induced_takes_integer_arrays(self):
+        assert P3.induced(np.array([2, 1], dtype=np.uint8)) == Graph.from_edges(2, [(0, 1)])
+        assert P3.induced([]).order == 0
 
     def test_adjacency_read_only(self):
         g = Graph.complete(3)

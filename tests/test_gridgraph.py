@@ -1,12 +1,14 @@
 """The grid-graph family: construction, pieces, reductions, partition, powers."""
 
 import functools
+import random
 from itertools import product
 
 import numpy as np
 import pytest
 
 from bicliquelab.algebra import split_intersection
+from bicliquelab.corpus import random_t_cover
 from bicliquelab.cube import Subcube, admissible_set, decompose_admissible_set
 from bicliquelab.errors import ResourceLimitError
 from bicliquelab.graphs import (
@@ -17,12 +19,11 @@ from bicliquelab.gridgraph import (
     grid_graph,
     grid_graph_partition,
     grid_graph_piece,
-    index_point,
     power_graph_cover,
-    project,
     projection_dichotomy,
     reduced_graph,
 )
+from bicliquelab.oracles import min_biclique_partition
 
 
 def diff_pattern(x, y):
@@ -30,59 +31,23 @@ def diff_pattern(x, y):
     return tuple(int(a != b) for a, b in zip(x, y, strict=True))
 
 
-class TestProject:
-    def test_prefix(self):
-        assert project((3, 1, 4, 1, 5, 9, 2), (1, 2, 3, 4)) == (3, 1, 4, 1)
-
-    def test_identity(self):
-        x = (3, 1, 4, 1, 5, 9, 2)
-        assert project(x, range(1, 8)) == x
-
-    def test_suffix(self):
-        assert project((3, 1, 4, 1, 5, 9, 2), (5, 6, 7)) == (5, 9, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            project((1, 2, 3), (0,))
-        with pytest.raises(ValueError):
-            project((1, 2, 3), (4,))
-
-
 @pytest.mark.parametrize(
     "call",
     [
         lambda: Subcube.of(7, {1.7: 0.9}),
         lambda: split_intersection(BicliqueSystem(2, (Biclique((0,), (1,)),), 1), [1.9]),
-        lambda: project((1, 2, 3), [1.5, 2]),
+        lambda: min_biclique_partition(Graph.complete(3), 1.5),
+        lambda: random_t_cover(3, 1.5, random.Random(0)),
+        lambda: power_graph_cover(2.0, 1),
+        lambda: GridGraphSpec(2.0, 7, admissible_set()),
     ],
-    ids=["subcube-position", "part-index", "project-position"],
+    ids=["subcube-position", "part-index", "bp-multiplicity", "cover-multiplicity",
+         "power-n", "spec-n"],
 )
 def test_non_integer_index_refused(call):
     # truncating 1.7 to 1 would silently answer for a different index
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
-
-
-@pytest.mark.parametrize("idx", [-1, 8, 10**30])
-def test_index_point_outside_the_grid_refused(idx):
-    # 8 read as 0's point (1, 1, 1) and -1 as (2, 2, 2)
-    with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
-        index_point(idx, 2, 3)
-
-
-def test_index_point_ends_and_non_integer():
-    assert index_point(0, 2, 3) == (1, 1, 1) and index_point(7, 2, 3) == (2, 2, 2)
-    assert index_point(np.int64(7), 2, 3) == (2, 2, 2)
-    with pytest.raises(TypeError):
-        index_point(7.0, 2, 3)
-
-
-class TestIndexMaps:
-    def test_round_trip(self):
-        # index i is the i-th point in itertools.product order
-        for n, arity in ((2, 7), (3, 5)):
-            for i, p in enumerate(product(range(1, n + 1), repeat=arity)):
-                assert index_point(i, n, arity) == p
 
 
 class TestGridGraph:
@@ -117,9 +82,8 @@ class TestGridGraph:
             assert g.has_edge(int(i), int(j)) == expected
 
     def test_all_ones_adjacent_to_all_twos(self):
-        g = grid_graph(2)
-        assert index_point(0, 2, 7) == (1,) * 7 and index_point(127, 2, 7) == (2,) * 7
-        assert g.has_edge(0, 127)
+        # vertices 0 and 127 are (1,) * 7 and (2,) * 7, the ends of product order
+        assert grid_graph(2).has_edge(0, 127)
 
     def test_vertex_limit(self):
         with pytest.raises(ResourceLimitError):
@@ -146,6 +110,22 @@ class TestGridGraphSpec:
         g = spec.realize()
         assert g.order == 9
         assert (g.adjacency.sum(axis=1) == 4).all()
+
+    def test_empty_rule_is_edgeless(self):
+        from bicliquelab.cube import CubeSet
+
+        g = GridGraphSpec(3, 2, CubeSet(2, frozenset())).realize()
+        assert g.order == 9 and g.edge_count() == 0
+
+    def test_asymmetric_pattern_pins_bit_order(self):
+        from bicliquelab.cube import CubeSet
+
+        # (1, 0): differ at coordinate 1, agree at coordinate 2; read the
+        # other way round it would be the transposed rule
+        g = GridGraphSpec(3, 2, CubeSet(2, frozenset({(1, 0)}))).realize()
+        pts = list(product(range(3), repeat=2))
+        expected = np.array([[x[0] != y[0] and x[1] == y[1] for y in pts] for x in pts])
+        assert np.array_equal(g.adjacency, expected)
 
     def test_rejects_zero_pattern(self):
         from bicliquelab.cube import CubeSet
