@@ -80,7 +80,7 @@ class CubeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", index(self.dim))
-        members = frozenset(tuple(p) for p in self.members)
+        members = frozenset(tuple(map(index, p)) for p in self.members)
         for p in members:
             if len(p) != self.dim or any(b not in (0, 1) for b in p):
                 raise ValueError(f"point {p} is not a {self.dim}-cube point")

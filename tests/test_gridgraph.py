@@ -9,7 +9,7 @@ import pytest
 
 from bicliquelab.algebra import split_intersection
 from bicliquelab.corpus import random_t_cover
-from bicliquelab.cube import Subcube, admissible_set, decompose_admissible_set
+from bicliquelab.cube import CubeSet, Subcube, admissible_set, decompose_admissible_set
 from bicliquelab.errors import ResourceLimitError
 from bicliquelab.graphs import (
     Biclique, BicliqueSystem, Graph, blowup, or_product, verify_biclique_system
@@ -40,9 +40,10 @@ def diff_pattern(x, y):
         lambda: random_t_cover(3, 1.5, random.Random(0)),
         lambda: power_graph_cover(2.0, 1),
         lambda: GridGraphSpec(2.0, 7, admissible_set()),
+        lambda: CubeSet(2, frozenset({(1.0, 0)})),
     ],
     ids=["subcube-position", "part-index", "bp-multiplicity", "cover-multiplicity",
-         "power-n", "spec-n"],
+         "power-n", "spec-n", "cube-bit"],
 )
 def test_non_integer_index_refused(call):
     # truncating 1.7 to 1 would silently answer for a different index
@@ -103,8 +104,6 @@ class TestGridGraphSpec:
         assert np.array_equal(spec.realize().rows, union)
 
     def test_small_arity(self):
-        from bicliquelab.cube import CubeSet
-
         # arity 2, patterns {(1,1)}: adjacency iff both coordinates differ
         spec = GridGraphSpec(3, 2, CubeSet(2, frozenset({(1, 1)})))
         g = spec.realize()
@@ -112,14 +111,10 @@ class TestGridGraphSpec:
         assert (g.adjacency.sum(axis=1) == 4).all()
 
     def test_empty_rule_is_edgeless(self):
-        from bicliquelab.cube import CubeSet
-
         g = GridGraphSpec(3, 2, CubeSet(2, frozenset())).realize()
         assert g.order == 9 and g.edge_count() == 0
 
     def test_asymmetric_pattern_pins_bit_order(self):
-        from bicliquelab.cube import CubeSet
-
         # (1, 0): differ at coordinate 1, agree at coordinate 2; read the
         # other way round it would be the transposed rule
         g = GridGraphSpec(3, 2, CubeSet(2, frozenset({(1, 0)}))).realize()
@@ -128,14 +123,10 @@ class TestGridGraphSpec:
         assert np.array_equal(g.adjacency, expected)
 
     def test_rejects_zero_pattern(self):
-        from bicliquelab.cube import CubeSet
-
         with pytest.raises(ValueError):
             GridGraphSpec(2, 2, CubeSet(2, frozenset({(0, 0)})))
 
     def test_rejects_dim_mismatch(self):
-        from bicliquelab.cube import CubeSet
-
         with pytest.raises(ValueError):
             GridGraphSpec(2, 3, CubeSet(2, frozenset({(1, 1)})))
 
@@ -263,8 +254,6 @@ class TestPieceDifferential:
                 assert table[v * n * n + c] == g, (piece, x)
 
     def test_piece_matches_spec_route(self, n):
-        from bicliquelab.cube import CubeSet
-
         for piece in decompose_admissible_set():
             spec = GridGraphSpec(n, 7, CubeSet(7, frozenset(piece.points())))
             assert grid_graph_piece(n, piece) == spec.realize(), piece
