@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .graphs import Biclique, BicliqueSystem, Certificate, Graph, verify_biclique_system
-from .packed import WORD, pack_rows, unpack_rows
+from .packed import pack_rows, unpack_rows, zero_rows
 
 SIGN_RULES = ("odd-positive", "even-positive")
 
@@ -165,7 +165,7 @@ def verify_cover_identity(
     d = len(cover)
     t = cover.multiplicity_bound
     # row u of part i's indicator, as a packed row
-    covers = np.zeros((d, k, (k + 63) // 64), dtype=WORD)
+    covers = zero_rows(d, k, k)
     for i, b in enumerate(cover):
         pairs = np.zeros((k, k), dtype=bool)
         pairs[np.ix_(b.left, b.right)] = True

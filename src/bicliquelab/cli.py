@@ -93,11 +93,12 @@ def cmd_demo(n: int, config: RunConfig) -> tuple[str, bool]:
         pg = gridgraph.grid_graph_piece(n, piece, vertex_limit=config.vertex_limit)
         edge_sum += pg.edge_count()
         seen |= pg.rows
+        del pg  # n^14/8 bytes, freed before the next piece is built
     # the union has as many edges as the pieces sum to exactly when no two share one
     disjoint = int(np.bitwise_count(seen).sum()) == 2 * edge_sum
     seen ^= graph.rows  # in place: all zero exactly when the pieces' union is the graph
     union_ok = not seen.any()
-    del seen, pg  # n^14/8 bytes each, and no later stage reads them
+    del seen  # n^14/8 bytes, and no later stage reads it
     rep.line(f"piece-edge-sum {edge_sum}")
     rep.check("piece-edges-match", edge_sum == graph.edge_count() and union_ok)
     rep.check("piece-edges-disjoint", disjoint)

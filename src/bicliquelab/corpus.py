@@ -97,6 +97,8 @@ def random_t_cover(k: int, t: int, rng: random.Random) -> BicliqueSystem:
     so the result is a partition.
     """
     k, t = operator.index(k), operator.index(t)
+    if t < 1:
+        raise ValueError(f"multiplicity bound t = {t} is below 1")
     if k < 2:
         raise ValueError("need k >= 2 so the cover is nonempty")
     base = random_partition(k, rng)

@@ -36,7 +36,7 @@ from .errors import FormatError, PartError
 from .graphs import (
     DEFAULT_VERTEX_LIMIT, MAX_ORDER, BicliqueSystem, Certificate, Graph, check_vertex_limit
 )
-from .packed import BYTE_BITS, WORD, rows_from_masks
+from .packed import rows_from_masks, set_bits, zero_rows
 
 _BLOCK = 1 << 12  # per block: edge lines or part-line incidences written, characters read
 _TEXT_BLOCK = 1 << 16  # characters per block of a writer's own lines, read as arrays
@@ -144,19 +144,13 @@ def _read_own_graph(text: str, start: int, order: int, expected: int) -> np.ndar
     """The packed rows of the graph whose edge lines are ``text[start:]``,
     or None unless the lines match ``_EDGE_LINES``, every edge (u, v) has
     u < v <= order, the edges strictly increase in (u, v) across the text,
-    which is write_graph's row-major order, and ``expected`` of them are
-    read.  It names no error.
-
-    Then no bit is set twice, so adding each edge's two bits to the rows'
-    bytes ORs them in.
+    which is write_graph's row-major order (so no bit is set twice), and
+    ``expected`` of them are read.  It names no error.
     """
     blocks = _own_blocks(text, start, _EDGE_LINES)
     if blocks is None:
         return None
-    words = (order + 63) // 64
-    rows = np.zeros((order, words), dtype=WORD)
-    table = rows.reshape(-1).view(np.uint8)  # WORD is little-endian: bit v is in byte v // 8
-    row_bytes = np.int64(8 * words)
+    rows = zero_rows(order, order)
     count = least = 0  # edges read, and the least key the next edge may have
     for lo, hi in blocks:
         values = _numbers(text, lo, hi) - 1  # 0-based
@@ -168,8 +162,8 @@ def _read_own_graph(text: str, start: int, order: int, expected: int) -> np.ndar
             return None
         least = int(key[-1]) + 1
         count += len(u)
-        np.add.at(table, u * row_bytes + (v >> 3), BYTE_BITS[v & 7])
-        np.add.at(table, v * row_bytes + (u >> 3), BYTE_BITS[u & 7])
+        set_bits(rows, u, v)
+        set_bits(rows, v, u)
     return rows if count == expected else None
 
 

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import PartError, ResourceLimitError
 from .packed import (
-    BITS, WORD, count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks, unpack_rows
+    count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks, set_bits, unpack_rows,
+    zero_rows,
 )
 
 _BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
@@ -29,10 +30,9 @@ _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
 class Graph:
     """Immutable simple graph stored as packed adjacency rows.
 
-    Row v holds ``ceil(n / 64)`` little-endian uint64 words; bit u of the
-    row (bit u % 64 of word u // 64) is set iff u and v are adjacent, and
-    the padding bits past n are zero.  That is n*n/8 bytes, an eighth of a
-    bool matrix.  ``adjacency`` unpacks a bool copy on each call.
+    Row v is a packed row (:mod:`bicliquelab.packed` holds the layout) with
+    bit u set iff u and v are adjacent: n*n/8 bytes, an eighth of a bool
+    matrix.  ``adjacency`` unpacks a bool copy on each call.
     """
 
     __slots__ = ("_rows",)
@@ -56,7 +56,7 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
-        return cls._trusted(np.zeros((n, (n + 63) // 64), dtype=WORD))
+        return cls._trusted(zero_rows(n, n))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -111,8 +111,8 @@ class Graph:
         return vs.astype(np.intp)
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._check_vertices((u, v)).tolist()
-        return bool(int(self._rows[u, v >> 6]) >> (v & 63) & 1)
+        u, v = (int(self._check_vertices(x)) for x in (u, v))  # alone, a bool is refused
+        return bool(unpack_rows(self._rows[u], self.order)[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""
@@ -132,12 +132,9 @@ class Graph:
             yield u + lo, v
 
     def complement(self) -> "Graph":
-        n = self.order
-        rows = ~self._rows
-        if n % 64:
-            rows[:, -1] &= BITS[n % 64] - np.uint64(1)
-        v = np.arange(n)
-        rows[v, v >> 6] &= ~BITS[v & 63]  # clear the diagonal
+        rows, v = self._rows.copy(), np.arange(self.order)
+        set_bits(rows, v, v)  # the diagonal, clear here, is clear once inverted
+        rows ^= pack_rows(np.ones((1, self.order), dtype=bool))  # inverts every bit but the padding
         return Graph._trusted(rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
@@ -442,9 +439,9 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     order, covered 0 or more than t times, with its exact multiplicity.
     On a pass ``max_multiplicity`` is exact.
 
-    The pair counts come from :func:`bicliquelab.packed.count_pairs` (its
-    docstring describes the counter), in bands of about ``_BAND_BYTES``
-    per bit plane, from chunks of parts of about ``_MASK_BYTES`` of masks.
+    :func:`bicliquelab.packed.count_pairs` counts the pairs and compares
+    them with the graph's rows, in bands of about ``_BAND_BYTES`` per bit
+    plane, from chunks of parts of about ``_MASK_BYTES`` of masks.
 
     A part is a biclique iff it covers no non-edge, so (i) is settled from
     the counters, and the part witness is searched only when some non-edge
@@ -454,29 +451,22 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
         raise ValueError(
             f"system host order {system.host_order} != graph order {graph.order}"
         )
-    n = graph.order
     params = {
-        "host_order": n,
+        "host_order": graph.order,
         "parts": len(system),
         "multiplicity_bound": system.multiplicity_bound,
     }
 
     first_bad = None
     max_mult = 0
-    counts = count_pairs(
-        n, system.bounds, system.vertices, system.multiplicity_bound, _BAND_BYTES, _MASK_BYTES
-    )
-    for lo, covered, over, high in counts:
-        row = graph.rows[lo : lo + len(covered), lo // 64 :]
-        if (covered & ~row).any():
+    for stray, bad, high in count_pairs(
+        graph.rows, system.bounds, system.vertices, system.multiplicity_bound, _BAND_BYTES,
+        _MASK_BYTES,
+    ):
+        if stray:
             return _non_biclique_part(graph, system, params)
-        bad = row & (over | ~covered)
-        if first_bad is None and bad.any():
-            r = int(np.flatnonzero(bad.any(axis=1))[0])
-            v = int(np.flatnonzero(unpack_rows(bad[r], 64 * bad.shape[1]))[0])
-            first_bad = (lo + r, lo // 64 * 64 + v)
+        first_bad = first_bad or bad
         max_mult = max(max_mult, high)
-        del covered, over, row, bad  # so the band's read-out dies before the next is counted
 
     if first_bad is not None:
         u, v = first_bad
@@ -575,7 +565,7 @@ def or_product(g: Graph, h: Graph) -> Graph:
     broadcast OR per band of about ``_BAND_BYTES`` of g's rows unpacked.
     """
     size = g.order * h.order
-    rows = np.empty((g.order, h.order, (size + 63) // 64), dtype=WORD)
+    rows = zero_rows(g.order, h.order, size)
     tiled = pack_rows(np.tile(h.adjacency, g.order))
     band = max(1, _BAND_BYTES // max(size, 1))
     for lo in range(0, g.order, band):

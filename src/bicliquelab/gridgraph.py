@@ -45,7 +45,7 @@ from .errors import ResourceLimitError
 from .graphs import (
     DEFAULT_VERTEX_LIMIT, BicliqueSystem, Graph, check_vertex_limit, or_product, star_partition
 )
-from .packed import pack_rows
+from .packed import pack_rows, zero_rows
 
 # The OR-power route needs n^(7t) vertices; this admits n=2, t=2, and no flag raises it.
 POWER_VERTEX_LIMIT = 16_384
@@ -89,7 +89,7 @@ class GridGraphSpec:
         mask[tuple(patterns.T)] = True  # flat entry k: the pattern whose bits spell k
         columns = _coordinates(self.n, self.arity)
         key_type = np.min_scalar_type(mask.size - 1)
-        rows = np.empty((count, (count + 63) // 64), dtype=np.uint64)
+        rows = zero_rows(count, count)
         for lo in range(0, count, _KEY_BAND):
             hi = min(lo + _KEY_BAND, count)
             key = np.zeros((hi - lo, count), dtype=key_type)

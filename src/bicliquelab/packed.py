@@ -4,12 +4,13 @@ Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
 word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
 past the last vertex are always zero, so rows compare and count directly.
 Graphs store their adjacency this way (see :class:`bicliquelab.graphs.Graph`).
+Only this module sizes rows (:func:`zero_rows`) and sets bits (:func:`set_bits`).
 Vertex masks are Python ints with bit v set for vertex v, the form the
 exact searches and the CIS layer use; :func:`rows_from_masks` and
 :func:`masks_from_rows` convert between the two.
 
-:func:`count_pairs` counts how often a biclique system covers each vertex
-pair, on packed rows (its docstring describes the counter).
+:func:`count_pairs` checks a biclique system's pair counts against a
+graph's packed rows (its docstring describes the counter).
 """
 
 from __future__ import annotations
@@ -18,16 +19,28 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-WORD = np.dtype("<u8")
-BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=WORD), dtype=WORD)  # word with bit i set
-BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
+_WORD = np.dtype("<u8")
+_BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
 _BLOCK = 1 << 16  # incidences per block of the verifier's per-incidence scratch
+
+
+def zero_rows(*shape: int) -> np.ndarray:
+    """The packed form of ``np.zeros(shape, bool)``, C-contiguous, with no bool array made."""
+    return np.zeros((*shape[:-1], (shape[-1] + 63) // 64), dtype=_WORD)
+
+
+def set_bits(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
+    """Set bit ``c[i]`` of row ``r[i]`` of the C-contiguous packed ``rows``, each bit clear
+    and named once, by adding to its byte (a flat offset per bit, int32 below 2**31 bytes)."""
+    byte = np.multiply(r, 8 * rows.shape[-1], dtype=np.int32 if rows.nbytes < 1 << 31 else np.int64)
+    byte += c >> 3  # _WORD is little-endian: bit c of a row is in its byte c // 8
+    np.add.at(rows.reshape(-1).view(np.uint8), byte, _BYTE_BITS[c & 7])
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
     """Bool rows of length n packed into ``ceil(n / 64)`` little-endian uint64 words each."""
     count, n = dense.shape
-    packed = np.zeros((count, (n + 63) // 64), dtype=WORD)
+    packed = zero_rows(count, n)
     packed.view(np.uint8)[:, : (n + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
     return packed
 
@@ -41,7 +54,7 @@ def rows_from_masks(masks: list[int], n: int) -> np.ndarray:
     """Python int bitmasks (bit v = vertex v, every bit below ``n``) laid out as packed rows."""
     width = 8 * ((n + 63) // 64)
     packed = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    return np.frombuffer(packed, dtype=WORD).reshape(len(masks), width // 8)
+    return np.frombuffer(packed, dtype=_WORD).reshape(len(masks), width // 8)
 
 
 def masks_from_rows(rows: np.ndarray) -> list[int]:
@@ -67,15 +80,17 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def count_pairs(
-    n: int, bounds: np.ndarray, vertices: np.ndarray, t: int, band_bytes: int, mask_bytes: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    rows: np.ndarray, bounds: np.ndarray, vertices: np.ndarray, t: int, band_bytes: int,
+    mask_bytes: int,
+) -> Iterator[tuple[bool, tuple[int, int] | None, int]]:
     """Count how often the parts, laid out by ``bounds`` and ``vertices`` as in a
-    :class:`bicliquelab.graphs.BicliqueSystem`, cover each pair of ``n`` vertices.
+    :class:`bicliquelab.graphs.BicliqueSystem`, cover each pair of vertices.
 
-    Yields ``(lo, covered, over, high)`` per band of rows from vertex ``lo``:
-    packed rows of the columns from word ``lo // 64`` on, set where a pair
-    is covered at least once (``covered``) and more than t times
-    (``over``), and the band's largest count, exact when ``over`` is empty.
+    Yields ``(stray, bad, high)`` per band of the graph's packed adjacency
+    ``rows``, in row order: ``stray`` is whether the band covers a non-edge,
+    ``bad`` its first edge (u, v) in row-major order that is covered 0 or
+    more than t times, or None, and ``high`` its largest count, exact when
+    the band has neither.
 
     Each vertex row of the pair-count matrix is a bit-sliced counter over
     packed rows: ``min(t, parts).bit_length()`` bit planes plus a sticky
@@ -108,7 +123,7 @@ def count_pairs(
     (see :func:`_count_band`); no incidence is sorted or copied, and each
     band's read-out is freed before the next is counted.
     """
-    words = (n + 63) // 64
+    n, words = rows.shape
     parts = len(bounds) // 2
     # no pair is covered more often than there are parts, so a bound above
     # the part count acts as that count and needs no more planes
@@ -116,9 +131,9 @@ def count_pairs(
     digits = t.bit_length()
     bias = (1 << digits) - 1 - t  # bias + t + 1 == 2**digits
     # plane k starts as bit k of the bias in every position: all ones or zeros
-    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(WORD)[:, None, None]
+    fill = np.array([-(bias >> k & 1) for k in range(digits)] + [0]).astype(_WORD)[:, None, None]
     band = max(1, band_bytes // (8 * max(words, 1)))
-    # band i's counter, from the first chunk until its read-out
+    # the counter of the band from row lo, from the first chunk until its read-out
     counters: dict[int, np.ndarray] = {}
     # a chunk's side masks: at most mask_bytes / 8 words, or two rows of
     # under 2**25 words each (vertex ids are int32)
@@ -126,24 +141,29 @@ def count_pairs(
     for first in range(0, max(parts, 1), chunk):
         sides = bounds[2 * first : 2 * (first + chunk) + 1]
         masks, starts, opposite = _chunk_layout(n, sides, vertices)
-        for i in range(-(-n // band)):
-            if not first:  # band i holds rows i * band on, from column word i * band // 64 on
-                shape = (len(fill), min(band, n - i * band), words - i * band // 64)
-                counters[i] = np.broadcast_to(fill, shape).copy()
+        for lo in range(0, n, band):
+            if not first:  # the band holds rows lo on, from column word lo // 64 on
+                shape = (len(fill), min(band, n - lo), words - lo // 64)
+                counters[lo] = np.broadcast_to(fill, shape).copy()
             # np.take gathers without copying its whole source only from a
             # C-contiguous one, so the table sheds the columns left of each band
-            masks = _drop_columns(masks, masks.shape[1] - counters[i].shape[2], band_bytes)
-            lo, hi = starts[i * band], starts[min(n, (i + 1) * band)]
-            if lo < hi:
-                rows = np.diff(starts[i * band : (i + 1) * band + 1])
-                _count_band(counters[i], rows, opposite[lo:hi], masks)
-            if first + chunk >= parts:  # no later chunk adds to band i: read it out, drop it
-                *planes, over = counters.pop(i)
+            masks = _drop_columns(masks, masks.shape[1] - counters[lo].shape[2], band_bytes)
+            start, end = starts[lo], starts[min(n, lo + band)]
+            if start < end:
+                counts = np.diff(starts[lo : lo + band + 1])
+                _count_band(counters[lo], counts, opposite[start:end], masks)
+            if first + chunk >= parts:  # no later chunk adds to the band: read it out, drop it
+                *planes, over = counters.pop(lo)
                 covered = over.copy()  # count > 0: planes no longer hold the bias
                 for k, plane in enumerate(planes):
                     covered |= ~plane if bias >> k & 1 else plane
-                yield i * band, covered, over, _plane_max(planes) - bias
-                del planes, over, covered  # the band's counter dies before the next is counted
+                edges = rows[lo : lo + len(covered), lo // 64 :]
+                stray = bool((covered & ~edges).any())
+                bad = edges & (over | ~covered)
+                r = int(bad.any(axis=1).argmax())  # the first row holding a bad pair, if any
+                c = lo // 64 * 64 + int(unpack_rows(bad[r], 64 * bad.shape[1]).argmax())
+                yield stray, (lo + r, c) if bad[r].any() else None, _plane_max(planes) - bias
+                del planes, over, covered, bad  # the band's counter dies before the next is counted
         # freed here, or the next chunk's layout is built while this one's is held
         del masks, starts, opposite
 
@@ -160,16 +180,14 @@ def _chunk_layout(
     so that the table holds fewer than 2**31 bytes.
 
     Incidences are read in blocks of ``_BLOCK``, twice: once to count each
-    vertex's incidences, and once to set each side's bits in the table, a
-    byte per incidence, and to place the opposite side's id at its vertex's
+    vertex's incidences, and once to set each side's bits in the table and
+    to place the opposite side's id at its vertex's
     next slot, so no sort spans more than a block.
     """
-    words = (n + 63) // 64
     verts = vertices[bounds[0] : bounds[-1]]
     ends = bounds[1:] - bounds[0]  # where each side ends in verts
     side_id = np.int16 if len(ends) < 1 << 15 else np.int32
-    masks = np.zeros((len(ends), words), dtype=WORD)
-    table = masks.reshape(-1).view(np.uint8)  # WORD is little-endian: bit v is in byte v // 8
+    masks = zero_rows(len(ends), n)
     starts = np.zeros(n + 1, dtype=np.int64)  # where each vertex's incidences begin
     for lo in range(0, len(verts), _BLOCK):
         starts[1:] += np.bincount(verts[lo : lo + _BLOCK], minlength=n)
@@ -182,9 +200,7 @@ def _chunk_layout(
         first, last = np.searchsorted(ends, (lo, lo + len(v) - 1), "right")
         sizes = np.diff(ends[first:last], prepend=lo, append=lo + len(v))
         side = np.arange(first, last + 1, dtype=side_id).repeat(sizes)
-        # a side's vertices are distinct, so adding bits ORs them; the
-        # table's bytes number under 2**31 (see above)
-        np.add.at(table, side * np.int32(8 * words) + (v >> 3), BYTE_BITS[v & 7])
+        set_bits(masks, side, v)  # a side's vertices are distinct
         # stable placement: the block's incidences of a vertex keep their order
         order = v.argsort(kind="stable")
         v = v[order]
@@ -239,7 +255,7 @@ def _count_band(
     in_place = len(rows) == len(counts) and bool((np.diff(rows) > 0).all())
     # take keeps each plane C-contiguous; counter[:, rows] would interleave them
     local = counter if in_place else counter.take(rows, axis=1)
-    gathered = np.empty((len(rows), counter.shape[2]), dtype=WORD)
+    gathered = np.empty((len(rows), counter.shape[2]), dtype=_WORD)
     spare = np.empty_like(gathered)
     for j, c in enumerate(active.tolist()):
         carry, both = gathered[:c], spare[:c]

@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -85,6 +86,20 @@ class TestDemo:
         assert "piece-edge-sum 7680" in text
         assert "check piece-edges-match FAIL" in text
         assert "check piece-edges-disjoint FAIL" in text
+
+    def test_each_piece_is_freed_before_the_next_is_built(self, monkeypatch):
+        # a piece is n^14/8 bytes, so holding one while the next is built doubles the loop's peak
+        build, last, held = gridgraph.grid_graph_piece, [], []
+
+        def spy(n, part, **kwargs):
+            held.append(bool(last) and last[-1]() is not None)
+            piece = build(n, part, **kwargs)
+            last.append(weakref.ref(piece.rows))
+            return piece
+
+        monkeypatch.setattr(gridgraph, "grid_graph_piece", spy)
+        assert cmd_demo(2, RunConfig())[1]
+        assert len(held) == 30 and sum(held) == 0
 
 
 class TestSuites:

@@ -87,3 +87,8 @@ class TestRandomTCover:
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
             random_t_cover(1, 2, random.Random(0))
+
+    @pytest.mark.parametrize("t", [0, -2])
+    def test_t_below_one_rejected(self, t):
+        with pytest.raises(ValueError, match=f"multiplicity bound t = {t} is below 1"):
+            random_t_cover(3, t, random.Random(0))

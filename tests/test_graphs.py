@@ -62,6 +62,12 @@ class TestGraph:
         with pytest.raises(TypeError):
             Graph.from_edges(2.0, [])
 
+    @pytest.mark.parametrize("u, v", [(True, 2), (2, np.True_), (np.bool_(False), 1)])
+    def test_has_edge_refuses_bool_vertices(self, u, v):
+        # True read as vertex 1 would report the edge (1, 2)
+        with pytest.raises(TypeError, match="vertices must be integers"):
+            Graph.complete(3).has_edge(u, v)
+
     def test_has_edge_checks_both_ends(self):
         for u, v in ((-1, 1), (3, 1), (1, -1), (1, 3)):
             with pytest.raises(IndexError):
@@ -346,6 +352,23 @@ def assert_zero_padding(g):
     assert g.rows.dtype == np.dtype("<u8")
     bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")
     assert not bits[:, n:].any()
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_set_bits_matches_a_dense_reference(self, n):
+        rng = random.Random(n)
+        for dtype in (np.int16, np.int32, np.int64):
+            pairs = rng.sample([(u, v) for u in range(n) for v in range(n)], rng.randrange(n * n + 1))
+            r, c = np.array(pairs, dtype=dtype).reshape(-1, 2).T  # distinct (row, column) pairs
+            dense = np.zeros((n, n), dtype=bool)
+            dense[r, c] = True
+            rows = packed.zero_rows(n, n)
+            packed.set_bits(rows, r, c)
+            assert np.array_equal(packed.unpack_rows(rows, n), dense)
+            assert np.array_equal(rows, packed.pack_rows(dense))
+            assert_zero_padding(Graph._trusted(rows))
+        assert packed.zero_rows(2, 3, n).shape == (2, 3, (n + 63) // 64)
 
 
 class TestPackedGraphDifferential:
@@ -709,24 +732,21 @@ class TestStreamedCounter:
     several every band waits for the last chunk.  Both give the same bands."""
 
     @staticmethod
-    def _bands(system, band_bytes, mask_bytes):
-        n, t = system.host_order, system.multiplicity_bound
-        args = (n, system.bounds, system.vertices, t, band_bytes, mask_bytes)
-        return [(lo, c.tolist(), o.tolist(), high) for lo, c, o, high in packed.count_pairs(*args)]
+    def _bands(graph, system, band_bytes, mask_bytes):
+        t = system.multiplicity_bound
+        args = (graph.rows, system.bounds, system.vertices, t, band_bytes, mask_bytes)
+        return list(packed.count_pairs(*args))
 
-    def _check(self, system):
+    def _check(self, graph, system):
         # mask_bytes = 1 makes a chunk of each part
         for band_bytes in (graphs._BAND_BYTES, 64):
-            one_chunk = self._bands(system, band_bytes, graphs._MASK_BYTES)
-            assert one_chunk == self._bands(system, band_bytes, 1)
-            # bands come out in row order, each row once
-            rows = [lo + r for lo, covered, _, _ in one_chunk for r in range(len(covered))]
-            assert rows == list(range(system.host_order))
+            one_chunk = self._bands(graph, system, band_bytes, graphs._MASK_BYTES)
+            assert one_chunk == self._bands(graph, system, band_bytes, 1)
 
     def test_host_orders_zero_and_one(self):
         for n in (0, 1):
             for t in (1, 2):
-                self._check(BicliqueSystem(n, (), t))
+                self._check(Graph.empty(n), BicliqueSystem(n, (), t))
 
     def test_random_systems_and_mutants(self):
         # passing covers, and mutants with a pair over t or a non-biclique part
@@ -734,9 +754,9 @@ class TestStreamedCounter:
         for n in (2, 5, 64, 65, 130):
             for t in (1, 2, 3, 8):
                 graph, system = _random_cover(n, t, rng)
-                self._check(system)
-                for _, mutant in _mutants(graph, system, rng):
-                    self._check(mutant)
+                self._check(graph, system)
+                for host, mutant in _mutants(graph, system, rng):
+                    self._check(host, mutant)
 
     def test_verify_holds_one_band_of_counters(self):
         # every band's counter of the t = 2 OR-square cover together is
