@@ -87,10 +87,9 @@ def count_pairs(
     :class:`bicliquelab.graphs.BicliqueSystem`, cover each pair of vertices.
 
     Yields ``(stray, bad, high)`` per band of the graph's packed adjacency
-    ``rows``, in row order: ``stray`` is whether the band covers a non-edge,
-    ``bad`` its first edge (u, v) in row-major order that is covered 0 or
-    more than t times, or None, and ``high`` its largest count, exact when
-    the band has neither.
+    ``rows``, in row order: whether the band covers a non-edge, its first
+    edge (u, v) in row-major order covered 0 or more than t times (or None),
+    and its largest count, exact when it has neither.
 
     Each vertex row of the pair-count matrix is a bit-sliced counter over
     packed rows: ``min(t, parts).bit_length()`` bit planes plus a sticky
@@ -158,11 +157,13 @@ def count_pairs(
                 for k, plane in enumerate(planes):
                     covered |= ~plane if bias >> k & 1 else plane
                 edges = rows[lo : lo + len(covered), lo // 64 :]
-                stray = bool((covered & ~edges).any())
                 bad = edges & (over | ~covered)
-                r = int(bad.any(axis=1).argmax())  # the first row holding a bad pair, if any
-                c = lo // 64 * 64 + int(unpack_rows(bad[r], 64 * bad.shape[1]).argmax())
-                yield stray, (lo + r, c) if bad[r].any() else None, _plane_max(planes) - bias
+                pair = None
+                if bad.any():  # its first row, and that row's first bad column
+                    r = int(bad.any(axis=1).argmax())
+                    c = int(unpack_rows(bad[r], 64 * bad.shape[1]).argmax())
+                    pair = (lo + r, lo // 64 * 64 + c)
+                yield bool((covered & ~edges).any()), pair, _plane_max(planes) - bias
                 del planes, over, covered, bad  # the band's counter dies before the next is counted
         # freed here, or the next chunk's layout is built while this one's is held
         del masks, starts, opposite
