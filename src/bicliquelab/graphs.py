@@ -111,7 +111,7 @@ class Graph:
         return vs.astype(np.intp)
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = (int(self._check_vertices(x)) for x in (u, v))  # alone, a bool is refused
+        u, v = (int(self._check_vertices(x)) for x in (u, v))  # each alone, so a bool is refused
         return bool(unpack_rows(self._rows[u], self.order)[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
