@@ -207,15 +207,12 @@ def read_system(text: str) -> BicliqueSystem:
     valid system of the header's part count, is parsed a line at a time
     (see :func:`_lines`), and only that parser names errors, so both routes
     give one result.  The first bad line is named: a part line that does
-    not parse or is not a biclique.  Then a part count other than the
+    not parse, holds a vertex past the int32 range (which no host order
+    admits) or is not a biclique.  Then a part count other than the
     header's is named at the line past the end, and a bad host order, bound
-    or out-of-range vertex at line 1.  Vertices beyond the int64 range are
-    refused at their line.  A host order past the int32 range is refused
-    before any part line is read.
-
-    The line parser gathers vertices as int32, widened to int64 only when a
-    vertex leaves the int32 range, so the system takes the array over with
-    no copy.
+    or out-of-range vertex at line 1.  A host order past the int32 range is
+    refused before any part line is read.  The line parser gathers vertices
+    in one int32 array, which the system takes over with no copy.
     """
     lines = _lines(text)
     header = next(lines, None)
@@ -234,8 +231,7 @@ def read_system(text: str) -> BicliqueSystem:
         system = _read_own_text(text, len(own), order, nparts, bound)
         if system is not None:
             return system
-    # grown in place as int32, and as int64 from the first vertex past int32
-    dtype, vertices = np.int32, array("i")
+    vertices = array("i")  # int32, grown in place
     bounds = [0]  # where each side ends: split, end, split, end, ...
     part_lines: list[int] = []
     error = None
@@ -249,28 +245,20 @@ def read_system(text: str) -> BicliqueSystem:
             error = FormatError(f"bad part line {line!r}", lineno)
             break
         sep = fields.index(":")
-        try:
-            # each token is read as by int(), into int64 at most
-            try:
-                sides = [np.array(f, dtype=dtype) for f in (fields[1:sep], fields[sep + 1 :])]
-            except OverflowError:  # widen to int64; a token past int64 raises again
-                sides = [np.array(f, dtype=np.int64) for f in (fields[1:sep], fields[sep + 1 :])]
-                dtype, vertices = np.int64, array("q", vertices)
+        try:  # the left side, then the right
+            part = array("i", map(int, fields[1:sep] + fields[sep + 1 :]))
         except ValueError:
             error = FormatError(f"non-integer vertex in {line!r}", lineno)
             break
         except OverflowError:
-            error = FormatError(f"vertex out of int64 range in {line!r}", lineno)
+            error = FormatError(f"vertex out of int32 range in {line!r}", lineno)
             break
-        for side in sides:
-            vertices.frombytes(side.tobytes())
-            bounds.append(len(vertices))
+        bounds += (len(vertices) + sep - 1, len(vertices) + len(part))  # its split and end
+        vertices.extend(part)
         part_lines.append(lineno)
     system = held = None
     try:
-        system = BicliqueSystem.from_arrays(
-            order, bounds, np.frombuffer(vertices, dtype=dtype), bound
-        )
+        system = BicliqueSystem.from_arrays(order, bounds, np.frombuffer(vertices, np.int32), bound)
     except PartError as exc:
         raise FormatError(str(exc), part_lines[exc.part])
     except ValueError as exc:

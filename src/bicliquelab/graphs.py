@@ -207,12 +207,14 @@ def _biclique_error(left: tuple[int, ...], right: tuple[int, ...]) -> str | None
         return f"biclique sides overlap: {set(left) & set(right)}"
     if min(left[0], right[0]) < 0:
         return "negative vertex index"
+    if max(left[-1], right[-1]) > MAX_ORDER:
+        return f"vertex {max(left[-1], right[-1])} out of int32 range"
     return None
 
 
 MAX_ORDER = int(np.iinfo(np.int32).max)  # vertices are stored as int32
 DEFAULT_VERTEX_LIMIT = 10_000
-_CHECK_ENTRIES = 1 << 17  # vertices per validation chunk of whole parts
+_CHECK_ENTRIES = 1 << 17  # about this many vertices, and at most this many parts, per check chunk
 
 
 def check_vertex_limit(count: int, limit: int) -> None:
@@ -249,7 +251,7 @@ class BicliqueSystem:
         bounds = np.fromiter(
             accumulate(map(len, sides), initial=0), dtype=np.int64, count=len(sides) + 1
         )
-        vertices = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=int(bounds[-1]))
+        vertices = np.fromiter(chain.from_iterable(sides), dtype=np.int32, count=int(bounds[-1]))
         # each Biclique has checked and sorted its sides already
         self._store(host_order, bounds, vertices, multiplicity_bound)
 
@@ -261,10 +263,10 @@ class BicliqueSystem:
 
         The system takes ``vertices`` over when it is a writable int32 array:
         its sides are sorted in place and it is made read-only, with no copy.
-        A writable int64 array is sorted in place and stored as an int32
-        copy; any other integer array is copied.  Each part is checked as
-        :class:`Biclique` checks its sides, and the lowest bad part raises
-        :class:`PartError` with Biclique's message and the part's index.
+        Any other integer array is copied as int32 and never written, once no
+        vertex is past the int32 range (``ValueError`` names one).  Each part is
+        checked as :class:`Biclique` checks its sides, and the lowest bad part
+        raises :class:`PartError` with Biclique's message and the part's index.
         """
         # an empty list reads as float64, so an array with no entries is taken as int64
         bounds, vertices = (
@@ -283,8 +285,11 @@ class BicliqueSystem:
             or (np.diff(bounds) < 0).any()
         ):
             raise ValueError("bounds must rise from 0 to len(vertices) in 2 * parts steps")
-        if vertices.dtype not in (np.int32, np.int64) or not vertices.flags.writeable:
-            vertices = vertices.astype(np.int32 if vertices.dtype == np.int32 else np.int64)
+        if vertices.dtype != np.int32 or not vertices.flags.writeable:
+            outside = vertices[(vertices < -MAX_ORDER - 1) | (vertices > MAX_ORDER)]
+            if outside.size:
+                raise ValueError(f"vertex {outside[0]} out of int32 range")
+            vertices = vertices.astype(np.int32)
         bad = _first_bad_part(bounds, vertices)
         if bad is not None:
             raise PartError(bad[1], bad[0])
@@ -311,7 +316,7 @@ class BicliqueSystem:
         object.__setattr__(self, "host_order", host_order)
         object.__setattr__(self, "multiplicity_bound", bound)
         object.__setattr__(self, "bounds", _frozen(bounds))
-        object.__setattr__(self, "vertices", _frozen(vertices.astype(np.int32, copy=False)))
+        object.__setattr__(self, "vertices", _frozen(vertices))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"BicliqueSystem is immutable: cannot set {name!r}")
@@ -357,37 +362,35 @@ def _first_bad_part(bounds: np.ndarray, vertices: np.ndarray) -> tuple[int, str]
     """Sort every side in place, then find the lowest part that is not a biclique.
 
     Returns that part's index with :func:`_biclique_error`'s message for it,
-    or None.  Parts are taken in chunks of about ``_CHECK_ENTRIES`` vertices,
-    so the scratch memory is bounded.  In a chunk, each vertex gets the key
-    side * span + (vertex - lowest); one sort of the keys sorts every side,
-    equal neighbouring keys are repeats, and a right-side key less ``span``
-    that is also a left-side key is a vertex on both sides of its part.
-    Values too far apart for such keys are replaced by their ranks first.
+    or None.  Parts are taken in chunks of about ``_CHECK_ENTRIES`` vertices
+    and at most ``_CHECK_ENTRIES`` parts, so the scratch memory is bounded.
+    In a chunk, each vertex gets the key side * span + (vertex - lowest),
+    below 2**50 as int32 vertices span less than 2**32; one sort of the keys
+    sorts every side, equal neighbouring keys are repeats, and a right-side
+    key less ``span`` that is also a left-side key is a vertex on both sides
+    of its part.
     """
     ends = bounds[2::2]
     lo = 0
     while lo < len(ends):
         hi = max(lo + 1, int(np.searchsorted(ends, bounds[2 * lo] + _CHECK_ENTRIES, "right")))
+        hi = min(hi, lo + _CHECK_ENTRIES)
         chunk = bounds[2 * lo : 2 * hi + 1] - bounds[2 * lo]
         values = vertices[bounds[2 * lo] : bounds[2 * hi]]
         sizes = np.diff(chunk)
         bad = (sizes[0::2] == 0) | (sizes[1::2] == 0)
         if values.size:
-            low, ranked = int(values.min()), None
+            low = int(values.min())
             span = int(values.max()) - low + 1
-            if len(sizes) * span >= 1 << 62:
-                ranked, x = np.unique(values, return_inverse=True)
-                span = len(ranked)
             key_type = np.int32 if len(sizes) * span < 1 << 31 else np.int64
             side = np.repeat(np.arange(len(sizes), dtype=key_type), sizes)
             base = side * key_type(span)
-            if ranked is None:
-                x = np.subtract(values, low, dtype=np.int64).astype(key_type)
+            x = np.subtract(values, low, dtype=np.int64).astype(key_type)
             key = base + x
             if (key[1:] < key[:-1]).any():
                 key.sort()
                 x = key - base
-                values[:] = np.add(x, low, dtype=np.int64) if ranked is None else ranked[x]
+                values[:] = np.add(x, low, dtype=np.int64)
             bad[side[1:][key[1:] == key[:-1]] >> 1] = True
             right = (side & 1).astype(bool)
             # part p's keys are 2p * span + x on the left and, less span, on the

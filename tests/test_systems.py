@@ -154,13 +154,13 @@ MALFORMED = (
     "bicliquesystem 4 3 7\npart 0 1 : 2 3\npart 0 2 : 1 3\npart 3 : 0\n",
     "bicliquesystem 0 0 1\n",
     # rejected: a vertex equal to the host order, a bad part before the last
-    # one, unsorted sides whose values are too far apart for offset keys
+    # one; a vertex past int32, refused at its line whatever else is wrong
     "bicliquesystem 3 1 1\npart 0 : 3\n",
     "bicliquesystem 3 2 1\npart 0 0 : 1\npart 0 : 1\n",
     "bicliquesystem 5 1 1\npart 9223372036854775807 -5 : -5\n",
     "bicliquesystem 5 1 1\n"
     "part 9223372036854775807 -9223372036854775808 : 3 -9223372036854775808\n",
-    # a token past int64 after the vertices have widened to int64
+    # the first line with a vertex past int32 is named, not a later one past int64
     "bicliquesystem 3 2 1\npart 5000000000 : 1\npart 99999999999999999999 : 1\n",
 )
 
@@ -188,9 +188,15 @@ MALFORMED_OUTCOMES = {
     19: ("FormatError", 2, "line 2: biclique sides overlap: {-1}"),
     20: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
     21: ("FormatError", 1, "line 1: part 1 uses vertex 5 outside host order 3"),
-    22: ("FormatError", 1, "line 1: part 1 uses vertex 5000000000 outside host order 3"),
-    23: ("FormatError", 1, "line 1: part 1 uses vertex 6000000000 outside host order 3"),
-    24: ("FormatError", 2, "line 2: biclique sides overlap: {5000000000}"),
+    22: ("FormatError", 2, "line 2: vertex out of int32 range in 'part 0 : 5000000000'"),
+    23: (
+        "FormatError", 2,
+        "line 2: vertex out of int32 range in 'part 5000000000 6000000000 : 1'",
+    ),
+    24: (
+        "FormatError", 2,
+        "line 2: vertex out of int32 range in 'part 5000000000 : 5000000000'",
+    ),
     25: ("FormatError", 4, "line 4: biclique sides overlap: {1}"),
     26: ("FormatError", 3, "line 3: biclique sides must not repeat vertices"),
     27: ("FormatError", 4, "line 4: bad part line 'part 2 1 x'"),
@@ -209,9 +215,16 @@ MALFORMED_OUTCOMES = {
     40: ("system", "55e50fe83828bdea82fcbdca3f75c1178454bc019a9bcf6898b39209b966b949"),
     41: ("FormatError", 1, "line 1: part 1 uses vertex 3 outside host order 3"),
     42: ("FormatError", 2, "line 2: biclique sides must not repeat vertices"),
-    43: ("FormatError", 2, "line 2: biclique sides overlap: {-5}"),
-    44: ("FormatError", 2, "line 2: biclique sides overlap: {-9223372036854775808}"),
-    45: ("FormatError", 3, "line 3: vertex out of int64 range in 'part 99999999999999999999 : 1'"),
+    43: (
+        "FormatError", 2,
+        "line 2: vertex out of int32 range in 'part 9223372036854775807 -5 : -5'",
+    ),
+    44: (
+        "FormatError", 2,
+        "line 2: vertex out of int32 range in "
+        "'part 9223372036854775807 -9223372036854775808 : 3 -9223372036854775808'",
+    ),
+    45: ("FormatError", 2, "line 2: vertex out of int32 range in 'part 5000000000 : 1'"),
 }
 
 
@@ -351,11 +364,30 @@ class TestFromArrays:
             read_system("bicliquesystem 3000000000 1 1\npart x : y\n")
         assert err.value.requested == 3_000_000_000
 
-    def test_vertex_past_int64_named_at_its_line(self):
+    def test_vertex_past_int32_named_at_its_line(self):
         with pytest.raises(FormatError) as err:
             read_system("bicliquesystem 3 2 1\npart 0 : 1\npart 0 : 9223372036854775808\n")
         assert err.value.line == 3
-        assert "out of int64 range" in str(err.value)
+        assert "out of int32 range" in str(err.value)
+
+    @pytest.mark.parametrize("vertex", [2**64 - 1, 2**63 + 5])
+    def test_uint64_vertex_past_int32_named(self, vertex):
+        # an int64 cast would wrap it to a negative vertex
+        with pytest.raises(ValueError, match=f"^vertex {vertex} out of int32 range$"):
+            BicliqueSystem.from_arrays(3, [0, 1, 2], np.array([vertex, 1], dtype=np.uint64))
+
+    def test_vertex_past_int64_refused_by_biclique(self):
+        with pytest.raises(ValueError, match=f"^vertex {2**63} out of int32 range$"):
+            Biclique((2**63,), (1,))
+        with pytest.raises(ValueError, match="out of int32 range"):
+            BicliqueSystem(3, [Biclique((2**63,), (1,))], 1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    def test_never_writes_an_array_it_does_not_keep(self, dtype):
+        vertices = np.array([2, 0, 1, 3], dtype=dtype)
+        system = BicliqueSystem.from_arrays(4, [0, 2, 4], vertices)
+        assert vertices.tolist() == [2, 0, 1, 3] and vertices.flags.writeable
+        assert system.vertices.dtype == np.int32 and system.vertices.tolist() == [0, 2, 1, 3]
 
 
 class TestSystemSequence:
