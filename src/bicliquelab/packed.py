@@ -4,7 +4,8 @@ Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
 word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
 past the last vertex are always zero, so rows compare and count directly.
 Graphs store their adjacency this way (see :class:`bicliquelab.graphs.Graph`).
-Only this module sizes rows (:func:`zero_rows`) and sets bits (:func:`set_bits`).
+Only this module sizes rows (:func:`zero_rows`), sets bits (:func:`set_bits`)
+and reads one (:func:`bit`).
 Vertex masks are Python ints with bit v set for vertex v, the form the
 exact searches and the CIS layer use; :func:`rows_from_masks` and
 :func:`masks_from_rows` convert between the two.
@@ -35,6 +36,11 @@ def set_bits(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
     byte = np.multiply(r, 8 * rows.shape[-1], dtype=np.int32 if rows.nbytes < 1 << 31 else np.int64)
     byte += c >> 3  # _WORD is little-endian: bit c of a row is in its byte c // 8
     np.add.at(rows.reshape(-1).view(np.uint8), byte, _BYTE_BITS[c & 7])
+
+
+def bit(rows: np.ndarray, r: int, c: int) -> bool:
+    """Bit ``c`` of row ``r`` of the packed ``rows``."""
+    return bool(int(rows[r, c >> 6]) >> (c & 63) & 1)
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
