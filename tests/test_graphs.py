@@ -68,7 +68,9 @@ class TestGraph:
         with pytest.raises(TypeError, match="vertices must be integers"):
             Graph.complete(3).has_edge(u, v)
 
-    @pytest.mark.parametrize("u, v", [(np.int64(0), 1), (0, np.uint8(1)), (np.int8(1), np.uint64(2))])
+    @pytest.mark.parametrize(
+        "u, v", [(np.int64(0), 1), (0, np.uint8(1)), (np.int8(1), np.uint64(2))]
+    )
     def test_has_edge_takes_numpy_integers(self, u, v):
         assert P3.has_edge(u, v) and P3.has_edge(v, u) and not P3.has_edge(np.int64(0), 2)
 
