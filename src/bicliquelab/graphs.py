@@ -18,12 +18,10 @@ from typing import Any
 import numpy as np
 
 from .errors import PartError, ResourceLimitError
-from .packed import (
-    bit, count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks, set_bits,
-    unpack_rows, zero_rows,
-)
+from .packed import count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks
+from .packed import set_bits, unpack_rows, zero_rows
 
-_BAND_BYTES = 1 << 19  # rows per band: about this many bytes per bit plane or bool band
+_BAND_BYTES = 1 << 18  # rows per band: about this many bytes per bit plane or bool band
 _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
 
 
@@ -109,14 +107,6 @@ class Graph:
         if outside.size:
             raise IndexError(f"vertex {outside[0]} out of range for order {self.order}")
         return vs.astype(np.intp)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        for x in (u, v):
-            if isinstance(x, (bool, np.bool_)):  # operator.index reads True as 1
-                raise TypeError(f"vertices must be integers, not {type(x).__name__}")
-            if not 0 <= operator.index(x) < self.order:
-                raise IndexError(f"vertex {x} out of range for order {self.order}")
-        return bit(self._rows, operator.index(u), operator.index(v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in row-major order."""

@@ -4,8 +4,7 @@ Packed rows are little-endian uint64 words: bit v of a row is bit v % 64 of
 word v // 64, the layout np.packbits(..., bitorder="little") gives.  Bits
 past the last vertex are always zero, so rows compare and count directly.
 Graphs store their adjacency this way (see :class:`bicliquelab.graphs.Graph`).
-Only this module sizes rows (:func:`zero_rows`), sets bits (:func:`set_bits`)
-and reads one (:func:`bit`).
+Only this module sizes rows (:func:`zero_rows`) and sets bits (:func:`set_bits`).
 Vertex masks are Python ints with bit v set for vertex v, the form the
 exact searches and the CIS layer use; :func:`rows_from_masks` and
 :func:`masks_from_rows` convert between the two.
@@ -23,6 +22,7 @@ import numpy as np
 _WORD = np.dtype("<u8")
 _BYTE_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)  # byte with bit i set
 _BLOCK = 1 << 16  # incidences per block of the verifier's per-incidence scratch
+_HIGH_BITS = np.array([(1 << 64) - (1 << k) for k in range(65)], dtype=_WORD)  # bits k on
 
 
 def zero_rows(*shape: int) -> np.ndarray:
@@ -36,11 +36,6 @@ def set_bits(rows: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
     byte = np.multiply(r, 8 * rows.shape[-1], dtype=np.int32 if rows.nbytes < 1 << 31 else np.int64)
     byte += c >> 3  # _WORD is little-endian: bit c of a row is in its byte c // 8
     np.add.at(rows.reshape(-1).view(np.uint8), byte, _BYTE_BITS[c & 7])
-
-
-def bit(rows: np.ndarray, r: int, c: int) -> bool:
-    """Bit ``c`` of row ``r`` of the packed ``rows``."""
-    return bool(int(rows[r, c >> 6]) >> (c & 63) & 1)
 
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
@@ -102,16 +97,15 @@ def count_pairs(
     overflow plane.  Counts start at a bias chosen so that a count carries
     into the overflow exactly when it passes t, and the planes hold every
     count up to t exactly.  A part adds the mask of its right side to the
-    row of each left vertex, and vice versa.  Counts are symmetric, so a
-    band of rows starting at vertex ``lo`` keeps only the columns from word
-    ``lo // 64`` on, which halves memory and work: every unordered pair,
-    and the first bad pair in row-major order (whose row is below its
-    column), is still seen.
-
-    A band adds its incidences in rounds: round j adds to each row with
-    more than j incidences its j-th mask, by one ripple of half adders
-    between two scratch buffers that are made once per band and belong to
-    the call, so concurrent calls share no state.
+    row of each left vertex, and vice versa, unless that side ends before
+    the vertex: each pair is counted in full only in its lower vertex's row
+    (see :func:`_chunk_layout`).  So a band of rows from vertex ``lo`` keeps
+    the columns from word ``lo // 64`` on, and reads bad pairs only above
+    the diagonal, where the first one in row-major order lies.  A count
+    below it is at most its mirror's, so non-edges and the largest count
+    are read from every bit.  A band adds two rounds of masks per ripple
+    of half adders (see :func:`_count_band`), in scratch buffers that
+    belong to the call, so concurrent calls share no state.
 
     Masks are built for a bounded chunk of parts at a time, and one loop
     makes, fills and reads out the counters: the first chunk makes each
@@ -119,14 +113,15 @@ def count_pairs(
     take one band, about (planes + 1) * ``band_bytes``, when the parts fit one
     chunk, and all bands, (planes + 1) * n*n/16 bytes, when they span several.
     The rest is the chunk's layout: its mask table (about ``mask_bytes``),
-    which drops each band's leading columns in place, an int16 side id per
+    read through a view of each band's columns, an int16 side id per
     incidence (int32 past 2**15 sides) and an int64 offset per vertex.  The
     layout's block scratch dies before any counter is made, and each chunk's
     layout is freed before the next one is built.  Per band there are also
-    the two round buffers (about ``band_bytes`` each), a few integers per
-    row, and a copy of the counter unless its rows are already in order
-    (see :func:`_count_band`); no incidence is sorted or copied, and each
-    band's read-out is freed before the next is counted.
+    a scratch buffer and a round's two gathered masks (about ``band_bytes``
+    each), a few integers per row, and a copy of the counter unless its
+    rows are already in order (see :func:`_count_band`); no incidence is
+    sorted or copied, and each band's read-out is freed before the next is
+    counted.
     """
     n, words = rows.shape
     parts = len(bounds) // 2
@@ -150,13 +145,10 @@ def count_pairs(
             if not first:  # the band holds rows lo on, from column word lo // 64 on
                 shape = (len(fill), min(band, n - lo), words - lo // 64)
                 counters[lo] = np.broadcast_to(fill, shape).copy()
-            # np.take gathers without copying its whole source only from a
-            # C-contiguous one, so the table sheds the columns left of each band
-            masks = _drop_columns(masks, masks.shape[1] - counters[lo].shape[2], band_bytes)
             start, end = starts[lo], starts[min(n, lo + band)]
             if start < end:
                 counts = np.diff(starts[lo : lo + band + 1])
-                _count_band(counters[lo], counts, opposite[start:end], masks)
+                _count_band(counters[lo], counts, opposite[start:end], masks[:, lo // 64 :])
             if first + chunk >= parts:  # no later chunk adds to the band: read it out, drop it
                 *planes, over = counters.pop(lo)
                 covered = over.copy()  # count > 0: planes no longer hold the bias
@@ -164,6 +156,11 @@ def count_pairs(
                     covered |= ~plane if bias >> k & 1 else plane
                 edges = rows[lo : lo + len(covered), lo // 64 :]
                 bad = edges & (over | ~covered)
+                # row lo + i counts in part up to its diagonal: clear its first
+                # lo + i + 1 - 64 * w bits of word w, in the words the diagonal crosses
+                lead = np.arange(lo // 64, (lo + len(bad) - 1) // 64 + 1)
+                cut = np.arange(lo + 1, lo + len(bad) + 1)[:, None] - 64 * lead
+                bad[:, : len(lead)] &= _HIGH_BITS[np.minimum(np.maximum(cut, 0), 64)]
                 pair = None
                 if bad.any():  # its first row, and that row's first bad column
                     r = int(bad.any(axis=1).argmax())
@@ -183,33 +180,44 @@ def _chunk_layout(
 
     Row s of the table is side s's mask; side 2i is part i's left, 2i+1 its
     right.  Slots ``offsets[v]`` to ``offsets[v + 1]`` hold the ids of the
-    sides opposite vertex v's, in part order.  The caller bounds the chunk,
-    so that the table holds fewer than 2**31 bytes.
+    sides opposite vertex v's, in part order, for the incidences whose
+    opposite side ends past v: a pair u < v is counted in row u by those
+    incidences of u whose opposite side holds v, and so ends at or past v.
+    The caller bounds the chunk, so that the table holds under 2**31 bytes.
 
     Incidences are read in blocks of ``_BLOCK``, twice: once to count each
-    vertex's incidences, and once to set each side's bits in the table and
-    to place the opposite side's id at its vertex's
-    next slot, so no sort spans more than a block.
+    vertex's kept incidences, and once to set each side's bits in the table
+    and to place each kept opposite side id at its vertex's next slot, so
+    no sort spans more than a block.
     """
     verts = vertices[bounds[0] : bounds[-1]]
     ends = bounds[1:] - bounds[0]  # where each side ends in verts
     side_id = np.int16 if len(ends) < 1 << 15 else np.int32
+    # sides are sorted: the last vertex of each side's opposite side
+    reach = verts[ends - 1].reshape(-1, 2)[:, ::-1].reshape(-1)
+
+    def blocks():  # each block's vertices, and the side of each
+        for lo in range(0, len(verts), _BLOCK):
+            v = verts[lo : lo + _BLOCK]
+            # the sides this block meets: from the one holding lo to the one holding its last entry
+            first, last = np.searchsorted(ends, (lo, lo + len(v) - 1), "right")
+            cuts = np.minimum(np.maximum(bounds[first : last + 2] - bounds[0], lo), lo + len(v))
+            yield v, np.arange(first, last + 1, dtype=side_id).repeat(cuts[1:] - cuts[:-1])
+
     masks = zero_rows(len(ends), n)
-    starts = np.zeros(n + 1, dtype=np.int64)  # where each vertex's incidences begin
-    for lo in range(0, len(verts), _BLOCK):
-        starts[1:] += np.bincount(verts[lo : lo + _BLOCK], minlength=n)
+    starts = np.zeros(n + 1, dtype=np.int64)  # where each vertex's kept incidences begin
+    for v, side in blocks():
+        starts[1:] += np.bincount(v[reach[side] > v], minlength=n)
     starts = starts.cumsum()
     slot = starts[:-1].copy()  # where each vertex's next incidence goes
-    opposite = np.empty(len(verts), dtype=side_id)
-    for lo in range(0, len(verts), _BLOCK):
-        v = verts[lo : lo + _BLOCK]
-        # the sides this block meets: from the one holding lo to the one holding its last entry
-        first, last = np.searchsorted(ends, (lo, lo + len(v) - 1), "right")
-        sizes = np.diff(ends[first:last], prepend=lo, append=lo + len(v))
-        side = np.arange(first, last + 1, dtype=side_id).repeat(sizes)
+    opposite = np.empty(starts[-1], dtype=side_id)
+    for v, side in blocks():
         set_bits(masks, side, v)  # a side's vertices are distinct
+        keep = np.flatnonzero(reach[side] > v)
+        if not keep.size:
+            continue
         # stable placement: the block's incidences of a vertex keep their order
-        order = v.argsort(kind="stable")
+        order = keep[v[keep].argsort(kind="stable")]
         v = v[order]
         head = np.empty(len(v), dtype=bool)
         head[0] = True
@@ -224,54 +232,51 @@ def _chunk_layout(
     return masks, starts, opposite
 
 
-def _drop_columns(table: np.ndarray, d: int, scratch: int) -> np.ndarray:
-    """``table[:, d:]``, C-contiguous, moved to the front of ``table``'s own buffer.
-
-    Rows move in order, in blocks of about ``scratch`` bytes: a block never
-    reaches the rows after it, and numpy buffers the overlap within one.
-    """
-    if not d:
-        return table
-    rows, width = table.shape
-    out = table.reshape(-1)[: rows * (width - d)].reshape(rows, width - d)
-    step = max(1, scratch // (8 * width))
-    for lo in range(0, rows, step):
-        out[lo : lo + step] = table[lo : lo + step, d:]
-    return out
-
-
 def _count_band(
     counter: np.ndarray, counts: np.ndarray, mask_ids: np.ndarray, masks: np.ndarray
 ) -> None:
     """Add to row r of ``counter`` the masks of its ``counts[r]`` incidences.
 
     ``mask_ids`` lists the incidences' mask ids row by row; ``masks`` holds
-    the band's columns only, and is C-contiguous.  Rows are taken by
-    decreasing incidence count, so round j adds the j-th mask of each of
-    the first ``active[j]`` rows, a contiguous prefix, read where each
-    row's incidences begin.  Each round gathers one mask per row into a
-    scratch buffer and adds it with one ripple of half adders up the planes,
-    in place between two buffers made once per call; the carry out of the
-    top plane goes to the sticky overflow plane.  Rows already in that
-    order, none empty, are counted in ``counter`` itself; others in a copy,
-    written back.
+    the band's columns only.  Rows are taken by decreasing incidence count,
+    so round j adds the j-th mask of each of the first ``active[j]`` rows,
+    a contiguous prefix, read where each row's incidences begin.  For even
+    j those rows add masks a and b of rounds j and j + 1 at once, b zero
+    in rows past ``active[j + 1]``: s = a ^ b to plane 0, whose carry c is
+    never set where k = a & b is (k forces s = 0), so c | k is the one
+    carry into plane 1.  One ripple of half adders runs up the planes in
+    place, between the gathered masks and a scratch buffer made once per
+    call, and the top plane's carry goes to the sticky overflow plane, so
+    a row in k parts takes ceil(k / 2) ripples.  Rows already in that
+    order, none empty, are counted in ``counter`` itself; others in a
+    copy, written back.
     """
     rows = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     first = (counts.cumsum() - counts)[rows]  # where each row's incidences begin
-    active = len(rows) - np.bincount(counts[rows]).cumsum()[:-1]
+    active = (len(rows) - np.bincount(counts[rows]).cumsum()).tolist()  # ends with 0
     in_place = len(rows) == len(counts) and bool((np.diff(rows) > 0).all())
     # take keeps each plane C-contiguous; counter[:, rows] would interleave them
     local = counter if in_place else counter.take(rows, axis=1)
-    gathered = np.empty((len(rows), counter.shape[2]), dtype=_WORD)
-    spare = np.empty_like(gathered)
-    for j, c in enumerate(active.tolist()):
-        carry, both = gathered[:c], spare[:c]
-        masks.take(mask_ids[first[:c] + j], axis=0, out=carry, mode="clip")
-        for plane in local[:-1, :c]:
+    spare = np.empty((len(rows), counter.shape[2]), dtype=_WORD)
+    for j in range(0, len(active) - 1, 2):
+        # the first active[j] rows add round j's mask a and round j + 1's mask b;
+        # b is zeroed past the first active[j + 1] rows, whose id there is another row's
+        live = active[j]
+        at, planes = first[:live] + j, local[:-1, :live]
+        carry, both = masks[mask_ids[at]], spare[:live]
+        other = masks[mask_ids.take(at + 1, mode="clip")]
+        other[active[j + 1] :] = 0
+        np.bitwise_and(carry, other, out=both)  # k
+        carry ^= other  # s
+        np.bitwise_and(planes[0], carry, out=other)  # c
+        planes[0] ^= carry
+        other |= both  # c | k, the carry into plane 1
+        carry, both = other, carry
+        for plane in planes[1:]:
             np.bitwise_and(plane, carry, out=both)
             plane ^= carry
             carry, both = both, carry
-        local[-1, :c] |= carry
+        local[-1, :live] |= carry
     if not in_place:
         counter[:, rows] = local
 

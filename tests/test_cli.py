@@ -7,6 +7,7 @@ import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +51,7 @@ class TestDemo:
     def test_piece_that_swaps_an_edge_for_a_non_edge_fails(self, monkeypatch):
         # the edge sum and the disjointness hold; only the union shows the swap
         graph, build = gridgraph.grid_graph(2), gridgraph.grid_graph_piece
-        x, y = next((0, v) for v in range(1, graph.order) if not graph.has_edge(0, v))
+        x, y = 0, int(np.flatnonzero(~graph.adjacency[0, 1:])[0]) + 1
         calls = []
 
         def swapped(n, part, **kwargs):

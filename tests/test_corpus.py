@@ -3,6 +3,7 @@
 import random
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from bicliquelab import corpus
@@ -46,14 +47,10 @@ class TestAllGraphs:
 def _isomorphic(a: Graph, b: Graph) -> bool:
     if a.order != b.order or a.edge_count() != b.edge_count():
         return False
-    n = a.order
-    for perm in permutations(range(n)):
-        if all(
-            a.has_edge(u, v) == b.has_edge(perm[u], perm[v])
-            for u, v in combinations(range(n), 2)
-        ):
-            return True
-    return False
+    adj_a, adj_b = a.adjacency, b.adjacency
+    return any(
+        np.array_equal(adj_a, adj_b[np.ix_(perm, perm)]) for perm in permutations(range(a.order))
+    )
 
 
 class TestRandomGraph:

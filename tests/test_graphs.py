@@ -62,28 +62,6 @@ class TestGraph:
         with pytest.raises(TypeError):
             Graph.from_edges(2.0, [])
 
-    @pytest.mark.parametrize("u, v", [(True, 2), (2, np.True_), (np.bool_(False), 1)])
-    def test_has_edge_refuses_bool_vertices(self, u, v):
-        # True read as vertex 1 would report the edge (1, 2)
-        with pytest.raises(TypeError, match="vertices must be integers"):
-            Graph.complete(3).has_edge(u, v)
-
-    @pytest.mark.parametrize(
-        "u, v", [(np.int64(0), 1), (0, np.uint8(1)), (np.int8(1), np.uint64(2))]
-    )
-    def test_has_edge_takes_numpy_integers(self, u, v):
-        assert P3.has_edge(u, v) and P3.has_edge(v, u) and not P3.has_edge(np.int64(0), 2)
-
-    @pytest.mark.parametrize("u, v", [(1.0, 2), (0, 1.0), (np.float64(1), 0)])
-    def test_has_edge_refuses_float_vertices(self, u, v):
-        with pytest.raises(TypeError):
-            P3.has_edge(u, v)
-
-    def test_has_edge_checks_both_ends(self):
-        for u, v in ((-1, 1), (3, 1), (1, -1), (1, 3)):
-            with pytest.raises(IndexError):
-                P3.has_edge(u, v)
-
     @pytest.mark.parametrize("v", [-1, 3])
     def test_vertex_queries_check_range(self, v):
         with pytest.raises(IndexError, match=f"vertex {v} out of range for order 3"):
@@ -197,12 +175,7 @@ class TestVerifyBicliqueSystem:
             assert not verify_biclique_system(g, dropped).verdict
             duplicated = BicliqueSystem(n, tuple(base) + (base[k],), 1)
             assert not verify_biclique_system(g, duplicated).verdict
-            nonedges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if not g.has_edge(u, v)
-            ]
+            nonedges = np.argwhere(np.triu(~g.adjacency, 1)).tolist()
             if nonedges:
                 u, v = rng.choice(nonedges)
                 foreign = BicliqueSystem(n, tuple(base) + (Biclique((u,), (v,)),), 1)
@@ -312,15 +285,15 @@ class TestOrProduct:
         assert or_product(Graph.empty(3), Graph.empty(4)) == Graph.empty(12)
 
     def test_index_map(self):
-        g, h = P3, Graph.complete(2)
-        prod = or_product(g, h)
+        g, h = P3.adjacency, Graph.complete(2).adjacency
+        prod = or_product(P3, Graph.complete(2)).adjacency
         for a in range(3):
             for b in range(2):
                 for a2 in range(3):
                     for b2 in range(2):
-                        expected = g.has_edge(a, a2) or h.has_edge(b, b2)
+                        expected = g[a, a2] or h[b, b2]
                         if (a, b) != (a2, b2):
-                            assert prod.has_edge(a * 2 + b, a2 * 2 + b2) == expected
+                            assert prod[a * 2 + b, a2 * 2 + b2] == expected
 
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -419,9 +392,6 @@ class TestPackedGraphDifferential:
                 for u in range(n)
                 if adj[u, u + 1 :].any()
             )
-            pairs = [(u, v) for u in range(n) for v in range(n)]
-            for u, v in rng.sample(pairs, min(len(pairs), 500)):
-                assert g.has_edge(u, v) == bool(adj[u, v])
             assert g.neighbor_masks() == [
                 sum(1 << int(u) for u in np.flatnonzero(adj[v])) for v in range(n)
             ]
@@ -602,7 +572,7 @@ def _mutants(graph, system, rng):
         if outside:
             grown = Biclique(b.left + (rng.choice(outside),), b.right)
             out.append((graph, BicliqueSystem(n, tuple(parts[:k] + [grown] + parts[k + 1 :]), t)))
-    nonedges = [(u, v) for u in range(n) for v in range(u + 1, n) if not graph.has_edge(u, v)]
+    nonedges = np.argwhere(np.triu(~graph.adjacency, 1)).tolist()
     if nonedges:
         u, v = rng.choice(nonedges)
         at = rng.randrange(len(parts) + 1)
@@ -710,6 +680,63 @@ class TestVerifyDifferential:
             for t in (1, 2, 3):
                 s = BicliqueSystem(n, system.parts, t)
                 self._check_with_mutants(graph, s, rng)
+
+    def test_star_partitions_count_each_pair_in_its_lower_row(self, monkeypatch):
+        # a leaf's one opposite vertex is its star's centre, a lower vertex, so
+        # every leaf incidence is dropped and no row counts left of its diagonal;
+        # the mutants' first bad pair (a, b) has rows with edges to lower
+        # vertices before it, and its mirror (b, a) in its band by default, so
+        # only the diagonal mask keeps their zero counts from being the witness
+        seen = []
+        count_band = packed._count_band
+
+        def spy(counter, counts, mask_ids, masks):
+            seen.append(int(counts.sum()))
+            count_band(counter, counts, mask_ids, masks)
+
+        monkeypatch.setattr(packed, "_count_band", spy)
+        # 1,500 vertices in 24 words take two bands by default (1,365 rows
+        # each); with tiny bands 150 vertices take fifteen
+        n = 1500 if graphs._BAND_BYTES > 256 else 150
+        band = graphs._BAND_BYTES // (8 * ((n + 63) // 64))
+        graph = random_graph(n, 15 / n, random.Random(1449))
+        stars = list(star_partition(graph).parts)
+        self._check(graph, BicliqueSystem(n, stars, 1))
+        assert len(seen) > 1 and sum(seen) < sum(len(b.left) + len(b.right) for b in stars)
+        a, b = next((a, b) for a, b in graph.edges() if a >= 64 and a // band == b // band)
+        k = next(i for i, star in enumerate(stars) if star.left == (a,))
+        rest = tuple(v for v in stars[k].right if v != b)
+        missing = stars[:k] + ([Biclique((a,), rest)] if rest else []) + stars[k + 1 :]
+        for mutant in (missing, stars + [Biclique((a,), (b,))]):  # (a, b) covered 0 and 2 times
+            system = BicliqueSystem(n, mutant, 1)
+            assert verify_biclique_system(graph, system).witness["pair"] == [a, b]
+            self._check(graph, system)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 8])
+def test_count_band_adds_two_masks_per_ripple(t):
+    # rows of 1, 2 and 3 incidences take one ripple of a mask and a zero,
+    # one of two masks, and one of each; t = 1, 2, 3, 4, 7, 8 give 1 to 4
+    # planes and biases 0, 1, 0, 3, 0, 7, and a second call starts from the
+    # first one's counts, so k = a & b meets plane 0 holding either bit
+    rng = np.random.default_rng(t)
+    digits = t.bit_length()
+    bias = (1 << digits) - 1 - t
+    masks = rng.integers(0, np.iinfo(np.uint64).max, (9, 3), np.uint64, endpoint=True)
+    for counts in (np.array([3, 3, 2, 2, 2, 1, 1]), rng.integers(0, 4, 40)):
+        # in counter itself (rows in order, none empty), then in a copy
+        total = np.full((len(counts), 192), bias)
+        planes = [packed.pack_rows(total >> k & 1) for k in range(digits)]
+        counter = np.stack(planes + [packed.zero_rows(len(counts), 192)])
+        for _ in range(2):
+            ids = rng.integers(0, len(masks), counts.sum()).astype(np.int16)
+            packed._count_band(counter, counts, ids, masks)
+            bits = packed.unpack_rows(masks[ids], 192).astype(int)
+            ends = np.cumsum(counts)
+            total += [bits[end - count : end].sum(axis=0) for end, count in zip(ends, counts)]
+            value = sum(packed.unpack_rows(counter[k], 192).astype(int) << k for k in range(digits))
+            assert np.array_equal(value, total % (1 << digits))
+            assert np.array_equal(packed.unpack_rows(counter[-1], 192), total >= 1 << digits)
 
 
 def test_int32_side_ids_past_2_15_sides(monkeypatch):
