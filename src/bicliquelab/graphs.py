@@ -18,8 +18,8 @@ from typing import Any
 import numpy as np
 
 from .errors import PartError, ResourceLimitError
-from .packed import count_pairs, mask_of, masks_from_rows, pack_rows, rows_from_masks
-from .packed import set_bits, unpack_rows, zero_rows
+from .packed import count_pairs, first_bad_pair, mask_of, masks_from_rows, pack_rows
+from .packed import rows_from_masks, set_bits, unpack_rows, zero_rows
 
 _BAND_BYTES = 1 << 18  # rows per band: about this many bytes per bit plane or bool band
 _MASK_BYTES = 1 << 24  # parts per chunk: about this many bytes of side masks
@@ -438,7 +438,15 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
 
     :func:`bicliquelab.packed.count_pairs` counts the pairs and compares
     them with the graph's rows, in bands of about ``_BAND_BYTES`` per bit
-    plane, from chunks of parts of about ``_MASK_BYTES`` of masks.
+    plane, from chunks of parts of about ``_MASK_BYTES`` of masks.  It reads
+    each count exactly up to the first power of two at or above t, and
+    lower past it.  Each pair is counted once, in its lower vertex's row,
+    so the counts above the diagonal sum to the parts' sum of |L| * |R|:
+    the read counts sum to it iff every one is exact, and then the verdict,
+    the witness and ``max_multiplicity`` come from that one pass.  If the
+    sum falls short, some pair passes that power of two and so passes t,
+    and :func:`bicliquelab.packed.first_bad_pair` recounts with a sticky
+    overflow plane to name the first bad pair.
 
     A part is a biclique iff it covers no non-edge, so (i) is settled from
     the counters, and the part witness is searched only when some non-edge
@@ -455,15 +463,18 @@ def verify_biclique_system(graph: Graph, system: BicliqueSystem) -> Certificate:
     }
 
     first_bad = None
-    max_mult = 0
-    for stray, bad, high in count_pairs(
-        graph.rows, system.bounds, system.vertices, system.multiplicity_bound, _BAND_BYTES,
-        _MASK_BYTES,
-    ):
+    max_mult = counted = 0
+    args = (graph.rows, system.bounds, system.vertices, system.multiplicity_bound, _BAND_BYTES,
+            _MASK_BYTES)
+    for stray, bad, high, total in count_pairs(*args):
         if stray:
             return _non_biclique_part(graph, system, params)
         first_bad = first_bad or bad
         max_mult = max(max_mult, high)
+        counted += total
+    sides = system.bounds[1:] - system.bounds[:-1]  # |L| * |R| < 2**62: int32 vertices
+    if counted != sum((sides[0::2] * sides[1::2]).tolist()):  # some count was read low
+        first_bad = first_bad_pair(*args)
 
     if first_bad is not None:
         u, v = first_bad

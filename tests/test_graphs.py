@@ -681,6 +681,26 @@ class TestVerifyDifferential:
                 s = BicliqueSystem(n, system.parts, t)
                 self._check_with_mutants(graph, s, rng)
 
+    def test_recount_names_the_same_witnesses(self, monkeypatch):
+        # with every pair sum forced short, first_bad_pair names each witness
+        # that the first count names when its sum adds up
+        rng = random.Random(3271)
+        cases = []
+        for n in list(self.SIZES) + [rng.randrange(3, 140) for _ in range(4)]:
+            for t in (1, 2, 3, 4, 7, 8):
+                graph, system = _random_cover(n, t, rng)
+                cases += [(graph, system)] + _mutants(graph, system, rng)
+        default = [verify_biclique_system(g, s) for g, s in cases]
+        count_pairs = graphs.count_pairs
+
+        def short(*args):
+            for stray, bad, high, total in count_pairs(*args):
+                yield stray, bad, high, total - 1
+
+        monkeypatch.setattr(graphs, "count_pairs", short)
+        assert [verify_biclique_system(g, s) for g, s in cases] == default
+        assert default == [naive_verify(g, s) for g, s in cases]
+
     def test_star_partitions_count_each_pair_in_its_lower_row(self, monkeypatch):
         # a leaf's one opposite vertex is its star's centre, a lower vertex, so
         # every leaf incidence is dropped and no row counts left of its diagonal;
@@ -690,9 +710,9 @@ class TestVerifyDifferential:
         seen = []
         count_band = packed._count_band
 
-        def spy(counter, counts, mask_ids, masks):
+        def spy(counter, counts, mask_ids, masks, sticky):
             seen.append(int(counts.sum()))
-            count_band(counter, counts, mask_ids, masks)
+            count_band(counter, counts, mask_ids, masks, sticky)
 
         monkeypatch.setattr(packed, "_count_band", spy)
         # 1,500 vertices in 24 words take two bands by default (1,365 rows
@@ -715,28 +735,121 @@ class TestVerifyDifferential:
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 8])
 def test_count_band_adds_two_masks_per_ripple(t):
-    # rows of 1, 2 and 3 incidences take one ripple of a mask and a zero,
-    # one of two masks, and one of each; t = 1, 2, 3, 4, 7, 8 give 1 to 4
-    # planes and biases 0, 1, 0, 3, 0, 7, and a second call starts from the
-    # first one's counts, so k = a & b meets plane 0 holding either bit
+    # count_pairs gives t = 1, 2, 3, 4, 7, 8 a covered plane and d = 0, 1, 2,
+    # 2, 3, 3 planes mod 2**d; first_bad_pair gives them d = 1, 2, 2, 3, 3, 4
+    # planes mod 2**d and a sticky plane for the top carry.  Rows of odd and
+    # even counts take ripples of a mask and a zero and of two masks, counts
+    # pass 2**(d + 1) so the top carry is dropped or kept more than once, and
+    # a second call starts from the first one's counts, so k = a & b meets
+    # plane 0 holding either bit
     rng = np.random.default_rng(t)
-    digits = t.bit_length()
-    bias = (1 << digits) - 1 - t
     masks = rng.integers(0, np.iinfo(np.uint64).max, (9, 3), np.uint64, endpoint=True)
-    for counts in (np.array([3, 3, 2, 2, 2, 1, 1]), rng.integers(0, 4, 40)):
+    for sticky in (False, True):
+        depth = t.bit_length() if sticky else (t - 1).bit_length()
+        top = (1 << depth) + 2
         # in counter itself (rows in order, none empty), then in a copy
-        total = np.full((len(counts), 192), bias)
-        planes = [packed.pack_rows(total >> k & 1) for k in range(digits)]
-        counter = np.stack(planes + [packed.zero_rows(len(counts), 192)])
-        for _ in range(2):
-            ids = rng.integers(0, len(masks), counts.sum()).astype(np.int16)
-            packed._count_band(counter, counts, ids, masks)
-            bits = packed.unpack_rows(masks[ids], 192).astype(int)
-            ends = np.cumsum(counts)
-            total += [bits[end - count : end].sum(axis=0) for end, count in zip(ends, counts)]
-            value = sum(packed.unpack_rows(counter[k], 192).astype(int) << k for k in range(digits))
-            assert np.array_equal(value, total % (1 << digits))
-            assert np.array_equal(packed.unpack_rows(counter[-1], 192), total >= 1 << digits)
+        for counts in (np.array([top, top, top - 1, 2, 2, 1, 1]), rng.integers(0, top + 1, 40)):
+            counter = np.zeros((depth + 1, len(counts), 3), dtype=np.uint64)
+            total = np.zeros((len(counts), 192), dtype=int)
+            for _ in range(2):
+                ids = rng.integers(0, len(masks), counts.sum()).astype(np.int16)
+                packed._count_band(counter, counts, ids, masks, sticky)
+                bits = packed.unpack_rows(masks[ids], 192).astype(int)
+                ends = np.cumsum(counts)
+                total += [bits[end - count : end].sum(axis=0) for end, count in zip(ends, counts)]
+                extra, planes = (counter[-1], counter[:-1]) if sticky else (counter[0], counter[1:])
+                value = np.zeros_like(total)
+                for k, plane in enumerate(planes):
+                    value += packed.unpack_rows(plane, 192).astype(int) << k
+                assert np.array_equal(value, total % (1 << depth))
+                # overflow: the count reached 2**depth; covered: it reached 1
+                reached = total >= (1 << depth if sticky else 1)
+                assert np.array_equal(packed.unpack_rows(extra, 192), reached)
+
+
+class TestRecount:
+    """A pair covered more than 2**d times, d = (t - 1).bit_length(), reads
+    low in the first count, so the read counts sum short of the parts' sum
+    of |L| * |R| and ``first_bad_pair`` recounts with a sticky overflow
+    plane; a system whose sum adds up is counted once."""
+
+    # multiplicities 2**d + 1 and 2**(d + 1) at each t (2 is both at t = 1)
+    OVER = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (3, 8), (4, 5), (4, 8)]
+
+    @pytest.fixture(autouse=True)
+    def _spies(self, monkeypatch):
+        # the recount's calls, and the planes of every counter made
+        self.recounts, self.planes = 0, set()
+        first_bad_pair, count_band = graphs.first_bad_pair, packed._count_band
+
+        def recount(*args):
+            self.recounts += 1
+            return first_bad_pair(*args)
+
+        def spy(counter, counts, mask_ids, masks, sticky):
+            self.planes.add((sticky, len(counter)))
+            count_band(counter, counts, mask_ids, masks, sticky)
+
+        monkeypatch.setattr(graphs, "first_bad_pair", recount)
+        monkeypatch.setattr(packed, "_count_band", spy)
+
+    @staticmethod
+    def _case(t, m, uncovered=None):
+        # a path on 130 vertices (three words a row) and the edges (66, 129)
+        # and (1, 100), each covered once, except (66, 129), covered m times,
+        # and ``uncovered``, not at all
+        graph = Graph.from_edges(130, [(v, v + 1) for v in range(129)] + [(66, 129), (1, 100)])
+        parts = [Biclique((u,), (v,)) for u, v in graph.edges() if (u, v) != uncovered]
+        parts += [Biclique((129,), (66,))] * (m - 1)
+        return graph, BicliqueSystem(130, parts, t)
+
+    @pytest.mark.parametrize("t, m", OVER)
+    def test_pair_alone(self, t, m):
+        graph, system = self._case(t, m)
+        certificate = verify_biclique_system(graph, system)
+        assert certificate.witness == {
+            "kind": "bad-multiplicity", "pair": [66, 129], "multiplicity": m, "is_edge": True
+        }
+        assert certificate == naive_verify(graph, system)
+        assert self.recounts == 1
+        # the recount holds t.bit_length() + 1 planes: two at t = 1, three at t = 2
+        assert self.planes == {(False, (t - 1).bit_length() + 1), (True, t.bit_length() + 1)}
+
+    @pytest.mark.parametrize("t, m", OVER)
+    def test_pair_behind_an_uncovered_edge(self, t, m):
+        graph, system = self._case(t, m, uncovered=(1, 100))
+        certificate = verify_biclique_system(graph, system)
+        assert certificate.witness == {
+            "kind": "bad-multiplicity", "pair": [1, 100], "multiplicity": 0, "is_edge": True
+        }
+        assert certificate == naive_verify(graph, system)
+        assert self.recounts == 1
+
+    @pytest.mark.parametrize("t, m", OVER)
+    def test_pair_before_an_uncovered_edge(self, t, m):
+        # the first count names the uncovered edge; only the recount sees the pair
+        graph, system = self._case(t, m, uncovered=(100, 101))
+        certificate = verify_biclique_system(graph, system)
+        assert certificate.witness == {
+            "kind": "bad-multiplicity", "pair": [66, 129], "multiplicity": m, "is_edge": True
+        }
+        assert certificate == naive_verify(graph, system)
+        assert self.recounts == 1
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_sums_that_add_up_count_once(self, t):
+        # passes, and failures with every count read exactly: an uncovered
+        # edge, and a pair covered 2**d times when that is above t
+        m = 1 << (t - 1).bit_length()
+        for uncovered, extra in ((None, 1), ((1, 100), 1), (None, m)):
+            graph, system = self._case(t, extra, uncovered)
+            certificate = verify_biclique_system(graph, system)
+            assert certificate == naive_verify(graph, system)
+            assert certificate.verdict == (uncovered is None and extra <= t)
+        graph = gridgraph.grid_graph(2)
+        assert verify_biclique_system(graph, gridgraph.grid_graph_partition(2)).verdict
+        assert self.recounts == 0
+        assert self.planes == {(False, (t - 1).bit_length() + 1), (False, 1)}
 
 
 def test_int32_side_ids_past_2_15_sides(monkeypatch):
@@ -745,9 +858,9 @@ def test_int32_side_ids_past_2_15_sides(monkeypatch):
     dtypes = set()
     count_band = packed._count_band
 
-    def spy(counter, counts, mask_ids, masks):
+    def spy(counter, counts, mask_ids, masks, sticky):
         dtypes.add(mask_ids.dtype)
-        count_band(counter, counts, mask_ids, masks)
+        count_band(counter, counts, mask_ids, masks, sticky)
 
     monkeypatch.setattr(packed, "_count_band", spy)
     monkeypatch.setattr(packed, "_BLOCK", 1000)
@@ -798,7 +911,7 @@ class TestStreamedCounter:
 
     def test_verify_holds_one_band_of_counters(self):
         # every band's counter of the t = 2 OR-square cover together is
-        # 3 planes * 16384**2 / 16 bytes = 48 MiB; streamed, verify stays far below
+        # 2 planes * 16384**2 / 16 bytes = 32 MiB; streamed, verify stays far below
         graph, cover = gridgraph.power_graph_cover(2, 2)
         tracemalloc.start()
         try:
@@ -806,7 +919,7 @@ class TestStreamedCounter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 << 20
+        assert peak < 20 << 20
 
     def test_verify_frees_each_band_before_the_next(self):
         # the n = 3 partition fits one chunk of masks, so each band's counter
